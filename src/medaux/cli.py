@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib.resources import files
 
 from . import montecarlo, mse
@@ -133,8 +133,13 @@ def _parse_synthetic(text: str) -> SyntheticSpec:
             raise MedauxError(
                 f"synthetic spec entry {part!r} has a non-numeric value"
             ) from None
-    ints = {k: int(v) for k, v in kwargs.items() if k in ("N", "seed")}
-    kwargs.update(ints)
+        if key in ("N", "seed"):
+            try:
+                kwargs[key] = int(value)
+            except ValueError:
+                raise MedauxError(
+                    f"synthetic spec entry {part!r} must be an integer"
+                ) from None
     try:
         return SyntheticSpec(**kwargs)  # type: ignore[arg-type]
     except TypeError as exc:
@@ -198,12 +203,38 @@ def cmd_table(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
+def _int_setting(key: str, value) -> int:
+    """An integer simulate setting; refuses values int() would truncate."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise MedauxError(f"{key} must be an integer, got {value!r}")
+
+
+def _read_config(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        try:
             file_cfg = json.load(fh)
-    else:
-        file_cfg = {}
+        except ValueError as exc:
+            raise MedauxError(f"config file {path}: not valid JSON ({exc})") from None
+    if not isinstance(file_cfg, dict):
+        raise MedauxError(f"config file {path}: expected a JSON object")
+    known = [f.name for f in fields(SimulationConfig)]
+    unknown = sorted(set(file_cfg) - set(known))
+    if unknown:
+        raise MedauxError(
+            f"config file {path}: unknown keys {', '.join(unknown)}; "
+            f"valid keys: {', '.join(known)}"
+        )
+    return file_cfg
+
+
+def cmd_simulate(args) -> int:
+    file_cfg = _read_config(args.config) if args.config is not None else {}
 
     def pick(flag_value, key, fallback):
         if flag_value is not None:
@@ -218,9 +249,9 @@ def cmd_simulate(args) -> int:
     if isinstance(estimators, str):
         estimators = tuple(s.strip() for s in estimators.split(",") if s.strip())
     config = SimulationConfig(
-        n=int(n),
-        reps=int(reps),
-        seed=int(pick(args.seed, "seed", 0)),
+        n=_int_setting("n", n),
+        reps=_int_setting("reps", reps),
+        seed=_int_setting("seed", pick(args.seed, "seed", 0)),
         estimators=tuple(estimators),
         weights=pick(args.weights, "weights", "true-params"),
     )
@@ -361,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--estimators")
     p_sim.add_argument("--weights", choices=("true-params", "plug-in"))
-    p_sim.add_argument("--jobs", type=int)
+    p_sim.add_argument(
+        "--jobs", type=int,
+        help="accepted for compatibility; no effect, replicates run serially",
+    )
     p_sim.add_argument("--config", help="JSON file with SimulationConfig fields")
     p_sim.add_argument(
         "--density", choices=("kernel", "histogram"), default="kernel",

@@ -39,9 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .errors import DomainError, SingularityError, UnknownEstimatorError
+from .errors import (
+    DegenerateOptimumError,
+    DomainError,
+    SingularityError,
+    UnknownEstimatorError,
+)
 from .expansion import ExpansionCoeffs, error_moments, exp_constants, k_const
 from .population import MedianParams
 
@@ -416,6 +421,73 @@ def _second_moments(params: MedianParams) -> tuple[float, float, float, float]:
     return vy, vx, cyx, vy * (1.0 - params.rho_c**2)
 
 
+class RatioExpForm(NamedTuple):
+    """Quadratic first-order MSE of the weighted ratio-exponential class,
+
+        mse(w1, w2) = (1 - 2 w1) b2 + w1^2 A + w2^2 B + 2 w1 w2 C,
+
+    with b2 = (My - Mx)^2 and A = b2 + W(a) for the total slope a = alpha + k.
+    """
+
+    b2: float
+    W: float
+    A: float
+    B: float
+    C: float
+
+
+def ratio_exp_form(
+    params: MedianParams, *, alpha: float, eta: float, lam: float
+) -> RatioExpForm:
+    """Constants of :class:`RatioExpForm` for the class scalars (alpha, eta, lam)."""
+    a = alpha + k_const(eta, lam, params.median_x)
+    b2 = params.median_gap**2
+    W = params.gamma * params.median_y**2 * (
+        params.cv_y**2
+        + a * a * params.cv_x**2
+        - 2.0 * a * params.rho_c * params.cv_y * params.cv_x
+    )
+    B = params.gamma * params.median_x**2 * params.cv_x**2
+    C = (
+        params.gamma
+        * params.median_y
+        * params.median_x
+        * params.cv_x
+        * (params.rho_c * params.cv_y - a * params.cv_x)
+    )
+    return RatioExpForm(b2=b2, W=W, A=b2 + W, B=B, C=C)
+
+
+@dataclass(frozen=True)
+class QuadraticWeights:
+    """Quadratic-form constants of the two-weight class and its optimum."""
+
+    A: float
+    B: float
+    C: float
+    w1_opt: float
+    w2_opt: float
+
+
+def quadratic_weights(
+    params: MedianParams,
+    *,
+    alpha: float = 0.0,
+    eta: float = 0.0,
+    lam: float = 1.0,
+) -> QuadraticWeights:
+    """Quadratic constants A, B, C and the optimal (w1, w2)."""
+    f = ratio_exp_form(params, alpha=alpha, eta=eta, lam=lam)
+    det = f.A * f.B - f.C * f.C
+    if det <= 0.0:
+        raise DegenerateOptimumError(
+            f"A*B - C^2 = {det!r} is not positive; weight optimum undefined"
+        )
+    return QuadraticWeights(
+        A=f.A, B=f.B, C=f.C, w1_opt=f.b2 * f.B / det, w2_opt=-f.b2 * f.C / det
+    )
+
+
 def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
     """Fill every free scalar with its first-order MSE minimiser.
 
@@ -453,7 +525,7 @@ def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
             raise SingularityError("optimal shift undefined when k_c is zero")
         return replace(spec, shift=Mx * (1.0 - kc) / kc)
     if fam == SHRINK_DIFF_TIED:
-        d1 = (My**2 + vx - cyx) / (My**2 + vy + vx - 2.0 * cyx)
+        d1 = (My**2 + vx + cyx) / (My**2 + vy + vx + 2.0 * cyx)
         return replace(spec, d1=d1)
     if fam == SHRINK_DIFF:
         d1 = My**2 / (My**2 + vres)
@@ -470,19 +542,11 @@ def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
         s = d1 * My * params.rho_c * params.cv_y / params.cv_x
         return replace(spec, d1=d1, d2=(s - d1 * My * u) / Mx)
     if fam == RATIO_EXP:
-        from .mse import quadratic_weights  # local import breaks the cycle
-
         qw = quadratic_weights(params, alpha=spec.alpha, eta=spec.eta, lam=spec.lam)
         return replace(spec, w1=qw.w1_opt, w2=qw.w2_opt)
     if fam == RATIO_EXP_SHRUNK:
-        k = k_const(spec.eta, spec.lam, Mx)
-        a = spec.alpha + k
-        w_term = params.gamma * My**2 * (
-            params.cv_y**2
-            + a * a * params.cv_x**2
-            - 2.0 * a * params.rho_c * params.cv_y * params.cv_x
-        )
-        return replace(spec, w1=b**2 / (b**2 + w_term))
+        form = ratio_exp_form(params, alpha=spec.alpha, eta=spec.eta, lam=spec.lam)
+        return replace(spec, w1=form.b2 / form.A)
 
     raise DomainError(f"family {fam!r} has no free scalars to resolve")
 

@@ -2,15 +2,14 @@
 
 Replicate k draws its randomness from a Philox generator keyed by
 ``(seed, k)``, so the sample drawn for a replicate depends only on the seed
-and the replicate index, never on execution order or the number of workers.
-Aggregation reduces over a replicate-indexed array, which keeps reports
-bit-identical across parallelism levels.
+and the replicate index.  Replicates run one after another in one loop: the
+loop body is Python code holding the interpreter lock, so worker threads
+would only take turns on it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +52,7 @@ _SYNTHETIC_STREAM_TAG = 0xFFFFFFFFFFFFFFFF  # keeps the frame stream off replica
 class SimulationConfig:
     """Replication settings; ``estimators`` holds preset names.
 
-    Parallelism is deliberately not part of the configuration: reports are a
-    pure function of (frame, config, params) whatever the worker count.
+    Reports are a pure function of (frame, config, params).
     """
 
     n: int
@@ -140,13 +138,9 @@ def srswor(frame: PopulationFrame, n: int, rng: np.random.Generator) -> np.ndarr
     return pool[:n].copy()
 
 
-def _sample_stats(
-    x: np.ndarray, y: np.ndarray, with_extras: bool
-) -> SampleStats:
-    my = finite_median(y)
-    mx = finite_median(x)
-    if not with_extras:
-        return SampleStats(median_y=my, median_x=mx)
+def _with_extras(stats: SampleStats, x: np.ndarray, y: np.ndarray) -> SampleStats:
+    """``stats`` plus the sample p11 and kernel densities at the medians."""
+    my, mx = stats.median_y, stats.median_x
     p11 = float(np.count_nonzero((x <= mx) & (y <= my))) / x.size
     kde = KernelDensity()
     fy = density_at(y, my, kde)
@@ -180,33 +174,42 @@ def _replicate_row(
     config: SimulationConfig,
     params: MedianParams,
     specs: tuple[EstimatorSpec, ...],
-    need_extras: bool,
-    plug_in: bool,
+    per_sample: tuple[bool, ...],
+    need_extras: tuple[bool, ...],
     k: int,
 ) -> np.ndarray:
+    """Estimates of replicate ``k``, NaN where an estimator failed.
+
+    ``per_sample[j]`` marks specs whose weights are resolved from this sample;
+    ``need_extras[j]`` marks specs that need p11 and the densities.  A
+    failure of those per-sample extras costs only the specs that need them.
+    """
     rng = _replicate_rng(config.seed, k)
     idx = srswor(frame, config.n, rng)
     xs, ys = frame.x[idx], frame.y[idx]
     out = np.full(len(specs), np.nan)
     try:
-        stats = _sample_stats(xs, ys, need_extras)
-        hat = _plug_in_params(stats, params) if plug_in else None
+        stats = SampleStats(median_y=finite_median(ys), median_x=finite_median(xs))
     except MedauxError:
         return out
-    for j, spec in enumerate(specs):
+    extras_ok = True
+    hat = None
+    if any(need_extras):
         try:
-            use = spec
-            if plug_in and free_scalars(spec):
-                use = resolve_weights(spec, hat)
+            stats = _with_extras(stats, xs, ys)
+            if any(per_sample):
+                hat = _plug_in_params(stats, params)
+        except MedauxError:
+            extras_ok = False
+    for j, spec in enumerate(specs):
+        if need_extras[j] and not extras_ok:
+            continue
+        try:
+            use = resolve_weights(spec, hat) if per_sample[j] else spec
             out[j] = evaluate(use, stats, params)
         except MedauxError:
             pass  # recorded as a failure for this estimator only
     return out
-
-
-def _chunks(total: int, parts: int) -> list[range]:
-    step = math.ceil(total / parts)
-    return [range(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
 def run_simulation(
@@ -221,8 +224,9 @@ def run_simulation(
     ``params``; under ``plug-in`` they are re-resolved per replicate from the
     sample.  The regression estimator always uses its per-sample slope.
     Replicates where an estimator hits a singularity are excluded from that
-    estimator's aggregates and surfaced as failure counts.  ``jobs`` only
-    controls worker threads; the report is identical for any value.
+    estimator's aggregates and surfaced as failure counts.  ``jobs`` is
+    accepted for compatibility and has no effect: replicates always run
+    serially, and the report never depended on it.
     """
     if config.n > frame.N:
         raise DomainError(f"sample size {config.n} exceeds population {frame.N}")
@@ -235,29 +239,16 @@ def run_simulation(
         specs = base_specs
     else:
         specs = tuple(resolve_weights(s, params) for s in base_specs)
-    need_extras = (plug_in and any(free_scalars(s) for s in specs)) or any(
-        s.family == REGRESSION for s in specs
+    per_sample = tuple(plug_in and bool(free_scalars(s)) for s in specs)
+    need_extras = tuple(
+        p or s.family == REGRESSION for p, s in zip(per_sample, specs)
     )
 
     estimates = np.full((config.reps, len(specs)), np.nan)
-    if jobs == 1 or config.reps == 1:
-        for k in range(config.reps):
-            estimates[k] = _replicate_row(
-                frame, config, params, specs, need_extras, plug_in, k
-            )
-    else:
-        def work(ks: range) -> tuple[range, np.ndarray]:
-            block = np.vstack(
-                [
-                    _replicate_row(frame, config, params, specs, need_extras, plug_in, k)
-                    for k in ks
-                ]
-            )
-            return ks, block
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for ks, block in pool.map(work, _chunks(config.reps, jobs * 4)):
-                estimates[ks.start : ks.stop] = block
+    for k in range(config.reps):
+        estimates[k] = _replicate_row(
+            frame, config, params, specs, per_sample, need_extras, k
+        )
 
     target = finite_median(frame.y)
     moments = error_moments(params)

@@ -30,21 +30,19 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateOptimumError,
-    DegeneratePivotWarning,
-    DomainError,
-    InfiniteEfficiencyWarning,
-)
+from .errors import DegeneratePivotWarning, DomainError, InfiniteEfficiencyWarning
 from .estimators import (
     EstimatorSpec,
+    QuadraticWeights,
     canonical_name,
     coeffs_of,
     free_scalars,
     preset,
+    quadratic_weights,
+    ratio_exp_form,
     resolve_weights,
 )
-from .expansion import bias_from_coeffs, error_moments, k_const, mse_from_coeffs
+from .expansion import ErrorMoments, bias_from_coeffs, error_moments, mse_from_coeffs
 from .population import MedianParams
 
 __all__ = [
@@ -67,17 +65,6 @@ __all__ = [
     "table_rows",
     "TABLE_ALL_IDS",
 ]
-
-
-@dataclass(frozen=True)
-class QuadraticWeights:
-    """Quadratic-form constants of the two-weight class and its optimum."""
-
-    A: float
-    B: float
-    C: float
-    w1_opt: float
-    w2_opt: float
 
 
 @dataclass(frozen=True)
@@ -107,14 +94,6 @@ class DominanceResult:
 
 def _vres(params: MedianParams) -> float:
     return params.gamma * params.median_y**2 * params.cv_y**2 * (1.0 - params.rho_c**2)
-
-
-def _w_term(params: MedianParams, a: float) -> float:
-    return params.gamma * params.median_y**2 * (
-        params.cv_y**2
-        + a * a * params.cv_x**2
-        - 2.0 * a * params.rho_c * params.cv_y * params.cv_x
-    )
 
 
 def min_mse_difference(params: MedianParams) -> float:
@@ -179,33 +158,6 @@ def min_mse_ss4(params: MedianParams, delta: float = 1.0) -> float:
     return u * params.median_y**2 * v / (u + v)
 
 
-def quadratic_weights(
-    params: MedianParams,
-    *,
-    alpha: float = 0.0,
-    eta: float = 0.0,
-    lam: float = 1.0,
-) -> QuadraticWeights:
-    """Quadratic constants A, B, C and the optimal (w1, w2)."""
-    a = alpha + k_const(eta, lam, params.median_x)
-    b2 = params.median_gap**2
-    A = b2 + _w_term(params, a)
-    B = params.gamma * params.median_x**2 * params.cv_x**2
-    C = (
-        params.gamma
-        * params.median_y
-        * params.median_x
-        * params.cv_x
-        * (params.rho_c * params.cv_y - a * params.cv_x)
-    )
-    det = A * B - C * C
-    if det <= 0.0:
-        raise DegenerateOptimumError(
-            f"A*B - C^2 = {det!r} is not positive; weight optimum undefined"
-        )
-    return QuadraticWeights(A=A, B=B, C=C, w1_opt=b2 * B / det, w2_opt=-b2 * C / det)
-
-
 def tm_mse_at(
     params: MedianParams,
     w1: float,
@@ -216,18 +168,8 @@ def tm_mse_at(
     lam: float = 1.0,
 ):
     """MSE of the two-weight class at arbitrary weights (vectorises in w1/w2)."""
-    a = alpha + k_const(eta, lam, params.median_x)
-    b2 = params.median_gap**2
-    A = b2 + _w_term(params, a)
-    B = params.gamma * params.median_x**2 * params.cv_x**2
-    C = (
-        params.gamma
-        * params.median_y
-        * params.median_x
-        * params.cv_x
-        * (params.rho_c * params.cv_y - a * params.cv_x)
-    )
-    return (1.0 - 2.0 * w1) * b2 + w1 * w1 * A + w2 * w2 * B + 2.0 * w1 * w2 * C
+    f = ratio_exp_form(params, alpha=alpha, eta=eta, lam=lam)
+    return (1.0 - 2.0 * w1) * f.b2 + w1 * w1 * f.A + w2 * w2 * f.B + 2.0 * w1 * w2 * f.C
 
 
 def tm_min_from_weights(
@@ -270,8 +212,7 @@ def min_mse_tmq(
     b^2 * W / (b^2 + W).  A zero gap pins the estimator at the common median
     and the minimum is 0.
     """
-    b2 = params.median_gap**2
-    if b2 == 0.0:
+    if params.median_gap == 0.0:
         warnings.warn(
             "medians coincide (b = 0); single-weight optimum pins the "
             "estimate at the auxiliary median",
@@ -279,9 +220,8 @@ def min_mse_tmq(
             stacklevel=2,
         )
         return 0.0
-    a = alpha + k_const(eta, lam, params.median_x)
-    w = _w_term(params, a)
-    return b2 * w / (b2 + w)
+    f = ratio_exp_form(params, alpha=alpha, eta=eta, lam=lam)
+    return f.b2 * f.W / f.A
 
 
 def analytic_bias(spec: EstimatorSpec, params: MedianParams) -> float:
@@ -411,70 +351,28 @@ TABLE_ALL_IDS = (
     "t_mq9",
 )
 
-# estimator ids whose table row is a minimum over free weights that all
-# collapse to the difference-estimator bound
-_DIFFERENCE_BOUND_IDS = frozenset(
-    ["M_d", "M_lr", "M_1", "M_2", "M_3", "M_4", "M_5", "M_6", "M_7", "t_m3"]
-)
 
-
-def _row(params: MedianParams, est_id: str, delta: float) -> MseReportRow:
-    baseline = params.gamma * params.median_y**2 * params.cv_y**2
-    moments = error_moments(params)
-    canonical = canonical_name(est_id)
-    key = canonical.lower()
-
+def _row(
+    params: MedianParams,
+    est_id: str,
+    delta: float,
+    moments: ErrorMoments,
+    baseline: float,
+) -> MseReportRow:
+    name = canonical_name(est_id)
     bias: float | None
-    if key == "m_y" or key == "t_m1":
-        mse = baseline
-        bias = 0.0
-    elif key in ("m_r", "t_m2"):
-        spec = preset("M_r", params)
-        mse = mse_from_coeffs(coeffs_of(spec, params), moments)
-        bias = bias_from_coeffs(coeffs_of(spec, params), moments)
-    elif key in ("m_p", "t_m4"):
-        spec = preset("M_p", params)
-        mse = mse_from_coeffs(coeffs_of(spec, params), moments)
-        bias = bias_from_coeffs(coeffs_of(spec, params), moments)
-    elif key in {i.lower() for i in _DIFFERENCE_BOUND_IDS}:
-        mse = min_mse_difference(params)
-        bias = 0.0 if key in ("m_d", "m_lr") else None
-    elif key == "m_d1":
-        mse = min_mse_ss1(params)
-        g, cx2, R, kc = params.gamma, params.cv_x**2, params.median_ratio, params.k_c
-        d1 = (1.0 + R * g * cx2 * (R + kc)) / (
-            1.0 + g * (params.cv_y**2 + R * cx2 * (R + 2.0 * kc))
-        )
-        bias = (d1 - 1.0) * params.median_y
-    elif key == "m_d2":
-        mse = min_mse_ss2(params)
-        spec = resolve_weights(preset("M_d2", params), params)
-        bias = (spec.d1 - 1.0) * params.median_y
-    elif key == "m_d3":
-        mse = min_mse_ss3(params)
-        spec = resolve_weights(preset("M_d3", params), params)
-        bias = (spec.d1 - 1.0) * params.median_gap
-    elif key == "m_d4":
+    if name == "M_d4":
+        # the published M_d4 value keeps a second-order term of the scaling
+        # factor that the first-order calculus drops, so this row is the
+        # paper's formula; the catalogue route gives the M_d2 minimum instead
         mse = min_mse_ss4(params, delta=delta)
         bias = None
-    elif key in ("t_m", "t_m8"):
-        mse = min_mse_tm(params)
-        bias = None
-    elif key in ("t_m5", "t_m6", "t_m7") or key.startswith("t_mq"):
-        spec = preset(canonical, params)
-        mse = min_mse_tmq(params, alpha=spec.alpha, eta=spec.eta, lam=spec.lam)
-        resolved = resolve_weights(spec, params)
-        bias = analytic_bias(resolved, params)
     else:
-        # fall through to the preset registry for anything else; unknown names
-        # raise UnknownEstimatorError from preset()
-        spec = preset(canonical, params)
-        resolved = resolve_weights(spec, params)
-        mse = mse_from_coeffs(coeffs_of(resolved, params), moments)
-        bias = bias_from_coeffs(coeffs_of(resolved, params), moments)
-
+        coeffs = coeffs_of(resolve_weights(preset(name, params), params), params)
+        mse = mse_from_coeffs(coeffs, moments)
+        bias = bias_from_coeffs(coeffs, moments)
     return MseReportRow(
-        estimator=canonical,
+        estimator=name,
         analytic_mse=mse,
         analytic_bias=bias,
         pre_vs_sample_median=pre(mse, baseline),
@@ -486,9 +384,19 @@ def table_rows(
     ids="all",
     delta: float = 1.0,
 ) -> list[MseReportRow]:
-    """Analytic table rows for the requested estimator ids (or ``"all"``)."""
+    """Analytic table rows for the requested estimator ids (or ``"all"``).
+
+    Each row is the first-order MSE and bias of the named estimator with its
+    free scalars resolved to their optimum: the route
+    ``coeffs_of(resolve_weights(preset(name)))`` that
+    :func:`medaux.montecarlo.run_simulation` reports as well.  ``M_d4`` is
+    the one exception: its row is :func:`min_mse_ss4` at exponent ``delta``,
+    with no bias.
+    """
     if isinstance(ids, str):
         if ids.strip().lower() != "all":
             raise DomainError("ids must be a sequence of names or the string 'all'")
         ids = TABLE_ALL_IDS
-    return [_row(params, est_id, delta) for est_id in ids]
+    moments = error_moments(params)
+    baseline = params.gamma * params.median_y**2 * params.cv_y**2
+    return [_row(params, est_id, delta, moments, baseline) for est_id in ids]

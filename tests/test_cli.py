@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +186,44 @@ class TestSimulateCommand:
         )
         assert json.loads(out)["config"]["reps"] == 5
 
+    def test_malformed_config_json(self, capsys, tmp_path, pop_csv):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text('{"n": 20, "reps":', encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "simulate", "--input", pop_csv, "--config", str(cfg)
+        )
+        assert code == 1
+        assert err.startswith("error:") and "not valid JSON" in err
+        assert len(err.splitlines()) == 1
+
+    def test_non_integer_config_value(self, capsys, tmp_path, pop_csv):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"n": "abc", "reps": 5}), encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "simulate", "--input", pop_csv, "--config", str(cfg)
+        )
+        assert code == 1
+        assert err == "error: n must be an integer, got 'abc'\n"
+
+    def test_unknown_config_key(self, capsys, tmp_path, pop_csv):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(
+            json.dumps({"n": 20, "reps": 5, "replicates": 9}), encoding="utf-8"
+        )
+        code, _, err = run_cli(
+            capsys, "simulate", "--input", pop_csv, "--config", str(cfg)
+        )
+        assert code == 1
+        assert err.startswith("error:") and "unknown keys replicates" in err
+        assert len(err.splitlines()) == 1
+
+    def test_non_integer_synthetic_size(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "--synthetic", "N=200.7", "--n", "5", "--reps", "1"
+        )
+        assert code == 1
+        assert err == "error: synthetic spec entry 'N=200.7' must be an integer\n"
+
     def test_detail_section_reports_failures(self, capsys, pop_csv):
         code, out, _ = run_cli(
             capsys, "simulate", "--input", pop_csv, "--n", "10", "--reps", "8",
@@ -233,6 +272,36 @@ class TestCompareCommand:
         )
         assert code == 1
         assert "single-weight" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("table-popI.json", ["table", "--params", "popI", "--format", "json"]),
+        ("table-popII.json", ["table", "--params", "popII", "--format", "json"]),
+        ("compare-popI.txt", ["compare", "--params", "popI"]),
+        (
+            "compare-popII-tmq7.txt",
+            ["compare", "--params", "popII", "--tmq-preset", "t_mq7"],
+        ),
+        (
+            "simulate-criterion7.json",
+            [
+                "simulate", "--synthetic",
+                "N=400,mu_x=6.9,sigma_x=0.5,mu_y=7,sigma_y=0.5,rho=0.8,seed=12",
+                "--n", "50", "--reps", "200", "--seed", "5", "--format", "json",
+            ],
+        ),
+    ],
+)
+def test_golden_output(capsys, golden, argv):
+    """Stdout is byte-identical to the recorded output."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
 class TestEnvironmentDefaults:

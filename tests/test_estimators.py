@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from medaux import (
+    PRESET_NAMES,
     DomainError,
     EstimatorSpec,
     MedianParams,
@@ -23,6 +25,8 @@ from medaux import (
     resolve_weights,
 )
 from medaux.mse import min_mse_difference, min_mse_ss2, min_mse_ss3, min_mse_tmq
+
+from conftest import draw_params
 
 
 def _known(median_x: float = 100.0) -> MedianParams:
@@ -229,8 +233,6 @@ class TestCoeffs:
     def test_coeffs_match_evaluation_for_all_presets(self, pop1):
         """Tiny perturbations of the sample medians agree with the coefficient
         polynomial to 1e-8 of the median for every resolved preset."""
-        from medaux import PRESET_NAMES
-
         rng = np.random.default_rng(17)
         for name in PRESET_NAMES:
             spec = resolve_weights(preset(name, pop1), pop1)
@@ -349,3 +351,23 @@ class TestResolveWeights:
     def test_fixed_spec_passthrough(self, pop1):
         spec = preset("M_r", pop1)
         assert resolve_weights(spec, pop1) is spec
+
+    def test_resolved_weights_minimise_catalogue_mse(self, pop1, pop2):
+        """Moving any resolved free scalar by 1e-4 relative never lowers the
+        MSE implied by the spec's own expansion coefficients."""
+        rng = np.random.default_rng(31)
+        for params in [pop1, pop2] + [draw_params(rng) for _ in range(200)]:
+            moments = error_moments(params)
+            for name in PRESET_NAMES:
+                free = free_scalars(preset(name, params))
+                if not free:
+                    continue
+                spec = resolve_weights(preset(name, params), params)
+                best = mse_from_coeffs(coeffs_of(spec, params), moments)
+                for field in free:
+                    value = getattr(spec, field)
+                    for step in (1e-4, -1e-4):
+                        moved = replace(spec, **{field: value * (1.0 + step)})
+                        got = mse_from_coeffs(coeffs_of(moved, params), moments)
+                        # slack for rounding when the scalar itself is tiny
+                        assert got >= best - 1e-12 * best, (name, field, step)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from medaux import (
+    PRESET_NAMES,
     DomainError,
     MedianParams,
     PopulationFrame,
@@ -18,6 +19,7 @@ from medaux import (
     proportion_matrix,
     run_simulation,
     srswor,
+    table_rows,
 )
 from medaux.montecarlo import _replicate_rng
 
@@ -106,6 +108,37 @@ class TestRunSimulation:
         assert by_name["M_r"].failures > 0
         assert by_name["M_r"].reps_used == 300 - by_name["M_r"].failures
         assert math.isfinite(by_name["M_r"].empirical_mse)
+
+    def test_extras_failure_spares_other_estimators(self):
+        # 70% of units share one of two (x, y) pairs, so many samples have a
+        # zero interquartile range and the M_lr kernel density fails
+        k = np.arange(400)
+        x = np.where(k % 20 < 10, 10.0, np.where(k % 20 < 14, 12.0, 5.0 + k / 20))
+        y = np.where(k % 20 < 10, 20.0, np.where(k % 20 < 14, 25.0, 10.0 + k / 10))
+        frame = PopulationFrame(x=x, y=y)
+        params = MedianParams.from_primitives(400, 20, 20.0, 10.0, 0.05, 0.1, 0.5)
+        for weights in ("true-params", "plug-in"):
+            def run(names):
+                config = SimulationConfig(
+                    n=20, reps=500, seed=3, estimators=names, weights=weights
+                )
+                return run_simulation(frame, config, params).results
+
+            alone = run(("M_y", "M_r"))
+            with_lr = run(("M_y", "M_r", "M_lr"))
+            assert with_lr[2].failures > 0
+            assert with_lr[:2] == alone
+            assert alone[0].reps_used == 500
+
+    def test_analytic_columns_match_table(self):
+        frame = _small_frame(N=80, seed=6)
+        params = compute_params(frame, 20)
+        names = tuple(n for n in PRESET_NAMES if n != "M_d4")
+        config = SimulationConfig(n=20, reps=2, seed=1, estimators=names)
+        report = run_simulation(frame, config, params)
+        for result, row in zip(report.results, table_rows(params, names)):
+            assert result.analytic_mse == row.analytic_mse, row.estimator
+            assert result.analytic_bias == row.analytic_bias, row.estimator
 
     def test_plug_in_policy_runs(self):
         frame = _small_frame(N=80, seed=5)

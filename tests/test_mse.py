@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from medaux import (
+    PRESET_NAMES,
     DegenerateOptimumError,
     DegeneratePivotWarning,
     DomainError,
@@ -16,6 +17,8 @@ from medaux import (
     MedianParams,
     UnknownEstimatorError,
     analytic_bias,
+    bias_from_coeffs,
+    coeffs_of,
     dominance_checks,
     error_moments,
     min_mse_difference,
@@ -25,6 +28,7 @@ from medaux import (
     min_mse_ss4,
     min_mse_tm,
     min_mse_tmq,
+    mse_from_coeffs,
     pre,
     quadratic_weights,
     resolve_weights,
@@ -325,6 +329,27 @@ class TestTableRows:
             assert math.isclose(
                 row.analytic_mse, min_mse_difference(pop1), rel_tol=1e-12
             )
+
+    def test_rows_follow_the_catalogue_route(self, pop1, pop2):
+        """Every row but the paper-formula M_d4 is the first-order MSE and
+        bias of the resolved preset, exactly."""
+        rng = np.random.default_rng(8)
+        names = [n for n in PRESET_NAMES if n != "M_d4"]
+        for p in [pop1, pop2] + [draw_params(rng) for _ in range(20)]:
+            moments = error_moments(p)
+            baseline = p.gamma * p.median_y**2 * p.cv_y**2
+            for row, name in zip(table_rows(p, names), names):
+                coeffs = coeffs_of(resolve_weights(preset(name, p), p), p)
+                mse = mse_from_coeffs(coeffs, moments)
+                assert row.estimator == name
+                assert row.analytic_mse == mse, name
+                assert row.analytic_bias == bias_from_coeffs(coeffs, moments), name
+                assert row.pre_vs_sample_median == pre(mse, baseline), name
+
+    def test_scaled_shrinkage_row_is_paper_formula(self, pop1):
+        row = table_rows(pop1, ["M_d4"], delta=0.9)[0]
+        assert row.analytic_mse == min_mse_ss4(pop1, delta=0.9)
+        assert row.analytic_bias is None
 
     def test_resolved_bias_columns(self, pop1):
         rows = {r.estimator: r for r in table_rows(pop1, ["M_d2", "M_d3", "t_mq7"])}
