@@ -25,6 +25,7 @@ from importlib.resources import files
 
 from . import montecarlo, mse
 from .errors import MedauxError, UnknownEstimatorError
+from .estimators import RATIO_EXP, free_scalars, preset
 from .montecarlo import SimulationConfig, SyntheticSpec
 from .population import (
     HistogramDensity,
@@ -248,6 +249,12 @@ def cmd_simulate(args) -> int:
     estimators = pick(args.estimators, "estimators", "M_y,M_r,M_d,t_m")
     if isinstance(estimators, str):
         estimators = tuple(s.strip() for s in estimators.split(",") if s.strip())
+    elif not isinstance(estimators, list) or not all(
+        isinstance(s, str) for s in estimators
+    ):
+        raise MedauxError(
+            f"estimators must be a string or a list of strings, got {estimators!r}"
+        )
     config = SimulationConfig(
         n=_int_setting("n", n),
         reps=_int_setting("reps", reps),
@@ -308,14 +315,11 @@ def cmd_compare(args) -> int:
     params = _load_params_arg(args.params, args.lenient)
     scalars = None
     if args.tmq_preset is not None:
-        spec = None
         try:
-            from .estimators import preset
-
             spec = preset(args.tmq_preset, params)
         except UnknownEstimatorError as exc:
             raise MedauxError(str(exc)) from exc
-        if spec.family != "ratio_exp_shrunk":
+        if spec.family != RATIO_EXP or free_scalars(spec) != ("w1",):
             raise MedauxError(
                 f"--tmq-preset needs a single-weight preset, got {args.tmq_preset!r}"
             )
@@ -406,7 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="dominance checks with margins")
     p_cmp.add_argument("--params", required=True)
-    p_cmp.add_argument("--tmq-preset", help="single-weight preset, e.g. t_mq7")
+    p_cmp.add_argument(
+        "--tmq-preset",
+        help="single-weight ratio_exp preset (w2 pinned to 0, w1 free), e.g. t_mq7",
+    )
     p_cmp.add_argument("--delta", type=float, default=1.0)
     add_common(p_cmp, default_precision=2)
     p_cmp.set_defaults(handler=cmd_compare)

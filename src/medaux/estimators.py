@@ -4,10 +4,6 @@ Every estimator combines the sample medians ``my_hat``/``mx_hat`` with the
 known population median of the auxiliary variable.  Families:
 
 =====================  ======================================================
-``sample_median``      my_hat
-``ratio``              my_hat * (Mx / mx_hat)
-``product``            my_hat * (mx_hat / Mx)
-``difference``         my_hat + d * (Mx - mx_hat)
 ``shifted_product``    my_hat * (a - mx_hat) / (a - Mx)
 ``shifted_ratio``      my_hat * (a + Mx) / (a + mx_hat)
 ``power_ratio``        my_hat * (Mx / mx_hat) ** alpha
@@ -25,21 +21,24 @@ known population median of the auxiliary variable.  Families:
 ``ratio_exp``          w1 * my_hat * (Mx / mx_hat) ** alpha
                        * exp(eta * (Mx - mx_hat) / (eta * (Mx + mx_hat) + 2 * lam))
                        + w2 * mx_hat + (1 - w1 - w2) * Mx
-``ratio_exp_fixed``    the same with (w1, w2) pinned to (1, 0)
-``ratio_exp_shrunk``   the same with w2 pinned to 0 and w1 free
 =====================  ======================================================
 
 Weight-like scalars may be left ``None`` ("free") and resolved against
 population parameters with :func:`resolve_weights`, which plugs in the value
-minimising the first-order MSE.  :func:`preset` builds the named estimators
-used throughout the comparison tables, e.g. ``t_mq7`` or ``M_d3``.
+minimising the first-order MSE and holds the pinned scalars fixed.
+:func:`preset` builds the named estimators used throughout the comparison
+tables, e.g. ``t_mq7`` or ``M_d3``.  A preset is a family with some scalars
+pinned: ``M_y``, ``M_r`` and ``M_p`` are ``power_ratio`` at alpha = 0, 1 and
+-1; ``M_d`` is ``shrink_diff`` at d1 = 1; ``t_m1``, ``t_m2`` and ``t_m4`` are
+``ratio_exp`` at (w1, w2) = (1, 0); ``t_m5``...``t_m7`` and the ``t_mq*``
+presets are ``ratio_exp`` at w2 = 0 with w1 free.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from .errors import (
     DegenerateOptimumError,
@@ -63,10 +62,6 @@ __all__ = [
 ]
 
 
-SAMPLE_MEDIAN = "sample_median"
-RATIO = "ratio"
-PRODUCT = "product"
-DIFFERENCE = "difference"
 SHIFTED_PRODUCT = "shifted_product"
 SHIFTED_RATIO = "shifted_ratio"
 POWER_RATIO = "power_ratio"
@@ -80,15 +75,9 @@ SHRINK_DIFF = "shrink_diff"
 SHRINK_CONVEX = "shrink_convex"
 SHRINK_DIFF_SCALED = "shrink_diff_scaled"
 RATIO_EXP = "ratio_exp"
-RATIO_EXP_FIXED = "ratio_exp_fixed"
-RATIO_EXP_SHRUNK = "ratio_exp_shrunk"
 
 # family -> (resolvable weight fields, structural fields that must be concrete)
 _FAMILY_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    SAMPLE_MEDIAN: ((), ()),
-    RATIO: ((), ()),
-    PRODUCT: ((), ()),
-    DIFFERENCE: (("d",), ()),
     SHIFTED_PRODUCT: (("shift",), ()),
     SHIFTED_RATIO: (("shift",), ()),
     POWER_RATIO: (("alpha",), ()),
@@ -102,28 +91,9 @@ _FAMILY_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     SHRINK_CONVEX: (("d1", "d2"), ()),
     SHRINK_DIFF_SCALED: (("d1", "d2"), ("phi", "delta", "beta")),
     RATIO_EXP: (("w1", "w2"), ("alpha", "eta", "lam")),
-    RATIO_EXP_FIXED: ((), ("alpha", "eta", "lam")),
-    RATIO_EXP_SHRUNK: (("w1",), ("alpha", "eta", "lam")),
 }
 
 FAMILIES = frozenset(_FAMILY_FIELDS)
-
-_SCALAR_FIELDS = (
-    "w1",
-    "w2",
-    "alpha",
-    "eta",
-    "lam",
-    "d",
-    "shift",
-    "beta",
-    "v",
-    "w",
-    "d1",
-    "d2",
-    "phi",
-    "delta",
-)
 
 
 @dataclass(frozen=True)
@@ -137,7 +107,6 @@ class EstimatorSpec:
     alpha: float | None = None
     eta: float | None = None
     lam: float | None = None
-    d: float | None = None
     shift: float | None = None
     beta: float | None = None
     v: float | None = None
@@ -165,6 +134,11 @@ class EstimatorSpec:
                 if not math.isfinite(value):
                     raise DomainError(f"scalar {name!r} must be finite")
                 object.__setattr__(self, name, value)
+
+
+_SCALAR_FIELDS = tuple(
+    f.name for f in fields(EstimatorSpec) if f.name not in ("family", "label")
+)
 
 
 @dataclass(frozen=True)
@@ -239,23 +213,13 @@ def evaluate(spec: EstimatorSpec, stats: SampleStats, known: MedianParams) -> fl
 
     Raises :class:`SingularityError` naming the offending denominator when a
     precondition fails, and :class:`DomainError` when the spec still has free
-    scalars (except the regression estimator, whose slope is always plug-in).
+    scalars (the regression estimator has none: its slope is always plug-in).
     """
     my, mx = stats.median_y, stats.median_x
     Mx = known.median_x
     fam = spec.family
-
-    if fam == SAMPLE_MEDIAN:
-        return my
-    if fam == RATIO:
-        return my * _ratio_power(Mx, mx, 1.0)
-    if fam == PRODUCT:
-        return my * _ratio_power(Mx, mx, -1.0)
-
     _require_resolved(spec)
 
-    if fam == DIFFERENCE:
-        return my + spec.d * (Mx - mx)
     if fam == SHIFTED_PRODUCT:
         if spec.shift == Mx:
             raise SingularityError("shift equals the known auxiliary median")
@@ -300,12 +264,8 @@ def evaluate(spec: EstimatorSpec, stats: SampleStats, known: MedianParams) -> fl
         if base < 0 and spec.beta != round(spec.beta):
             raise DomainError("negative scaling base with non-integer exponent")
         return (spec.d1 * my + spec.d2 * (Mx - mx)) * base**spec.beta
-    if fam in (RATIO_EXP, RATIO_EXP_FIXED, RATIO_EXP_SHRUNK):
+    if fam == RATIO_EXP:
         w1, w2 = spec.w1, spec.w2
-        if fam == RATIO_EXP_FIXED:
-            w1, w2 = 1.0, 0.0
-        elif fam == RATIO_EXP_SHRUNK:
-            w2 = 0.0
         base = (
             my
             * _ratio_power(Mx, mx, spec.alpha)
@@ -320,18 +280,8 @@ def coeffs_of(spec: EstimatorSpec, params: MedianParams) -> ExpansionCoeffs:
     """First-order expansion coefficients of ``spec`` at ``params``."""
     My, Mx, b = params.median_y, params.median_x, params.median_gap
     fam = spec.family
-
-    if fam == SAMPLE_MEDIAN:
-        return ExpansionCoeffs(0.0, My, 0.0, 0.0, 0.0)
-    if fam == RATIO:
-        return ExpansionCoeffs(0.0, My, -My, My, -My)
-    if fam == PRODUCT:
-        return ExpansionCoeffs(0.0, My, My, 0.0, My)
-
     _require_resolved(spec)
 
-    if fam == DIFFERENCE:
-        return ExpansionCoeffs(0.0, My, -spec.d * Mx, 0.0, 0.0)
     if fam == SHIFTED_PRODUCT:
         if spec.shift == Mx:
             raise SingularityError("shift equals the known auxiliary median")
@@ -386,12 +336,8 @@ def coeffs_of(spec: EstimatorSpec, params: MedianParams) -> ExpansionCoeffs:
             spec.d2 * Mx * u + spec.d1 * My * spec.beta * (spec.beta + 1.0) / 2.0 * g**2,
             -spec.d1 * My * u,
         )
-    if fam in (RATIO_EXP, RATIO_EXP_FIXED, RATIO_EXP_SHRUNK):
+    if fam == RATIO_EXP:
         w1, w2 = spec.w1, spec.w2
-        if fam == RATIO_EXP_FIXED:
-            w1, w2 = 1.0, 0.0
-        elif fam == RATIO_EXP_SHRUNK:
-            w2 = 0.0
         k = k_const(spec.eta, spec.lam, Mx)
         a, gap, d2nd = exp_constants(spec.alpha, k, My, Mx)
         return ExpansionCoeffs(
@@ -488,24 +434,36 @@ def quadratic_weights(
     )
 
 
+# family -> the one free scalar that has an optimum when the other is pinned
+_CONDITIONAL_OPTIMA = {RATIO_EXP: ("w1",), SHRINK_DIFF: ("d2",)}
+
+
 def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
     """Fill every free scalar with its first-order MSE minimiser.
 
     Each family's optimum is the closed-form minimiser of the MSE implied by
     its own expansion coefficients, so the resolved spec is internally
     consistent with :func:`coeffs_of` and :func:`medaux.expansion.mse_from_coeffs`.
+    Pinned scalars are never changed: a two-weight spec with one weight
+    pinned gets the conditional optimum of the other where one is defined
+    (w1 of ``ratio_exp``, d2 of ``shrink_diff``) and raises
+    :class:`DomainError` otherwise.
     """
     missing = free_scalars(spec)
     if not missing:
         return spec
+    fam = spec.family
+    weights, _ = _FAMILY_FIELDS[fam]
+    if len(missing) < len(weights) and _CONDITIONAL_OPTIMA.get(fam) != missing:
+        raise DomainError(
+            f"estimator {spec.label!r} pins some of {weights} but has no "
+            f"optimum for {missing} alone"
+        )
     My, Mx = params.median_y, params.median_x
     kc = params.k_c
     vy, vx, cyx, vres = _second_moments(params)
     b = params.median_gap
-    fam = spec.family
 
-    if fam == DIFFERENCE:
-        return replace(spec, d=cyx / vx)
     if fam == POWER_RATIO:
         return replace(spec, alpha=kc)
     if fam == DAMPED_RATIO:
@@ -528,7 +486,7 @@ def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
         d1 = (My**2 + vx + cyx) / (My**2 + vy + vx + 2.0 * cyx)
         return replace(spec, d1=d1)
     if fam == SHRINK_DIFF:
-        d1 = My**2 / (My**2 + vres)
+        d1 = My**2 / (My**2 + vres) if spec.d1 is None else spec.d1
         return replace(spec, d1=d1, d2=d1 * cyx / vx)
     if fam == SHRINK_CONVEX:
         d1 = b**2 / (b**2 + vres)
@@ -541,12 +499,12 @@ def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
         d1 = My**2 / (My**2 + vres)
         s = d1 * My * params.rho_c * params.cv_y / params.cv_x
         return replace(spec, d1=d1, d2=(s - d1 * My * u) / Mx)
-    if fam == RATIO_EXP:
+    if fam == RATIO_EXP and spec.w2 is None:
         qw = quadratic_weights(params, alpha=spec.alpha, eta=spec.eta, lam=spec.lam)
         return replace(spec, w1=qw.w1_opt, w2=qw.w2_opt)
-    if fam == RATIO_EXP_SHRUNK:
+    if fam == RATIO_EXP:
         form = ratio_exp_form(params, alpha=spec.alpha, eta=spec.eta, lam=spec.lam)
-        return replace(spec, w1=form.b2 / form.A)
+        return replace(spec, w1=(form.b2 - spec.w2 * form.C) / form.A)
 
     raise DomainError(f"family {fam!r} has no free scalars to resolve")
 
@@ -555,78 +513,45 @@ def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
 # Named presets
 # ---------------------------------------------------------------------------
 
-
-def _needs_params(name: str) -> Callable[[MedianParams | None], MedianParams]:
-    def _check(params: MedianParams | None) -> MedianParams:
-        if params is None:
-            raise DomainError(f"preset {name!r} pulls scalars from params")
-        return params
-
-    return _check
-
-
-def _preset_builders() -> dict[str, Callable[[MedianParams | None], EstimatorSpec]]:
-    def fixed(family: str, label: str, **kw) -> Callable:
-        return lambda _params: EstimatorSpec(family=family, label=label, **kw)
-
-    builders: dict[str, Callable[[MedianParams | None], EstimatorSpec]] = {
-        "M_y": fixed(SAMPLE_MEDIAN, "M_y"),
-        "M_r": fixed(RATIO, "M_r"),
-        "M_p": fixed(PRODUCT, "M_p"),
-        "M_d": fixed(DIFFERENCE, "M_d"),
-        "M_1": fixed(SHIFTED_PRODUCT, "M_1"),
-        "M_2": fixed(SHIFTED_RATIO, "M_2"),
-        "M_3": fixed(POWER_RATIO, "M_3"),
-        "M_4": fixed(DAMPED_RATIO, "M_4"),
-        "M_5": fixed(DUAL_POWER, "M_5"),
-        "M_6": fixed(MIX_PRODUCT, "M_6"),
-        "M_7": fixed(MIX_RATIO, "M_7"),
-        "M_lr": fixed(REGRESSION, "M_lr"),
-        "M_d1": fixed(SHRINK_DIFF_TIED, "M_d1"),
-        "M_d2": fixed(SHRINK_DIFF, "M_d2"),
-        "M_d3": fixed(SHRINK_CONVEX, "M_d3"),
-        "M_d4": fixed(SHRINK_DIFF_SCALED, "M_d4", phi=1.0, delta=0.0, beta=1.0),
-        # two-weight class and the generated single-weight subsets
-        "t_m": fixed(RATIO_EXP, "t_m", alpha=0.0, eta=0.0, lam=1.0),
-        "t_m1": fixed(RATIO_EXP_FIXED, "t_m1", w1=1.0, w2=0.0, alpha=0.0, eta=0.0, lam=1.0),
-        "t_m2": fixed(RATIO_EXP_FIXED, "t_m2", w1=1.0, w2=0.0, alpha=1.0, eta=0.0, lam=1.0),
-        "t_m3": fixed(POWER_RATIO, "t_m3"),
-        "t_m4": fixed(RATIO_EXP_FIXED, "t_m4", w1=1.0, w2=0.0, alpha=-1.0, eta=0.0, lam=1.0),
-        "t_m5": fixed(RATIO_EXP_SHRUNK, "t_m5", alpha=1.0, eta=0.0, lam=1.0),
-        "t_m6": fixed(RATIO_EXP_SHRUNK, "t_m6", alpha=-1.0, eta=0.0, lam=1.0),
-        "t_m7": fixed(RATIO_EXP_SHRUNK, "t_m7", alpha=0.0, eta=0.0, lam=1.0),
-        "t_m8": fixed(RATIO_EXP, "t_m8", alpha=0.0, eta=0.0, lam=1.0),
-        "t_mq1": fixed(RATIO_EXP_SHRUNK, "t_mq1", alpha=1.0, eta=1.0, lam=1.0),
-        "t_mq4": fixed(RATIO_EXP_SHRUNK, "t_mq4", alpha=1.0, eta=1.0, lam=0.0),
-        "t_mq5": fixed(RATIO_EXP_SHRUNK, "t_mq5", alpha=-1.0, eta=1.0, lam=1.0),
-    }
-
-    def from_params(name: str, label: str, alpha: float, eta_field: str | None, lam_field: str | None, eta: float | None = None, lam: float | None = None) -> None:
-        need = _needs_params(label)
-
-        def build(params: MedianParams | None) -> EstimatorSpec:
-            p = need(params)
-            return EstimatorSpec(
-                family=RATIO_EXP_SHRUNK,
-                label=label,
-                alpha=alpha,
-                eta=getattr(p, eta_field) if eta_field else eta,
-                lam=getattr(p, lam_field) if lam_field else lam,
-            )
-
-        builders[name] = build
-
-    # rows whose (eta, lam) pull rho_c or the auxiliary median from params
-    from_params("t_mq2", "t_mq2", alpha=1.0, eta_field=None, lam_field="rho_c", eta=1.0)
-    from_params("t_mq3", "t_mq3", alpha=1.0, eta_field=None, lam_field="median_x", eta=1.0)
-    from_params("t_mq6", "t_mq6", alpha=1.0, eta_field="median_x", lam_field="rho_c")
-    from_params("t_mq7", "t_mq7", alpha=0.0, eta_field="median_x", lam_field="rho_c")
-    from_params("t_mq8", "t_mq8", alpha=1.0, eta_field="rho_c", lam_field="median_x")
-    from_params("t_mq9", "t_mq9", alpha=-1.0, eta_field="rho_c", lam_field="median_x")
-    return builders
-
-
-_PRESETS = _preset_builders()
+# name -> (family, pinned scalars); a string names the MedianParams field the
+# scalar is read from, so those presets need params
+_PRESETS: dict[str, tuple[str, dict[str, float | str]]] = {
+    "M_y": (POWER_RATIO, dict(alpha=0.0)),
+    "M_r": (POWER_RATIO, dict(alpha=1.0)),
+    "M_p": (POWER_RATIO, dict(alpha=-1.0)),
+    "M_d": (SHRINK_DIFF, dict(d1=1.0)),
+    "M_1": (SHIFTED_PRODUCT, {}),
+    "M_2": (SHIFTED_RATIO, {}),
+    "M_3": (POWER_RATIO, {}),
+    "M_4": (DAMPED_RATIO, {}),
+    "M_5": (DUAL_POWER, {}),
+    "M_6": (MIX_PRODUCT, {}),
+    "M_7": (MIX_RATIO, {}),
+    "M_lr": (REGRESSION, {}),
+    "M_d1": (SHRINK_DIFF_TIED, {}),
+    "M_d2": (SHRINK_DIFF, {}),
+    "M_d3": (SHRINK_CONVEX, {}),
+    "M_d4": (SHRINK_DIFF_SCALED, dict(phi=1.0, delta=0.0, beta=1.0)),
+    # two-weight class and the generated single-weight subsets
+    "t_m": (RATIO_EXP, dict(alpha=0.0, eta=0.0, lam=1.0)),
+    "t_m1": (RATIO_EXP, dict(w1=1.0, w2=0.0, alpha=0.0, eta=0.0, lam=1.0)),
+    "t_m2": (RATIO_EXP, dict(w1=1.0, w2=0.0, alpha=1.0, eta=0.0, lam=1.0)),
+    "t_m3": (POWER_RATIO, {}),
+    "t_m4": (RATIO_EXP, dict(w1=1.0, w2=0.0, alpha=-1.0, eta=0.0, lam=1.0)),
+    "t_m5": (RATIO_EXP, dict(w2=0.0, alpha=1.0, eta=0.0, lam=1.0)),
+    "t_m6": (RATIO_EXP, dict(w2=0.0, alpha=-1.0, eta=0.0, lam=1.0)),
+    "t_m7": (RATIO_EXP, dict(w2=0.0, alpha=0.0, eta=0.0, lam=1.0)),
+    "t_m8": (RATIO_EXP, dict(alpha=0.0, eta=0.0, lam=1.0)),
+    "t_mq1": (RATIO_EXP, dict(w2=0.0, alpha=1.0, eta=1.0, lam=1.0)),
+    "t_mq4": (RATIO_EXP, dict(w2=0.0, alpha=1.0, eta=1.0, lam=0.0)),
+    "t_mq5": (RATIO_EXP, dict(w2=0.0, alpha=-1.0, eta=1.0, lam=1.0)),
+    "t_mq2": (RATIO_EXP, dict(w2=0.0, alpha=1.0, eta=1.0, lam="rho_c")),
+    "t_mq3": (RATIO_EXP, dict(w2=0.0, alpha=1.0, eta=1.0, lam="median_x")),
+    "t_mq6": (RATIO_EXP, dict(w2=0.0, alpha=1.0, eta="median_x", lam="rho_c")),
+    "t_mq7": (RATIO_EXP, dict(w2=0.0, alpha=0.0, eta="median_x", lam="rho_c")),
+    "t_mq8": (RATIO_EXP, dict(w2=0.0, alpha=1.0, eta="rho_c", lam="median_x")),
+    "t_mq9": (RATIO_EXP, dict(w2=0.0, alpha=-1.0, eta="rho_c", lam="median_x")),
+}
 _PRESETS_LOWER = {name.lower(): name for name in _PRESETS}
 
 PRESET_NAMES = tuple(_PRESETS)
@@ -648,4 +573,13 @@ def preset(name: str, params: MedianParams | None = None) -> EstimatorSpec:
     Presets whose scalars are population quantities (e.g. ``t_mq7``) require
     ``params``.  Unknown names raise :class:`UnknownEstimatorError`.
     """
-    return _PRESETS[canonical_name(name)](params)
+    name = canonical_name(name)
+    family, pinned = _PRESETS[name]
+    scalars = {}
+    for field, value in pinned.items():
+        if isinstance(value, str):
+            if params is None:
+                raise DomainError(f"preset {name!r} pulls scalars from params")
+            value = getattr(params, value)
+        scalars[field] = value
+    return EstimatorSpec(family=family, label=name, **scalars)

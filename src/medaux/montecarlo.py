@@ -234,11 +234,9 @@ def run_simulation(
         raise DomainError(f"jobs must be positive, got {jobs}")
 
     base_specs = tuple(preset(name, params) for name in config.estimators)
+    resolved = tuple(resolve_weights(s, params) for s in base_specs)
     plug_in = config.weights == "plug-in"
-    if plug_in:
-        specs = base_specs
-    else:
-        specs = tuple(resolve_weights(s, params) for s in base_specs)
+    specs = base_specs if plug_in else resolved
     per_sample = tuple(plug_in and bool(free_scalars(s)) for s in specs)
     need_extras = tuple(
         p or s.family == REGRESSION for p, s in zip(per_sample, specs)
@@ -253,7 +251,7 @@ def run_simulation(
     target = finite_median(frame.y)
     moments = error_moments(params)
     results = []
-    for j, (name, spec) in enumerate(zip(config.estimators, specs)):
+    for j, (name, reference) in enumerate(zip(config.estimators, resolved)):
         col = estimates[:, j]
         good = col[np.isfinite(col)]
         used = int(good.size)
@@ -266,9 +264,9 @@ def run_simulation(
             sq = errors * errors
             emp_mse = float(np.mean(sq))
             se = float(np.std(sq, ddof=1) / math.sqrt(used)) if used > 1 else math.nan
-        reference = spec if not free_scalars(spec) else resolve_weights(spec, params)
-        ana_mse = mse_from_coeffs(coeffs_of(reference, params), moments)
-        ana_bias = bias_from_coeffs(coeffs_of(reference, params), moments)
+        coeffs = coeffs_of(reference, params)
+        ana_mse = mse_from_coeffs(coeffs, moments)
+        ana_bias = bias_from_coeffs(coeffs, moments)
         results.append(
             EstimatorResult(
                 estimator=name,

@@ -495,7 +495,7 @@ def load_params(source: Source, strict: bool = True) -> MedianParams:
             raise SchemaError(f"params key {key!r} must be numeric, got {v!r}")
         values[key] = v
     for key in ("N", "n"):
-        if values[key] != int(values[key]):
+        if isinstance(values[key], float) and not values[key].is_integer():
             raise SchemaError(f"params key {key!r} must be an integer")
         values[key] = int(values[key])
     if not (0 < values["n"] < values["N"]):

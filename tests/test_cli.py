@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from medaux import PRESET_NAMES
 from medaux.cli import main
 
 POP_CSV = "x,y\n" + "\n".join(
@@ -118,6 +119,19 @@ class TestTableCommand:
         again = json.dumps(first, indent=2) + "\n"
         assert json.loads(again) == first
 
+    @pytest.mark.parametrize("size", ["Infinity", "NaN"])
+    def test_non_finite_population_size(self, capsys, tmp_path, size):
+        path = tmp_path / "params.json"
+        path.write_text(
+            '{"N": %s, "n": 17, "median_y": 2068, "median_x": 2011,'
+            ' "fy_at_median": 0.00014, "fx_at_median": 0.00014, "rho_c": 0.1505}'
+            % size,
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(capsys, "table", "--params", str(path))
+        assert code == 1
+        assert err == "error: params key 'N' must be an integer\n"
+
 
 class TestSimulateCommand:
     ARGS = (
@@ -217,6 +231,20 @@ class TestSimulateCommand:
         assert err.startswith("error:") and "unknown keys replicates" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("estimators", [5, [1, 2]], ids=["int", "int-list"])
+    def test_non_string_config_estimators(self, capsys, tmp_path, pop_csv, estimators):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(
+            json.dumps({"n": 20, "reps": 5, "estimators": estimators}),
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(
+            capsys, "simulate", "--input", pop_csv, "--config", str(cfg)
+        )
+        assert code == 1
+        assert err.startswith("error:") and "list of strings" in err
+        assert len(err.splitlines()) == 1
+
     def test_non_integer_synthetic_size(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--synthetic", "N=200.7", "--n", "5", "--reps", "1"
@@ -293,6 +321,26 @@ GOLDEN = Path(__file__).parent / "golden"
                 "simulate", "--synthetic",
                 "N=400,mu_x=6.9,sigma_x=0.5,mu_y=7,sigma_y=0.5,rho=0.8,seed=12",
                 "--n", "50", "--reps", "200", "--seed", "5", "--format", "json",
+            ],
+        ),
+        *(
+            (
+                f"table-{pop}-all-presets.json",
+                [
+                    "table", "--params", pop,
+                    "--estimators", ",".join(PRESET_NAMES), "--format", "json",
+                ],
+            )
+            for pop in ("popI", "popII")
+        ),
+        (
+            "simulate-plugin-folded.json",
+            [
+                "simulate", "--synthetic",
+                "N=2000,mu_x=7,sigma_x=0.5,mu_y=7,sigma_y=0.5,rho=0.8,seed=1",
+                "--n", "100", "--reps", "200", "--seed", "7",
+                "--estimators", "M_y,M_r,M_p,M_d,t_m1,t_m5,t_mq7,M_lr",
+                "--weights", "plug-in", "--format", "json",
             ],
         ),
     ],

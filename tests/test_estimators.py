@@ -24,6 +24,7 @@ from medaux import (
     preset,
     resolve_weights,
 )
+from medaux.estimators import FAMILIES
 from medaux.mse import min_mse_difference, min_mse_ss2, min_mse_ss3, min_mse_tmq
 
 from conftest import draw_params
@@ -46,7 +47,8 @@ class TestEvaluate:
     def test_ratio_identity_when_sample_hits_known_median(self):
         known = _known()
         stats = SampleStats(median_y=77.0, median_x=known.median_x)
-        assert evaluate(EstimatorSpec(family="ratio"), stats, known) == 77.0
+        spec = EstimatorSpec(family="power_ratio", alpha=1.0)
+        assert evaluate(spec, stats, known) == 77.0
 
     def test_weighted_class_doubles_under_half_auxiliary(self):
         known = _known(median_x=100.0)
@@ -66,7 +68,7 @@ class TestEvaluate:
         known = _known()
         stats = SampleStats(median_y=1.0, median_x=0.0)
         with pytest.raises(SingularityError, match="sample median of x"):
-            evaluate(EstimatorSpec(family="ratio"), stats, known)
+            evaluate(EstimatorSpec(family="power_ratio", alpha=1.0), stats, known)
 
     def test_exponential_denominator_singularity(self):
         known = _known(median_x=100.0)
@@ -97,7 +99,7 @@ class TestEvaluate:
         known = _known()
         with pytest.raises(DomainError, match="unresolved"):
             evaluate(
-                EstimatorSpec(family="difference"),
+                EstimatorSpec(family="shrink_diff", d1=1.0),
                 SampleStats(median_y=1.0, median_x=2.0),
                 known,
             )
@@ -133,8 +135,10 @@ class TestReductionLattice:
                 EstimatorSpec(family="ratio_exp", alpha=alpha, **base), stats, known
             )
             assert tm(0.0) == stats.median_y
-            assert tm(1.0) == evaluate(EstimatorSpec(family="ratio"), stats, known)
-            assert tm(-1.0) == evaluate(EstimatorSpec(family="product"), stats, known)
+            ratio = EstimatorSpec(family="power_ratio", alpha=1.0)
+            product = EstimatorSpec(family="power_ratio", alpha=-1.0)
+            assert tm(1.0) == evaluate(ratio, stats, known)
+            assert tm(-1.0) == evaluate(product, stats, known)
 
     def test_two_weight_class_matches_convex_shrinkage(self):
         known = _known(median_x=321.0)
@@ -162,7 +166,7 @@ class TestScaleBehaviour:
             stats = _random_stats(rng)
             c = float(rng.uniform(0.5, 3.0))
             for build in (
-                lambda: EstimatorSpec(family="ratio"),
+                lambda: EstimatorSpec(family="power_ratio", alpha=1.0),
                 lambda: EstimatorSpec(family="power_ratio", alpha=0.7),
                 lambda: EstimatorSpec(
                     family="ratio_exp", w1=1.0, w2=0.0, alpha=1.0, eta=2.0, lam=0.0
@@ -181,11 +185,11 @@ class TestScaleBehaviour:
         rng = np.random.default_rng(12)
         known = _known(median_x=200.0)
         specs = [
-            EstimatorSpec(family="ratio"),
+            EstimatorSpec(family="power_ratio", alpha=1.0),
             EstimatorSpec(family="power_ratio", alpha=1.3),
             EstimatorSpec(family="dual_power", v=0.5),
             EstimatorSpec(
-                family="ratio_exp_fixed", w1=1.0, w2=0.0, alpha=1.0, eta=1.0, lam=2.0
+                family="ratio_exp", w1=1.0, w2=0.0, alpha=1.0, eta=1.0, lam=2.0
             ),
         ]
         for _ in range(200):
@@ -202,7 +206,7 @@ class TestScaleBehaviour:
 
 class TestCoeffs:
     def test_sample_median_identity_expansion(self, pop1):
-        c = coeffs_of(EstimatorSpec(family="sample_median"), pop1)
+        c = coeffs_of(EstimatorSpec(family="power_ratio", alpha=0.0), pop1)
         assert (c.c0, c.c_e0, c.c_e1, c.c_e1sq, c.c_e0e1) == (
             0.0,
             pop1.median_y,
@@ -225,7 +229,7 @@ class TestCoeffs:
         # alpha=1, eta=1, lam=0 gives k=1/2, total slope a=1.5
         for w1 in (0.25, 0.8, 1.5):
             spec = EstimatorSpec(
-                family="ratio_exp_shrunk", w1=w1, alpha=1.0, eta=1.0, lam=0.0
+                family="ratio_exp", w1=w1, w2=0.0, alpha=1.0, eta=1.0, lam=0.0
             )
             c = coeffs_of(spec, pop1)
             assert math.isclose(c.c_e1, -w1 * 2068 * 1.5, rel_tol=1e-12)
@@ -284,6 +288,9 @@ class TestPresets:
         with pytest.raises(DomainError):
             preset("t_mq7")
 
+    def test_every_family_has_a_preset(self, pop1):
+        assert {preset(name, pop1).family for name in PRESET_NAMES} == FAMILIES
+
     def test_searched_ratio_presets_have_free_weight(self, pop1):
         for name in ("t_m5", "t_m6", "t_m7"):
             spec = preset(name, pop1)
@@ -318,7 +325,7 @@ class TestResolveWeights:
         expected = pop1.rho_c * pop1.median_y * pop1.cv_y / (
             pop1.median_x * pop1.cv_x
         )
-        assert math.isclose(spec.d, expected, rel_tol=1e-12)
+        assert math.isclose(spec.d2, expected, rel_tol=1e-12)
 
     def test_resolved_specs_hit_family_minima(self, pop1, pop2):
         """The MSE implied by resolved coefficients equals each family's
@@ -352,22 +359,47 @@ class TestResolveWeights:
         spec = preset("M_r", pop1)
         assert resolve_weights(spec, pop1) is spec
 
+    @staticmethod
+    def _assert_local_minimum(spec, field, params):
+        """Moving ``field`` by 1e-4 relative never lowers the MSE implied by
+        the spec's own expansion coefficients."""
+        moments = error_moments(params)
+        best = mse_from_coeffs(coeffs_of(spec, params), moments)
+        value = getattr(spec, field)
+        for step in (1e-4, -1e-4):
+            moved = replace(spec, **{field: value * (1.0 + step)})
+            got = mse_from_coeffs(coeffs_of(moved, params), moments)
+            # slack for rounding when the scalar itself is tiny
+            assert got >= best - 1e-12 * best, (spec.label, field, step)
+
+    def test_pinned_d1_kept_and_d2_conditionally_optimal(self, pop1):
+        spec = resolve_weights(EstimatorSpec(family="shrink_diff", d1=0.5), pop1)
+        assert spec.d1 == 0.5
+        self._assert_local_minimum(spec, "d2", pop1)
+
+    def test_pinned_w2_kept_and_w1_conditionally_optimal(self, pop1):
+        spec = resolve_weights(
+            EstimatorSpec(family="ratio_exp", w2=0.3, alpha=1.0, eta=0.0, lam=1.0),
+            pop1,
+        )
+        assert spec.w2 == 0.3
+        self._assert_local_minimum(spec, "w1", pop1)
+
+    def test_partly_pinned_without_conditional_optimum_rejected(self, pop1):
+        for spec in (
+            EstimatorSpec(family="ratio_exp", w1=0.9, alpha=1.0, eta=0.0, lam=1.0),
+            EstimatorSpec(family="shrink_convex", d2=0.1),
+        ):
+            with pytest.raises(DomainError, match="pins"):
+                resolve_weights(spec, pop1)
+
     def test_resolved_weights_minimise_catalogue_mse(self, pop1, pop2):
         """Moving any resolved free scalar by 1e-4 relative never lowers the
         MSE implied by the spec's own expansion coefficients."""
         rng = np.random.default_rng(31)
         for params in [pop1, pop2] + [draw_params(rng) for _ in range(200)]:
-            moments = error_moments(params)
             for name in PRESET_NAMES:
                 free = free_scalars(preset(name, params))
-                if not free:
-                    continue
                 spec = resolve_weights(preset(name, params), params)
-                best = mse_from_coeffs(coeffs_of(spec, params), moments)
                 for field in free:
-                    value = getattr(spec, field)
-                    for step in (1e-4, -1e-4):
-                        moved = replace(spec, **{field: value * (1.0 + step)})
-                        got = mse_from_coeffs(coeffs_of(moved, params), moments)
-                        # slack for rounding when the scalar itself is tiny
-                        assert got >= best - 1e-12 * best, (name, field, step)
+                    self._assert_local_minimum(spec, field, params)

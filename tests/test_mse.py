@@ -252,7 +252,7 @@ class TestAnalyticBias:
         assert analytic_bias(spec, pop1) == 0.0
 
     def test_ratio_bias_value(self, pop1):
-        got = analytic_bias(EstimatorSpec(family="ratio"), pop1)
+        got = analytic_bias(EstimatorSpec(family="power_ratio", alpha=1.0), pop1)
         expected = pop1.median_y * pop1.gamma * (
             pop1.cv_x**2 - pop1.rho_c * pop1.cv_y * pop1.cv_x
         )

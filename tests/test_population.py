@@ -325,3 +325,12 @@ class TestLoadParams:
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             load_params(io.StringIO("{not json"))
+
+    @pytest.mark.parametrize("size", ["Infinity", "NaN"])
+    def test_non_finite_size_is_schema_error(self, size):
+        doc = (
+            '{"N": %s, "n": 17, "median_y": 2068, "median_x": 2011,'
+            ' "fy_at_median": 0.00014, "fx_at_median": 0.00014, "rho_c": 0.1505}'
+        ) % size
+        with pytest.raises(SchemaError, match="must be an integer"):
+            load_params(io.StringIO(doc))
