@@ -186,6 +186,8 @@ def cmd_table(args) -> int:
     ids = "all" if args.estimators.strip().lower() == "all" else [
         s.strip() for s in args.estimators.split(",") if s.strip()
     ]
+    if not ids:
+        raise MedauxError("need at least one estimator")
     rows = mse.table_rows(params, ids, delta=args.delta)
     table = RenderedTable(
         rows=tuple(

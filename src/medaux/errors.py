@@ -38,6 +38,9 @@ class DegenerateOptimumError(MedauxError, ArithmeticError):
 class UnknownEstimatorError(MedauxError, KeyError):
     """An estimator name does not match any known preset."""
 
+    def __str__(self) -> str:  # KeyError would quote the message
+        return str(self.args[0]) if self.args else ""
+
 
 class DegeneratePivotWarning(UserWarning):
     """The shrinkage pivot vanishes (study and auxiliary medians coincide)."""

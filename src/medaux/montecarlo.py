@@ -1,10 +1,14 @@
 """SRSWOR replication engine with reproducible counter-based substreams.
 
 Replicate k draws its randomness from a Philox generator keyed by
-``(seed, k)``, so the sample drawn for a replicate depends only on the seed
-and the replicate index.  Replicates run one after another in one loop: the
-loop body is Python code holding the interpreter lock, so worker threads
-would only take turns on it.
+``(seed, k)``: one ``integers(arange(n), N)`` draw gives the targets of a
+partial Fisher-Yates shuffle, so the sample of a replicate depends only on
+the seed and the replicate index.  Replicates run in blocks: each block
+draws its replicates' targets one key at a time, then shuffles, takes the
+sample medians, p11 and kernel densities for the whole block as (K, n)
+arrays.  Weight resolution and estimator evaluation stay per replicate.
+Every per-row result equals the one-replicate computation, so reports
+depend neither on the block size nor on ``jobs``.
 """
 
 from __future__ import annotations
@@ -27,10 +31,9 @@ from .estimators import (
 )
 from .expansion import bias_from_coeffs, error_moments, mse_from_coeffs
 from .population import (
-    KernelDensity,
     MedianParams,
     PopulationFrame,
-    density_at,
+    _kernel_density_rows,
     finite_median,
 )
 
@@ -46,6 +49,7 @@ __all__ = [
 
 _WEIGHT_POLICIES = ("true-params", "plug-in")
 _SYNTHETIC_STREAM_TAG = 0xFFFFFFFFFFFFFFFF  # keeps the frame stream off replicate keys
+_BLOCK_UNITS = 16_384  # sampled units per block of replicates; results do not depend on it
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,8 @@ class SimulationConfig:
             raise DomainError(f"sample size must be positive, got {self.n}")
         if self.reps < 1:
             raise DomainError(f"need at least 1 replicate, got {self.reps}")
+        if not self.estimators:
+            raise DomainError("need at least one estimator")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
         if self.weights not in _WEIGHT_POLICIES:
@@ -120,34 +126,73 @@ class SimulationReport:
 
 
 def _replicate_rng(seed: int, k: int) -> np.random.Generator:
+    """The generator of replicate k: its first draw sets the sample."""
     key = np.array([seed, k], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _swap_targets(seed: int, ks: range, n: int, N: int) -> np.ndarray:
+    """Row r: the draw ``integers(arange(n), N)`` of replicate ``ks[r]``.
+
+    One Philox is rekeyed per replicate by assigning its state (key
+    ``(seed, k)``, counter 0, buffer empty): exactly the state that
+    ``_replicate_rng(seed, k)`` starts from, without constructing a Philox
+    per replicate (its constructor also gathers OS entropy it never uses).
+    """
+    bitgen = np.random.Philox(key=np.array([seed, ks.start], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
+    low = np.arange(n)
+    out = np.empty((len(ks), n), dtype=np.int64)
+    for r, k in enumerate(ks):
+        key[1] = k
+        bitgen.state = state
+        out[r] = gen.integers(low=low, high=N)
+    return out
+
+
+def _swap_rows(js: np.ndarray, N: int) -> np.ndarray:
+    """Partial Fisher-Yates on each row: for i < n swap positions i and
+    ``js[r, i]`` of ``arange(N)``, then keep the first n entries.
+
+    Only positions ``0..n-1`` and the row's targets are ever touched.  The
+    flat pool holds one slot per position below n (``r*n + p``) and one per
+    target column (``K*n + r*n + c``); equal targets of a row share the slot
+    of one of their columns, which starts out holding that position.  Step i
+    then swaps for every row at once.  Memory is O(K n) for K rows plus one
+    index array of length N.
+    """
+    K, n = js.shape
+    cols = np.arange(n)
+    column_of = np.empty(N, dtype=np.intp)
+    owner = np.empty_like(js)  # equal targets of a row read back one shared column
+    for r, row in enumerate(js):
+        column_of[row] = cols
+        owner[r] = column_of[row]
+    base = np.arange(0, K * n, n)[:, None]
+    first = base + cols
+    target = base + np.where(js < n, js, K * n + owner)
+    pool = np.concatenate([np.tile(cols, K), js.ravel()])
+    for a, b in zip(first.T, target.T):  # rows never share a slot
+        held = pool[a]
+        pool[a] = pool[b]
+        pool[b] = held
+    return pool[first]
+
+
 def srswor(frame: PopulationFrame, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n distinct unit indices by partial Fisher-Yates shuffling."""
+    """Draw n distinct unit indices by partial Fisher-Yates shuffling.
+
+    The swap targets come from one vectorised ``integers`` draw, and the
+    swaps are the one-row case of the block kernel that ``run_simulation``
+    uses, so a replicate's sample is the same either way.
+    """
     N = frame.N
     if not 0 < n <= N:
         raise DomainError(f"need 0 < n <= N, got n={n}, N={N}")
-    pool = np.arange(N)
-    # one vectorised draw per replicate keeps the stream layout stable
     js = rng.integers(low=np.arange(n), high=N)
-    for i in range(n):
-        j = js[i]
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:n].copy()
-
-
-def _with_extras(stats: SampleStats, x: np.ndarray, y: np.ndarray) -> SampleStats:
-    """``stats`` plus the sample p11 and kernel densities at the medians."""
-    my, mx = stats.median_y, stats.median_x
-    p11 = float(np.count_nonzero((x <= mx) & (y <= my))) / x.size
-    kde = KernelDensity()
-    fy = density_at(y, my, kde)
-    fx = density_at(x, mx, kde)
-    return SampleStats(
-        median_y=my, median_x=mx, p11=p11, fy_at_median=fy, fx_at_median=fx
-    )
+    return _swap_rows(js[None, :], N)[0]
 
 
 def _plug_in_params(stats: SampleStats, params: MedianParams) -> MedianParams:
@@ -169,47 +214,79 @@ def _plug_in_params(stats: SampleStats, params: MedianParams) -> MedianParams:
     )
 
 
-def _replicate_row(
+def _block_estimates(
     frame: PopulationFrame,
     config: SimulationConfig,
     params: MedianParams,
     specs: tuple[EstimatorSpec, ...],
-    per_sample: tuple[bool, ...],
-    need_extras: tuple[bool, ...],
-    k: int,
+    ks: range,
 ) -> np.ndarray:
-    """Estimates of replicate ``k``, NaN where an estimator failed.
+    """Estimates of replicates ``ks``, one row each, NaN where one failed.
 
-    ``per_sample[j]`` marks specs whose weights are resolved from this sample;
-    ``need_extras[j]`` marks specs that need p11 and the densities.  A
-    failure of those per-sample extras costs only the specs that need them.
+    Samples, medians, p11 and kernel densities are computed on (K, n) arrays;
+    weight resolution and evaluation run per replicate.  Under the plug-in
+    policy specs with free scalars are resolved from each sample; those and
+    the regression family need the sample extras (p11 and the densities).  A
+    replicate whose extras fail (no usable bandwidth, or invalid plug-in
+    parameters) loses only the specs that need them.
     """
-    rng = _replicate_rng(config.seed, k)
-    idx = srswor(frame, config.n, rng)
+    plug_in = config.weights == "plug-in"
+    per_sample = [plug_in and bool(free_scalars(s)) for s in specs]
+    need_extras = [p or s.family == REGRESSION for p, s in zip(per_sample, specs)]
+    n = config.n
+    idx = _swap_rows(_swap_targets(config.seed, ks, n, frame.N), frame.N)
     xs, ys = frame.x[idx], frame.y[idx]
-    out = np.full(len(specs), np.nan)
-    try:
-        stats = SampleStats(median_y=finite_median(ys), median_x=finite_median(xs))
-    except MedauxError:
-        return out
-    extras_ok = True
-    hat = None
-    if any(need_extras):
-        try:
-            stats = _with_extras(stats, xs, ys)
-            if any(per_sample):
-                hat = _plug_in_params(stats, params)
-        except MedauxError:
-            extras_ok = False
-    for j, spec in enumerate(specs):
-        if need_extras[j] and not extras_ok:
-            continue
-        try:
-            use = resolve_weights(spec, hat) if per_sample[j] else spec
-            out[j] = evaluate(use, stats, params)
-        except MedauxError:
-            pass  # recorded as a failure for this estimator only
+    my, mx = np.median(ys, axis=1), np.median(xs, axis=1)
+    medians = list(zip(my.tolist(), mx.tolist()))
+    stats = [SampleStats(median_y=a, median_x=b) for a, b in medians]
+    extras_ok = [False] * len(ks)
+    hats: list[MedianParams | None] = [None] * len(ks)
+    if any(need_extras) and n >= 2:  # a kernel density needs two observations
+        p11 = np.count_nonzero((xs <= mx[:, None]) & (ys <= my[:, None]), axis=1) / n
+        fy, _ = _kernel_density_rows(ys, my)
+        fx, _ = _kernel_density_rows(xs, mx)
+        for r in np.flatnonzero(~(np.isnan(fy) | np.isnan(fx))).tolist():
+            stats[r] = SampleStats(
+                *medians[r],
+                p11=float(p11[r]),
+                fy_at_median=float(fy[r]),
+                fx_at_median=float(fx[r]),
+            )
+            try:
+                if any(per_sample):
+                    hats[r] = _plug_in_params(stats[r], params)
+                extras_ok[r] = True
+            except MedauxError:
+                pass  # the specs that need extras fail for this replicate
+    out = np.full((len(ks), len(specs)), np.nan)
+    for r, sample in enumerate(stats):
+        for j, spec in enumerate(specs):
+            if need_extras[j] and not extras_ok[r]:
+                continue
+            try:
+                use = resolve_weights(spec, hats[r]) if per_sample[j] else spec
+                out[r, j] = evaluate(use, sample, params)
+            except MedauxError:
+                pass  # recorded as a failure for this estimator only
     return out
+
+
+def _replicate_estimates(
+    frame: PopulationFrame,
+    config: SimulationConfig,
+    params: MedianParams,
+    specs: tuple[EstimatorSpec, ...],
+) -> np.ndarray:
+    """(reps, len(specs)) estimates, NaN where an estimator failed."""
+    K = max(1, _BLOCK_UNITS // config.n)
+    return np.concatenate(
+        [
+            _block_estimates(
+                frame, config, params, specs, range(start, min(start + K, config.reps))
+            )
+            for start in range(0, config.reps, K)
+        ]
+    )
 
 
 def run_simulation(
@@ -225,8 +302,9 @@ def run_simulation(
     sample.  The regression estimator always uses its per-sample slope.
     Replicates where an estimator hits a singularity are excluded from that
     estimator's aggregates and surfaced as failure counts.  ``jobs`` is
-    accepted for compatibility and has no effect: replicates always run
-    serially, and the report never depended on it.
+    accepted for compatibility and has no effect: blocks of replicates run
+    one after another in the calling thread, and the report never depended
+    on it.
     """
     if config.n > frame.N:
         raise DomainError(f"sample size {config.n} exceeds population {frame.N}")
@@ -235,18 +313,8 @@ def run_simulation(
 
     base_specs = tuple(preset(name, params) for name in config.estimators)
     resolved = tuple(resolve_weights(s, params) for s in base_specs)
-    plug_in = config.weights == "plug-in"
-    specs = base_specs if plug_in else resolved
-    per_sample = tuple(plug_in and bool(free_scalars(s)) for s in specs)
-    need_extras = tuple(
-        p or s.family == REGRESSION for p, s in zip(per_sample, specs)
-    )
-
-    estimates = np.full((config.reps, len(specs)), np.nan)
-    for k in range(config.reps):
-        estimates[k] = _replicate_row(
-            frame, config, params, specs, per_sample, need_extras, k
-        )
+    specs = base_specs if config.weights == "plug-in" else resolved
+    estimates = _replicate_estimates(frame, config, params, specs)
 
     target = finite_median(frame.y)
     moments = error_moments(params)

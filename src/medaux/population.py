@@ -265,11 +265,31 @@ class KnownDensity:
 DensityMethod = Union[KernelDensity, HistogramDensity, KnownDensity]
 
 
-def _silverman_bandwidth(values: np.ndarray) -> float:
-    sd = float(np.std(values, ddof=1))
-    q75, q25 = np.percentile(values, [75, 25])
-    iqr = float(q75 - q25)
-    return 0.9 * min(sd, iqr / 1.34) * values.size ** (-0.2)
+def _kernel_density_rows(
+    rows: np.ndarray, points: np.ndarray, bandwidth: str | float = "silverman"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian kernel density of each row of ``rows`` at its entry of ``points``.
+
+    ``rows`` is a (K, n) array of finite values with n >= 2.  Returns the
+    densities and the bandwidths; a row whose bandwidth is not finite and
+    positive gets a NaN density.  Every row goes through the same arithmetic
+    as a one-row call, so results do not depend on which rows share a call.
+    """
+    # sums along contiguous rows add up in the same pairwise order as 1-D sums
+    rows = np.ascontiguousarray(rows)
+    if isinstance(bandwidth, str):
+        sd = np.std(rows, axis=1, ddof=1)
+        q75, q25 = np.percentile(rows, [75, 25], axis=1)
+        h = 0.9 * np.minimum(sd, (q75 - q25) / 1.34) * rows.shape[1] ** (-0.2)
+    else:
+        h = np.full(rows.shape[0], float(bandwidth))
+    usable = np.isfinite(h) & (h > 0)
+    hu = h[usable]
+    z = (points[usable, None] - rows[usable]) / hu[:, None]
+    kernel_mean = np.mean(np.exp(-0.5 * z * z), axis=1)
+    density = np.full(rows.shape[0], np.nan)
+    density[usable] = kernel_mean / (hu * math.sqrt(2.0 * math.pi))
+    return density, h
 
 
 def density_at(values, point: float, method: DensityMethod) -> float:
@@ -291,20 +311,20 @@ def density_at(values, point: float, method: DensityMethod) -> float:
     if isinstance(method, KernelDensity):
         if arr.size < 2:
             raise DomainError("kernel density needs at least 2 observations")
-        if isinstance(method.bandwidth, str):
-            if method.bandwidth != "silverman":
-                raise DomainError(f"unknown bandwidth rule {method.bandwidth!r}")
-            h = _silverman_bandwidth(arr)
-            if not (math.isfinite(h) and h > 0):
-                raise DegenerateSampleError(
-                    f"sample has no spread, bandwidth {h!r} is unusable"
-                )
+        bandwidth = method.bandwidth
+        if isinstance(bandwidth, str):
+            if bandwidth != "silverman":
+                raise DomainError(f"unknown bandwidth rule {bandwidth!r}")
         else:
-            h = float(method.bandwidth)
-            if not (math.isfinite(h) and h > 0):
-                raise DomainError(f"bandwidth must be positive, got {h!r}")
-        z = (point - arr) / h
-        return float(np.mean(np.exp(-0.5 * z * z)) / (h * math.sqrt(2.0 * math.pi)))
+            bandwidth = float(bandwidth)
+            if not (math.isfinite(bandwidth) and bandwidth > 0):
+                raise DomainError(f"bandwidth must be positive, got {bandwidth!r}")
+        density, h = _kernel_density_rows(arr[None, :], np.array([point]), bandwidth)
+        if math.isnan(density[0]):
+            raise DegenerateSampleError(
+                f"sample has no spread, bandwidth {float(h[0])!r} is unusable"
+            )
+        return float(density[0])
 
     if isinstance(method, HistogramDensity):
         counts, edges = np.histogram(arr, bins=method.bins, density=True)

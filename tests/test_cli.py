@@ -91,6 +91,18 @@ class TestTableCommand:
             main(["table", "--params", "popI", "--estimators", "bogus"])
         assert exc.value.code == 2
 
+    def test_unknown_estimator_message_is_unquoted(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["table", "--params", "popI", "--estimators", "M_zz"])
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("medaux: error: unknown estimator 'M_zz'; valid names: M_y,")
+
+    def test_empty_estimator_list_is_error(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--params", "popI", "--estimators", ",")
+        assert code == 1
+        assert out == ""
+        assert err == "error: need at least one estimator\n"
+
     def test_csv_header_and_precision(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--params", "popI", "--format", "csv")
         lines = out.splitlines()
@@ -244,6 +256,24 @@ class TestSimulateCommand:
         assert code == 1
         assert err.startswith("error:") and "list of strings" in err
         assert len(err.splitlines()) == 1
+
+    def test_empty_estimator_list_is_error(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGS, "--estimators", ",")
+        assert code == 1
+        assert out == ""
+        assert err == "error: need at least one estimator\n"
+
+    def test_empty_config_estimators_is_error(self, capsys, tmp_path, pop_csv):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(
+            json.dumps({"n": 20, "reps": 5, "estimators": []}), encoding="utf-8"
+        )
+        code, out, err = run_cli(
+            capsys, "simulate", "--input", pop_csv, "--config", str(cfg)
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: need at least one estimator\n"
 
     def test_non_integer_synthetic_size(self, capsys):
         code, _, err = run_cli(

@@ -3,25 +3,39 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medaux import (
     PRESET_NAMES,
     DomainError,
+    KernelDensity,
+    MedauxError,
     MedianParams,
     PopulationFrame,
+    SampleStats,
     SimulationConfig,
     SyntheticSpec,
     compute_params,
+    density_at,
+    evaluate,
+    finite_median,
+    free_scalars,
     make_synthetic,
+    preset,
     proportion_matrix,
+    resolve_weights,
     run_simulation,
     srswor,
     table_rows,
 )
-from medaux.montecarlo import _replicate_rng
+from medaux import montecarlo
+from medaux.estimators import REGRESSION
+from medaux.montecarlo import _replicate_rng, _swap_rows, _swap_targets
 
 
 def _small_frame(N: int = 40, seed: int = 1) -> PopulationFrame:
@@ -63,6 +77,40 @@ class TestSrswor:
         frame = _small_frame(N=10)
         with pytest.raises(DomainError):
             srswor(frame, 11, _replicate_rng(0, 0))
+
+
+def _scalar_fisher_yates(js: np.ndarray, N: int) -> np.ndarray:
+    """Swap positions i and js[i] of arange(N) one at a time; first n kept."""
+    pool = np.arange(N)
+    for i, j in enumerate(js.tolist()):
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[: js.size]
+
+
+class TestBlockSampling:
+    def test_srswor_equals_scalar_swap_loop(self):
+        for N, n in ((2, 1), (2, 2), (7, 7), (50, 13), (2000, 100)):
+            frame = PopulationFrame(x=np.arange(1.0, N + 1), y=np.arange(1.0, N + 1))
+            for k in range(20):
+                js = _replicate_rng(3, k).integers(low=np.arange(n), high=N)
+                expected = _scalar_fisher_yates(js, N)
+                assert np.array_equal(srswor(frame, n, _replicate_rng(3, k)), expected)
+
+    def test_block_equals_scalar_srswor_at_large_population(self):
+        N, n = 200_000, 100
+        frame = PopulationFrame(x=np.arange(1.0, N + 1), y=np.arange(1.0, N + 1))
+        block = _swap_rows(_swap_targets(17, range(3), n, N), N)
+        for k in range(3):
+            expected = srswor(frame, n, _replicate_rng(17, k))
+            assert np.array_equal(block[k], expected)
+            rng = _replicate_rng(17, k)
+            js = rng.integers(low=np.arange(n), high=N)
+            assert np.array_equal(block[k], _scalar_fisher_yates(js, N))
+
+    def test_block_census_selects_everyone(self):
+        block = _swap_rows(_swap_targets(5, range(4, 9), 12, 12), 12)
+        for row in block:
+            assert sorted(row.tolist()) == list(range(12))
 
 
 class TestRunSimulation:
@@ -180,10 +228,122 @@ class TestRunSimulation:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SimulationConfig(n=10, reps=0, seed=1)
+        with pytest.raises(DomainError, match="at least one estimator"):
+            SimulationConfig(n=10, reps=5, seed=1, estimators=())
         with pytest.raises(DomainError):
             SimulationConfig(n=0, reps=5, seed=1)
         with pytest.raises(DomainError):
             SimulationConfig(n=10, reps=5, seed=1, weights="guess")
+
+
+_PROPERTY_ESTIMATORS = ("M_y", "M_r", "M_d", "t_m", "M_lr", "t_mq7")
+
+
+def _simulation_specs(names, params, weights):
+    """The specs ``run_simulation`` evaluates per replicate."""
+    specs = tuple(preset(name, params) for name in names)
+    if weights == "true-params":
+        specs = tuple(resolve_weights(s, params) for s in specs)
+    return specs
+
+
+def _reference_row(frame, config, params, specs, k):
+    """Replicate k from public one-sample calls: the oracle for the blocks."""
+    plug_in = config.weights == "plug-in"
+    per_sample = [plug_in and bool(free_scalars(s)) for s in specs]
+    idx = srswor(frame, config.n, _replicate_rng(config.seed, k))
+    xs, ys = frame.x[idx], frame.y[idx]
+    my, mx = finite_median(ys), finite_median(xs)
+    stats = SampleStats(median_y=my, median_x=mx)
+    hat, extras_ok = None, False
+    try:
+        p11 = float(np.count_nonzero((xs <= mx) & (ys <= my))) / config.n
+        fy = density_at(ys, my, KernelDensity())
+        fx = density_at(xs, mx, KernelDensity())
+        stats = SampleStats(
+            median_y=my, median_x=mx, p11=p11, fy_at_median=fy, fx_at_median=fx
+        )
+        if any(per_sample):
+            rho = max(-1.0, min(1.0, 4.0 * p11 - 1.0))
+            hat = MedianParams.from_primitives(params.N, params.n, my, mx, fy, fx, rho)
+        extras_ok = True
+    except MedauxError:
+        pass
+    row = []
+    for spec, own in zip(specs, per_sample):
+        value = math.nan
+        if extras_ok or not (own or spec.family == REGRESSION):
+            try:
+                value = evaluate(resolve_weights(spec, hat) if own else spec, stats, params)
+            except MedauxError:
+                pass
+        row.append(value)
+    return row
+
+
+def _property_frame(N, levels, seed):
+    """Lognormal pairs, or values on ``levels`` tied levels (1: no spread)."""
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        x = rng.lognormal(3.0, 0.5, size=N)
+        y = x * rng.lognormal(0.0, 0.3, size=N)
+    else:
+        x = 1.0 + rng.integers(0, levels, size=N)
+        y = 2.0 * x + rng.integers(0, levels, size=N)
+    return PopulationFrame(x=x, y=y)
+
+
+def _property_params(frame, n):
+    my, mx = finite_median(frame.y), finite_median(frame.x)
+    return MedianParams.from_primitives(
+        frame.N, min(n, frame.N - 1), my, mx, 1.0 / (0.8 * my), 1.0 / (0.9 * mx), 0.6
+    )
+
+
+class TestBlockedReplicates:
+    @settings(deadline=None, max_examples=80)
+    @given(data=st.data())
+    def test_blocks_equal_per_replicate_reference(self, data):
+        # the block holds K replicates; a small K reaches every block edge
+        # with few replicates
+        N = data.draw(st.integers(2, 300), label="N")
+        n = data.draw(st.integers(1, N), label="n")
+        K = data.draw(st.integers(1, 6), label="K")
+        reps = data.draw(st.sampled_from([1, max(1, K - 1), K, K + 1, 2 * K + 3]))
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        weights = data.draw(st.sampled_from(["true-params", "plug-in"]))
+        levels = data.draw(st.sampled_from([None, 1, 2, 3]), label="levels")
+        frame = _property_frame(N, levels, data.draw(st.integers(0, 2**32 - 1)))
+        params = _property_params(frame, n)
+        config = SimulationConfig(
+            n=n, reps=reps, seed=seed, estimators=_PROPERTY_ESTIMATORS, weights=weights
+        )
+        specs = _simulation_specs(_PROPERTY_ESTIMATORS, params, weights)
+        with mock.patch.object(montecarlo, "_BLOCK_UNITS", K * n):
+            got = montecarlo._replicate_estimates(frame, config, params, specs)
+        expected = [_reference_row(frame, config, params, specs, k) for k in range(reps)]
+        np.testing.assert_array_equal(got, np.array(expected))
+
+    @pytest.mark.parametrize("weights", ["true-params", "plug-in"])
+    def test_module_block_size_equals_reference(self, weights):
+        # the shipped block size, across two block edges, on a population
+        # where many samples have no usable bandwidth
+        k = np.arange(400)
+        x = np.where(k % 20 < 14, 10.0, 5.0 + k / 20)
+        y = np.where(k % 20 < 14, 20.0, 10.0 + k / 10)
+        frame = PopulationFrame(x=x, y=y)
+        n = 120
+        reps = 2 * max(1, montecarlo._BLOCK_UNITS // n) + 3
+        params = _property_params(frame, n)
+        config = SimulationConfig(
+            n=n, reps=reps, seed=2**64 - 1, estimators=_PROPERTY_ESTIMATORS,
+            weights=weights,
+        )
+        specs = _simulation_specs(_PROPERTY_ESTIMATORS, params, weights)
+        got = montecarlo._replicate_estimates(frame, config, params, specs)
+        expected = [_reference_row(frame, config, params, specs, k) for k in range(reps)]
+        np.testing.assert_array_equal(got, np.array(expected))
+        assert np.isnan(got[:, 4]).any() and np.isfinite(got[:, 4]).any()
 
 
 class TestMakeSynthetic:

@@ -27,6 +27,7 @@ from medaux import (
     load_population,
     proportion_matrix,
 )
+from medaux.population import _kernel_density_rows
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -191,6 +192,67 @@ class TestDensityAt:
 
     def test_histogram_outside_range_is_zero(self):
         assert density_at([1.0, 2.0, 3.0], 99.0, HistogramDensity(bins=3)) == 0.0
+
+
+def _silverman_reference(values: np.ndarray, point: float) -> float:
+    """One-sample Gaussian kernel estimate, written out on a 1-D array."""
+    sd = float(np.std(values, ddof=1))
+    q75, q25 = np.percentile(values, [75, 25])
+    h = 0.9 * min(sd, float(q75 - q25) / 1.34) * values.size ** (-0.2)
+    if not (math.isfinite(h) and h > 0):
+        return math.nan
+    z = (point - values) / h
+    return float(np.mean(np.exp(-0.5 * z * z)) / (h * math.sqrt(2.0 * math.pi)))
+
+
+def _sample_rows() -> np.ndarray:
+    """Continuous, tied and zero-spread rows of 40 values."""
+    rng = np.random.default_rng(11)
+    rows = rng.lognormal(3.0, 0.5, size=(60, 40))
+    rows[10:20] = rng.integers(0, 3, size=(10, 40)).astype(float)  # few levels
+    rows[20:25] = 7.0  # no spread at all
+    rows[25:30, :36] = 5.0  # interquartile range zero, sd positive
+    return rows
+
+
+class TestKernelDensityRows:
+    def test_rows_equal_one_sample_estimates(self):
+        rows = _sample_rows()
+        points = np.median(rows, axis=1)
+        density, _ = _kernel_density_rows(rows, points)
+        for row, point, got in zip(rows, points.tolist(), density.tolist()):
+            expected = _silverman_reference(row, point)
+            if math.isnan(expected):
+                assert math.isnan(got)
+                with pytest.raises(DegenerateSampleError):
+                    density_at(row, point, KernelDensity())
+            else:
+                assert got == expected
+                assert density_at(row, point, KernelDensity()) == expected
+
+    def test_degenerate_rows_flagged(self):
+        density, h = _kernel_density_rows(_sample_rows(), np.full(60, 5.0))
+        flagged = np.flatnonzero(np.isnan(density)).tolist()
+        assert flagged == list(range(20, 30))
+        assert (h[20:30] == 0.0).all() and (h[:20] > 0).all()
+
+    def test_memory_layout_does_not_change_results(self):
+        rows = _sample_rows()
+        points = np.median(rows, axis=1)
+        fortran = np.asfortranarray(rows)
+        assert np.array_equal(
+            _kernel_density_rows(fortran, points)[0],
+            _kernel_density_rows(rows, points)[0],
+            equal_nan=True,
+        )
+
+    def test_explicit_bandwidth_rows(self):
+        rows = _sample_rows()
+        points = np.median(rows, axis=1)
+        density, h = _kernel_density_rows(rows, points, 0.75)
+        assert (h == 0.75).all()
+        for row, point, got in zip(rows, points.tolist(), density.tolist()):
+            assert got == density_at(row, point, KernelDensity(bandwidth=0.75))
 
 
 class TestMedianParams:
