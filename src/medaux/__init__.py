@@ -3,7 +3,7 @@
 The package covers the full workflow: ingest a finite population or its
 published summary parameters, evaluate a catalogue of median estimators that
 exploit a known auxiliary median, compute their first-order biases, MSEs,
-minimum MSEs and optimal shrinkage weights in closed form, check the
+minimum MSEs and optimal weights from each estimator's expansion, check the
 efficiency orderings between estimator classes, and verify the asymptotics
 empirically with a reproducible SRSWOR replication engine.
 """
@@ -51,21 +51,11 @@ from .montecarlo import (
 from .mse import (
     DominanceResult,
     MseReportRow,
-    QuadraticWeights,
     analytic_bias,
     dominance_checks,
-    min_mse_difference,
-    min_mse_ss1,
-    min_mse_ss2,
-    min_mse_ss3,
     min_mse_ss4,
-    min_mse_tm,
-    min_mse_tmq,
     pre,
-    quadratic_weights,
     table_rows,
-    tm_min_from_weights,
-    tm_mse_at,
 )
 from .population import (
     DensityMethod,
@@ -119,19 +109,9 @@ __all__ = [
     "resolve_weights",
     "free_scalars",
     # mse
-    "QuadraticWeights",
     "MseReportRow",
     "DominanceResult",
-    "min_mse_difference",
-    "min_mse_ss1",
-    "min_mse_ss2",
-    "min_mse_ss3",
     "min_mse_ss4",
-    "quadratic_weights",
-    "tm_mse_at",
-    "tm_min_from_weights",
-    "min_mse_tm",
-    "min_mse_tmq",
     "analytic_bias",
     "pre",
     "dominance_checks",

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from importlib.resources import files
 
@@ -423,6 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -433,7 +438,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "params" and args.params is not None and args.n is not None:
         parser.error("--n only applies to --input")
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.handler(args)
     except UnknownEstimatorError as exc:
         parser.error(str(exc))  # exits with code 2
         return 2  # unreachable, keeps type checkers quiet

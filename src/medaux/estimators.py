@@ -404,36 +404,6 @@ def ratio_exp_form(
     return RatioExpForm(b2=b2, W=W, A=b2 + W, B=B, C=C)
 
 
-@dataclass(frozen=True)
-class QuadraticWeights:
-    """Quadratic-form constants of the two-weight class and its optimum."""
-
-    A: float
-    B: float
-    C: float
-    w1_opt: float
-    w2_opt: float
-
-
-def quadratic_weights(
-    params: MedianParams,
-    *,
-    alpha: float = 0.0,
-    eta: float = 0.0,
-    lam: float = 1.0,
-) -> QuadraticWeights:
-    """Quadratic constants A, B, C and the optimal (w1, w2)."""
-    f = ratio_exp_form(params, alpha=alpha, eta=eta, lam=lam)
-    det = f.A * f.B - f.C * f.C
-    if det <= 0.0:
-        raise DegenerateOptimumError(
-            f"A*B - C^2 = {det!r} is not positive; weight optimum undefined"
-        )
-    return QuadraticWeights(
-        A=f.A, B=f.B, C=f.C, w1_opt=f.b2 * f.B / det, w2_opt=-f.b2 * f.C / det
-    )
-
-
 # family -> the one free scalar that has an optimum when the other is pinned
 _CONDITIONAL_OPTIMA = {RATIO_EXP: ("w1",), SHRINK_DIFF: ("d2",)}
 
@@ -489,7 +459,9 @@ def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
         d1 = My**2 / (My**2 + vres) if spec.d1 is None else spec.d1
         return replace(spec, d1=d1, d2=d1 * cyx / vx)
     if fam == SHRINK_CONVEX:
-        d1 = b**2 / (b**2 + vres)
+        # b = 0 with |rho_c| = 1 leaves 0/0; the limit is weight 0, MSE 0
+        den = b**2 + vres
+        d1 = b**2 / den if den else 0.0
         return replace(spec, d1=d1, d2=-d1 * cyx / vx)
     if fam == SHRINK_DIFF_SCALED:
         den = spec.phi * Mx + spec.delta
@@ -499,12 +471,18 @@ def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
         d1 = My**2 / (My**2 + vres)
         s = d1 * My * params.rho_c * params.cv_y / params.cv_x
         return replace(spec, d1=d1, d2=(s - d1 * My * u) / Mx)
-    if fam == RATIO_EXP and spec.w2 is None:
-        qw = quadratic_weights(params, alpha=spec.alpha, eta=spec.eta, lam=spec.lam)
-        return replace(spec, w1=qw.w1_opt, w2=qw.w2_opt)
     if fam == RATIO_EXP:
-        form = ratio_exp_form(params, alpha=spec.alpha, eta=spec.eta, lam=spec.lam)
-        return replace(spec, w1=(form.b2 - spec.w2 * form.C) / form.A)
+        f = ratio_exp_form(params, alpha=spec.alpha, eta=spec.eta, lam=spec.lam)
+        if spec.w2 is not None:
+            # A = b^2 + W(a) is 0 only at b = 0, |rho_c| = 1 and a = k_c:
+            # the limit is weight 0, MSE 0
+            return replace(spec, w1=(f.b2 - spec.w2 * f.C) / f.A if f.A else 0.0)
+        det = f.A * f.B - f.C * f.C
+        if det <= 0.0:
+            raise DegenerateOptimumError(
+                f"A*B - C^2 = {det!r} is not positive; weight optimum undefined"
+            )
+        return replace(spec, w1=f.b2 * f.B / det, w2=-f.b2 * f.C / det)
 
     raise DomainError(f"family {fam!r} has no free scalars to resolve")
 
@@ -553,6 +531,12 @@ _PRESETS: dict[str, tuple[str, dict[str, float | str]]] = {
     "t_mq9": (RATIO_EXP, dict(w2=0.0, alpha=-1.0, eta="rho_c", lam="median_x")),
 }
 _PRESETS_LOWER = {name.lower(): name for name in _PRESETS}
+# specs are frozen, so the presets that pin only numbers are built once
+_FIXED_PRESETS = {
+    name: EstimatorSpec(family=family, label=name, **pinned)
+    for name, (family, pinned) in _PRESETS.items()
+    if not any(isinstance(value, str) for value in pinned.values())
+}
 
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -574,6 +558,8 @@ def preset(name: str, params: MedianParams | None = None) -> EstimatorSpec:
     ``params``.  Unknown names raise :class:`UnknownEstimatorError`.
     """
     name = canonical_name(name)
+    if name in _FIXED_PRESETS:
+        return _FIXED_PRESETS[name]
     family, pinned = _PRESETS[name]
     scalars = {}
     for field, value in pinned.items():

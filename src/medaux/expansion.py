@@ -24,8 +24,9 @@ to first order then follow mechanically:
     mse  = c0^2 + c_e0^2 var(e0) + c_e1^2 var(e1) + 2 c_e0 c_e1 cov(e0, e1)
 
 The MSE deliberately drops products involving the second-order coefficients;
-those terms are one order smaller and are excluded from every closed form in
-:mod:`medaux.mse` as well, so the two routes stay consistent.
+those terms are one order smaller and the paper's closed forms drop them
+too, so the minima computed from the coefficients match those forms (the
+test oracles in ``tests/oracles.py``).
 """
 
 from __future__ import annotations

@@ -1,27 +1,20 @@
-"""Closed-form biases, minimum MSEs, optimal weights and dominance checks.
+"""Analytic table rows, efficiencies and dominance checks.
 
-Notation used throughout (all derivable from :class:`MedianParams`):
+Every minimum MSE here comes from one route, the estimator catalogue: a
+named spec's free scalars are set to their first-order optimum by
+:func:`medaux.estimators.resolve_weights`, and its MSE follows from its own
+expansion coefficients, ``mse_from_coeffs(coeffs_of(resolve_weights(spec)))``.
+:func:`table_rows` and :func:`dominance_checks` share that route, so a
+dominance margin is exactly the difference of two table values.
 
-    V_y   = gamma * My^2 * cv_y^2            variance of the sample median of y
-    V_res = V_y * (1 - rho_c^2)              residual variance after the
-                                             optimal linear use of x
-    b     = My - Mx                          gap between the medians
-    W(a)  = gamma * My^2 * (cv_y^2 + a^2 cv_x^2 - 2 a rho_c cv_y cv_x)
+The one paper formula kept is :func:`min_mse_ss4`, the scaled shrinkage
+minimum.  The published value keeps a second-order term of the scaling
+factor that the first-order calculus drops, so the ``M_d4`` row and the two
+scaled-shrinkage checks use it instead of the catalogue.
 
-where ``a = alpha + k`` is the total ratio slope of the weighted
-ratio-exponential class.  The two-weight class has the quadratic MSE
-
-    mse(w1, w2) = (1 - 2 w1) b^2 + w1^2 A + w2^2 B + 2 w1 w2 C
-    A = b^2 + W(a),  B = gamma * Mx^2 * cv_x^2,
-    C = gamma * My * Mx * cv_x * (rho_c * cv_y - a * cv_x)
-
-minimised at w1* = b^2 B / (A B - C^2), w2* = -b^2 C / (A B - C^2).  The
-identity A B - C^2 = B * (b^2 + V_res) makes the minimum
-
-    b^2 * V_res / (b^2 + V_res)
-
-independent of (alpha, eta, lam) and equal to the minimum of the convex
-shrinkage estimator ``d1*my_hat + d2*mx_hat + (1 - d1 - d2)*Mx``.
+The paper's other closed forms (the difference, shrinkage and two-weight
+minima, e.g. ``b^2 * V_res / (b^2 + V_res)`` for the two-weight class with
+``V_res = V_y * (1 - rho_c^2)``) are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,35 +23,29 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DegeneratePivotWarning, DomainError, InfiniteEfficiencyWarning
+from .errors import DomainError, InfiniteEfficiencyWarning
 from .estimators import (
     EstimatorSpec,
-    QuadraticWeights,
+    RATIO_EXP,
     canonical_name,
     coeffs_of,
     free_scalars,
     preset,
-    quadratic_weights,
-    ratio_exp_form,
     resolve_weights,
 )
-from .expansion import ErrorMoments, bias_from_coeffs, error_moments, mse_from_coeffs
+from .expansion import (
+    ErrorMoments,
+    ExpansionCoeffs,
+    bias_from_coeffs,
+    error_moments,
+    mse_from_coeffs,
+)
 from .population import MedianParams
 
 __all__ = [
-    "QuadraticWeights",
     "MseReportRow",
     "DominanceResult",
-    "min_mse_difference",
-    "min_mse_ss1",
-    "min_mse_ss2",
-    "min_mse_ss3",
     "min_mse_ss4",
-    "quadratic_weights",
-    "tm_mse_at",
-    "tm_min_from_weights",
-    "min_mse_tm",
-    "min_mse_tmq",
     "analytic_bias",
     "pre",
     "dominance_checks",
@@ -92,57 +79,6 @@ class DominanceResult:
     note: str = ""
 
 
-def _vres(params: MedianParams) -> float:
-    return params.gamma * params.median_y**2 * params.cv_y**2 * (1.0 - params.rho_c**2)
-
-
-def min_mse_difference(params: MedianParams) -> float:
-    """gamma * My^2 * cv_y^2 * (1 - rho_c^2).
-
-    Also the minimum for the whole smooth class built on (my_hat, mx_hat/Mx),
-    hence for the ratio, product, shifted, power, damped, dual and mix
-    estimators at their optimal scalars, and for the regression estimator.
-    """
-    return _vres(params)
-
-
-def min_mse_ss1(params: MedianParams) -> float:
-    """Minimum MSE of the tied-weight shrinkage difference estimator."""
-    g = params.gamma
-    cy2 = params.cv_y**2
-    cx2 = params.cv_x**2
-    R = params.median_ratio
-    kc = params.k_c
-    num = (1.0 + R * g * cx2 * (R + kc)) ** 2
-    den = 1.0 + g * (cy2 + R * cx2 * (R + 2.0 * kc))
-    return params.median_y**2 * (1.0 + R**2 * g * cx2 - num / den)
-
-
-def min_mse_ss2(params: MedianParams) -> float:
-    """Minimum MSE of the free two-weight shrinkage difference estimator."""
-    v = params.gamma * params.cv_y**2 * (1.0 - params.rho_c**2)
-    return params.median_y**2 * v / (1.0 + v)
-
-
-def min_mse_ss3(params: MedianParams) -> float:
-    """Minimum MSE of the convex shrinkage estimator.
-
-    The pivot is (1 - R)^2; at R = 1 numerator and denominator share it and
-    the limit is zero, reported with :class:`DegeneratePivotWarning`.
-    """
-    v = params.gamma * params.cv_y**2 * (1.0 - params.rho_c**2)
-    q = (1.0 - params.median_ratio) ** 2
-    if q == 0.0:
-        warnings.warn(
-            "medians coincide (R = 1); shrinkage pivot vanishes and the "
-            "minimum MSE is 0",
-            DegeneratePivotWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return params.median_y**2 * v * q / (q + v)
-
-
 def min_mse_ss4(params: MedianParams, delta: float = 1.0) -> float:
     """Minimum MSE of the scaled shrinkage difference estimator.
 
@@ -150,78 +86,12 @@ def min_mse_ss4(params: MedianParams, delta: float = 1.0) -> float:
     corresponds to an unshifted first-power factor.
     """
     u = 1.0 - delta**2 * params.gamma * params.cv_x**2
-    if u <= 0.0:
+    if not u > 0.0:  # NaN fails this too
         raise DomainError(
             f"need 1 - delta^2*gamma*cv_x^2 > 0, got {u!r} for delta={delta!r}"
         )
     v = params.gamma * params.cv_y**2 * (1.0 - params.rho_c**2)
     return u * params.median_y**2 * v / (u + v)
-
-
-def tm_mse_at(
-    params: MedianParams,
-    w1: float,
-    w2: float,
-    *,
-    alpha: float = 0.0,
-    eta: float = 0.0,
-    lam: float = 1.0,
-):
-    """MSE of the two-weight class at arbitrary weights (vectorises in w1/w2)."""
-    f = ratio_exp_form(params, alpha=alpha, eta=eta, lam=lam)
-    return (1.0 - 2.0 * w1) * f.b2 + w1 * w1 * f.A + w2 * w2 * f.B + 2.0 * w1 * w2 * f.C
-
-
-def tm_min_from_weights(
-    params: MedianParams,
-    *,
-    alpha: float = 0.0,
-    eta: float = 0.0,
-    lam: float = 1.0,
-) -> float:
-    """Minimum of the two-weight class via b^2 * (1 - b^2 B / (A B - C^2)).
-
-    Algebraically identical to :func:`min_mse_tm` for every (alpha, eta, lam);
-    kept as an independent evaluation route for cross-checks.
-    """
-    qw = quadratic_weights(params, alpha=alpha, eta=eta, lam=lam)
-    b2 = params.median_gap**2
-    det = qw.A * qw.B - qw.C * qw.C
-    return b2 * (1.0 - b2 * qw.B / det)
-
-
-def min_mse_tm(params: MedianParams) -> float:
-    """Minimum MSE of the two-weight ratio-exponential class.
-
-    Equals the convex-shrinkage minimum exactly and does not depend on
-    (alpha, eta, lam).
-    """
-    return min_mse_ss3(params)
-
-
-def min_mse_tmq(
-    params: MedianParams,
-    *,
-    alpha: float = 0.0,
-    eta: float = 0.0,
-    lam: float = 1.0,
-) -> float:
-    """Minimum MSE of the single-weight (w2 = 0) ratio-exponential class.
-
-    With W = W(alpha + k) the optimum w1* = b^2 / (b^2 + W) gives
-    b^2 * W / (b^2 + W).  A zero gap pins the estimator at the common median
-    and the minimum is 0.
-    """
-    if params.median_gap == 0.0:
-        warnings.warn(
-            "medians coincide (b = 0); single-weight optimum pins the "
-            "estimate at the auxiliary median",
-            DegeneratePivotWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    f = ratio_exp_form(params, alpha=alpha, eta=eta, lam=lam)
-    return f.b2 * f.W / f.A
 
 
 def analytic_bias(spec: EstimatorSpec, params: MedianParams) -> float:
@@ -247,6 +117,11 @@ def pre(analytic_mse: float, baseline_var: float) -> float:
     return 100.0 * baseline_var / analytic_mse
 
 
+def _optimal_coeffs(spec: EstimatorSpec, params: MedianParams) -> ExpansionCoeffs:
+    """Expansion coefficients of ``spec`` with its free scalars at their optimum."""
+    return coeffs_of(resolve_weights(spec, params), params)
+
+
 # ---------------------------------------------------------------------------
 # Dominance checks
 # ---------------------------------------------------------------------------
@@ -268,22 +143,29 @@ def dominance_checks(
 ) -> list[DominanceResult]:
     """Evaluate the five efficiency orderings numerically, with margins.
 
-    ``tmq_scalars`` fixes (alpha, eta, lam) for the single-weight class; by
-    default the slope is set to its own optimum a = k_c, matching the
-    at-the-optimum comparison.  Ties within 1e-12 relative report
+    Each minimum is the catalogue value that :func:`table_rows` reports: the
+    difference bound is ``M_d``, the two-weight class ``t_m``, the shrinkage
+    difference ``M_d2``, and the single-weight class a ``ratio_exp`` spec
+    with w2 = 0 at ``tmq_scalars`` = (alpha, eta, lam).  By default its
+    slope is set to its own optimum a = k_c, matching the at-the-optimum
+    comparison.  The scaled shrinkage minimum is :func:`min_mse_ss4` at
+    exponent ``delta``.  Ties within 1e-12 relative report
     ``satisfied=None``.
     """
     if tmq_scalars is None:
         tmq_scalars = (params.k_c, 0.0, 1.0)
     alpha, eta, lam = tmq_scalars
+    tmq = EstimatorSpec(family=RATIO_EXP, w2=0.0, alpha=alpha, eta=eta, lam=lam)
+    moments = error_moments(params)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegeneratePivotWarning)
-        m_d = min_mse_difference(params)
-        m_tm = min_mse_tm(params)
-        m_tmq = min_mse_tmq(params, alpha=alpha, eta=eta, lam=lam)
-        m_ss2 = min_mse_ss2(params)
-        m_ss4 = min_mse_ss4(params, delta=delta)
+    def min_mse(spec: EstimatorSpec) -> float:
+        return mse_from_coeffs(_optimal_coeffs(spec, params), moments)
+
+    m_d = min_mse(preset("M_d"))
+    m_tm = min_mse(preset("t_m"))
+    m_tmq = min_mse(tmq)
+    m_ss2 = min_mse(preset("M_d2"))
+    m_ss4 = min_mse_ss4(params, delta=delta)
 
     R = params.median_ratio
     degenerate = "degenerate pivot: R = 1" if R == 1.0 else ""
@@ -368,7 +250,7 @@ def _row(
         mse = min_mse_ss4(params, delta=delta)
         bias = None
     else:
-        coeffs = coeffs_of(resolve_weights(preset(name, params), params), params)
+        coeffs = _optimal_coeffs(preset(name, params), params)
         mse = mse_from_coeffs(coeffs, moments)
         bias = bias_from_coeffs(coeffs, moments)
     return MseReportRow(

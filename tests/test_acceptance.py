@@ -29,23 +29,25 @@ from medaux import (
     EstimatorSpec,
     finite_median,
     make_synthetic,
-    min_mse_difference,
-    min_mse_ss1,
-    min_mse_ss2,
-    min_mse_ss3,
     min_mse_ss4,
-    min_mse_tm,
-    min_mse_tmq,
     preset,
     proportion_matrix,
     run_simulation,
-    tm_min_from_weights,
-    tm_mse_at,
 )
 from medaux.cli import main as cli_main
 from medaux.mse import dominance_checks
 
 from conftest import draw_params
+from oracles import (
+    min_mse_difference,
+    min_mse_ss1,
+    min_mse_ss2,
+    min_mse_ss3,
+    min_mse_tm,
+    min_mse_tmq,
+    tm_min_from_weights,
+    tm_mse_at,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

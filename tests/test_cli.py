@@ -21,6 +21,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _coinciding_medians(tmp_path, rho_c: float) -> str:
+    """Params file with median_y = median_x = 80 (gap b = 0)."""
+    path = tmp_path / f"flat-{rho_c}.json"
+    path.write_text(
+        json.dumps(
+            {
+                "N": 1000, "n": 100, "median_y": 80, "median_x": 80,
+                "fy_at_median": 0.01, "fx_at_median": 0.012, "rho_c": rho_c,
+            }
+        ),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
 @pytest.fixture()
 def pop_csv(tmp_path):
     path = tmp_path / "pop.csv"
@@ -143,6 +158,32 @@ class TestTableCommand:
         code, _, err = run_cli(capsys, "table", "--params", str(path))
         assert code == 1
         assert err == "error: params key 'N' must be an integer\n"
+
+    def test_zero_gap_perfect_concordance(self, capsys, tmp_path):
+        """b = 0 with rho_c = 1: the shrinkage optima take their limit,
+        weight 0 and MSE 0, instead of dividing 0 by 0."""
+        params = _coinciding_medians(tmp_path, 1.0)
+        code, out, err = run_cli(capsys, "table", "--params", params)
+        assert code == 0
+        assert "Traceback" not in err
+        rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+        assert len(rows) == 17
+        assert rows["M_d3"] == "0.00,0.00,,inf"
+        assert rows["t_mq7"] == "0.00,0.00,,inf"
+
+    def test_nan_delta_is_error(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--params", "popI", "--delta", "nan")
+        assert code == 1
+        assert out == ""
+        assert err == "error: need 1 - delta^2*gamma*cv_x^2 > 0, got nan for delta=nan\n"
+
+    def test_library_warning_is_one_line(self, capsys, tmp_path):
+        params = _coinciding_medians(tmp_path, 0.3)
+        code, out, err = run_cli(capsys, "table", "--params", params)
+        assert code == 0
+        assert err == "warning: zero MSE: relative efficiency is unbounded\n"
+        assert out.splitlines()[7] == "M_d4,20.41,,,110.24"
+        assert len(out.splitlines()) == 18
 
 
 class TestSimulateCommand:
@@ -316,6 +357,41 @@ class TestCompareCommand:
         code, out, _ = run_cli(capsys, "compare", "--params", str(flat))
         assert code == 0
         assert "degenerate pivot" in out
+
+    @pytest.mark.parametrize(
+        "rho_c, expected",
+        [
+            (
+                0.3,
+                "tm_vs_difference: PASS (margin 20.48) [degenerate pivot: R = 1]\n"
+                "tmq_vs_difference: PASS (margin 20.48) [degenerate pivot: R = 1]\n"
+                "tm_vs_shrink_diff: PASS (margin 20.41) [degenerate pivot: R = 1]\n"
+                "shrink_scaled_vs_shrink_diff: PASS (margin 0)\n"
+                "tm_vs_shrink_scaled: PASS (margin 20.41) [degenerate pivot: R = 1]\n"
+                "5/5 checks passed\n",
+            ),
+            (
+                1.0,
+                "tm_vs_difference: INDETERMINATE (margin 0) [degenerate pivot: R = 1]\n"
+                "tmq_vs_difference: INDETERMINATE (margin 0) [degenerate pivot: R = 1]\n"
+                "tm_vs_shrink_diff: INDETERMINATE (margin 0) [degenerate pivot: R = 1]\n"
+                "shrink_scaled_vs_shrink_diff: INDETERMINATE (margin 0)\n"
+                "tm_vs_shrink_scaled: INDETERMINATE (margin 0) [degenerate pivot: R = 1]\n"
+                "0/5 checks passed\n",
+            ),
+        ],
+    )
+    def test_coinciding_medians(self, capsys, tmp_path, rho_c, expected):
+        code, out, err = run_cli(
+            capsys, "compare", "--params", _coinciding_medians(tmp_path, rho_c)
+        )
+        assert (code, out, err) == (0, expected, "")
+
+    def test_nan_delta_is_error(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--params", "popI", "--delta", "nan")
+        assert code == 1
+        assert out == ""
+        assert err == "error: need 1 - delta^2*gamma*cv_x^2 > 0, got nan for delta=nan\n"
 
     def test_tmq_preset_scalars(self, capsys):
         code, out, _ = run_cli(

@@ -25,9 +25,9 @@ from medaux import (
     resolve_weights,
 )
 from medaux.estimators import FAMILIES
-from medaux.mse import min_mse_difference, min_mse_ss2, min_mse_ss3, min_mse_tmq
 
 from conftest import draw_params
+from oracles import min_mse_difference, min_mse_ss2, min_mse_ss3, min_mse_tmq
 
 
 def _known(median_x: float = 100.0) -> MedianParams:

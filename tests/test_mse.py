@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medaux import (
     PRESET_NAMES,
@@ -21,25 +24,27 @@ from medaux import (
     coeffs_of,
     dominance_checks,
     error_moments,
-    min_mse_difference,
-    min_mse_ss1,
-    min_mse_ss2,
-    min_mse_ss3,
     min_mse_ss4,
-    min_mse_tm,
-    min_mse_tmq,
     mse_from_coeffs,
     pre,
-    quadratic_weights,
     resolve_weights,
     table_rows,
-    tm_min_from_weights,
-    tm_mse_at,
 )
 from medaux import preset
 from medaux.mse import TABLE_ALL_IDS
 
 from conftest import draw_params
+from oracles import (
+    min_mse_difference,
+    min_mse_ss1,
+    min_mse_ss2,
+    min_mse_ss3,
+    min_mse_tm,
+    min_mse_tmq,
+    quadratic_weights,
+    tm_min_from_weights,
+    tm_mse_at,
+)
 
 
 def _flat_params() -> MedianParams:
@@ -166,6 +171,8 @@ class TestQuadraticWeights:
         p = MedianParams.from_primitives(100, 10, 50.0, 50.0, 0.01, 0.01, 1.0)
         with pytest.raises(DegenerateOptimumError):
             quadratic_weights(p, alpha=p.k_c, eta=0.0, lam=1.0)
+        with pytest.raises(DegenerateOptimumError):
+            resolve_weights(preset("t_m", p), p)
 
 
 class TestTwoWeightClassMinimum:
@@ -303,6 +310,98 @@ class TestDominance:
             pop1, tmq_scalars=(spec.alpha, spec.eta, spec.lam)
         )
         assert all(r.satisfied for r in results)
+
+    def test_margins_are_table_differences(self, pop1, pop2):
+        """compare and table read one route: each margin is exactly the
+        difference of the two table values it compares."""
+        rng = np.random.default_rng(9)
+        names = ["M_d", "M_d2", "M_d4", "t_m", "t_mq7"]
+        for p in [pop1, pop2] + [draw_params(rng) for _ in range(200)]:
+            spec = preset("t_mq7", p)
+            scalars = (spec.alpha, spec.eta, spec.lam)
+            margins = {c.name: c.margin for c in dominance_checks(p, tmq_scalars=scalars)}
+            mse = {r.estimator: r.analytic_mse for r in table_rows(p, names)}
+            assert margins == {
+                "tm_vs_difference": mse["M_d"] - mse["t_m"],
+                "tmq_vs_difference": mse["M_d"] - mse["t_mq7"],
+                "tm_vs_shrink_diff": mse["M_d2"] - mse["t_m"],
+                "shrink_scaled_vs_shrink_diff": mse["M_d2"] - mse["M_d4"],
+                "tm_vs_shrink_scaled": mse["M_d4"] - mse["t_m"],
+            }
+
+
+def _tmq_scalars(p: MedianParams, kind: str, rng: np.random.Generator):
+    if kind == "default":
+        return (p.k_c, 0.0, 1.0)
+    if kind == "t_mq7":
+        spec = preset("t_mq7", p)
+        return (spec.alpha, spec.eta, spec.lam)
+    return tuple(float(v) for v in rng.uniform((-2, -2, 0.1), (2, 2, 3.0)))
+
+
+def _assert_catalogue_matches_oracles(p: MedianParams, scalars) -> None:
+    """Catalogue minima equal the closed forms within 1e-12 relative, and
+    dominance_checks gives the verdicts the closed-form margins give.
+
+    Margins are not compared at 1e-12: they cancel, and the two routes put
+    them up to 2.4e-8 relative apart on random params.
+    """
+    alpha, eta, lam = scalars
+    moments = error_moments(p)
+    specs = {
+        "M_d": preset("M_d"),
+        "t_m": preset("t_m"),
+        "M_d2": preset("M_d2"),
+        "tmq": EstimatorSpec(family="ratio_exp", w2=0.0, alpha=alpha, eta=eta, lam=lam),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneratePivotWarning)
+        oracle = {
+            "M_d": min_mse_difference(p),
+            "t_m": min_mse_tm(p),
+            "M_d2": min_mse_ss2(p),
+            "tmq": min_mse_tmq(p, alpha=alpha, eta=eta, lam=lam),
+        }
+    baseline = p.gamma * p.median_y**2 * p.cv_y**2
+    for name, spec in specs.items():
+        got = mse_from_coeffs(coeffs_of(resolve_weights(spec, p), p), moments)
+        want = oracle[name]
+        # where a closed form is exactly 0 the catalogue leaves a rounding
+        # residue, of order 1e-16 of the sample-median variance
+        assert abs(got - want) <= 1e-12 * (abs(want) if want else baseline), name
+
+    o, m_ss4 = oracle, min_mse_ss4(p)
+    oracle_margins = {
+        "tm_vs_difference": (o["M_d"] - o["t_m"], o["M_d"]),
+        "tmq_vs_difference": (o["M_d"] - o["tmq"], o["M_d"]),
+        "tm_vs_shrink_diff": (o["M_d2"] - o["t_m"], o["M_d2"]),
+        "shrink_scaled_vs_shrink_diff": (o["M_d2"] - m_ss4, o["M_d2"]),
+        "tm_vs_shrink_scaled": (m_ss4 - o["t_m"], m_ss4),
+    }
+    for check in dominance_checks(p, tmq_scalars=scalars):
+        margin, scale = oracle_margins[check.name]
+        tie = abs(margin) <= 1e-12 * max(1.0, abs(scale))
+        assert check.satisfied == (None if tie else margin > 0.0), check.name
+
+
+class TestCatalogueAgreesWithOracles:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(("default", "t_mq7", "random")),
+    )
+    def test_random_params(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        p = draw_params(rng)
+        _assert_catalogue_matches_oracles(p, _tmq_scalars(p, kind, rng))
+
+    @pytest.mark.parametrize("rho_c", [0.3, 1.0])
+    @pytest.mark.parametrize("kind", ["default", "t_mq7", "random"])
+    def test_coinciding_medians(self, rho_c, kind):
+        """b = 0, also with |rho_c| = 1 where the optima take their limit."""
+        p = MedianParams.from_primitives(1000, 100, 80.0, 80.0, 0.01, 0.012, rho_c)
+        scalars = _tmq_scalars(p, kind, np.random.default_rng(10))
+        _assert_catalogue_matches_oracles(p, scalars)
 
 
 class TestTableRows:
