@@ -444,11 +444,13 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownEstimatorError as exc:
         parser.error(str(exc))  # exits with code 2
         return 2  # unreachable, keeps type checkers quiet
-    except MedauxError as exc:
+    except (MedauxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ZeroDivisionError, OverflowError) as exc:
+        # parameters that pass validation can still overflow or underflow later
+        what = "overflow" if isinstance(exc, OverflowError) else "division by zero"
+        print(f"error: numeric {what} on extreme parameter values", file=sys.stderr)
         return 1
 
 

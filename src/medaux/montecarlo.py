@@ -100,6 +100,8 @@ class SyntheticSpec:
             raise DomainError("log-scale standard deviations must be positive")
         if not -1.0 < self.rho < 1.0:
             raise DomainError(f"log-scale correlation must lie in (-1, 1), got {self.rho}")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError("seed must fit in an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -227,8 +229,9 @@ def _block_estimates(
     weight resolution and evaluation run per replicate.  Under the plug-in
     policy specs with free scalars are resolved from each sample; those and
     the regression family need the sample extras (p11 and the densities).  A
-    replicate whose extras fail (no usable bandwidth, or invalid plug-in
-    parameters) loses only the specs that need them.
+    replicate whose extras fail (no usable bandwidth) loses only the specs
+    that need them; one whose plug-in parameters are invalid loses only the
+    specs resolved per sample.
     """
     plug_in = config.weights == "plug-in"
     per_sample = [plug_in and bool(free_scalars(s)) for s in specs]
@@ -252,16 +255,18 @@ def _block_estimates(
                 fy_at_median=float(fy[r]),
                 fx_at_median=float(fx[r]),
             )
-            try:
-                if any(per_sample):
+            extras_ok[r] = True
+            if any(per_sample):
+                try:
                     hats[r] = _plug_in_params(stats[r], params)
-                extras_ok[r] = True
-            except MedauxError:
-                pass  # the specs that need extras fail for this replicate
+                except MedauxError:
+                    pass  # the specs resolved per sample fail for this replicate
     out = np.full((len(ks), len(specs)), np.nan)
     for r, sample in enumerate(stats):
         for j, spec in enumerate(specs):
-            if need_extras[j] and not extras_ok[r]:
+            if (per_sample[j] and hats[r] is None) or (
+                need_extras[j] and not extras_ok[r]
+            ):
                 continue
             try:
                 use = resolve_weights(spec, hats[r]) if per_sample[j] else spec

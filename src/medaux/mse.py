@@ -53,6 +53,8 @@ __all__ = [
     "TABLE_ALL_IDS",
 ]
 
+_TIE_REL = 1e-12  # relative size below which a value is rounding residue of 0
+
 
 @dataclass(frozen=True)
 class MseReportRow:
@@ -104,10 +106,14 @@ def analytic_bias(spec: EstimatorSpec, params: MedianParams) -> float:
 
 
 def pre(analytic_mse: float, baseline_var: float) -> float:
-    """Percent relative efficiency, 100 * baseline / mse."""
+    """Percent relative efficiency, 100 * baseline / mse.
+
+    An MSE of at most ``_TIE_REL`` times the baseline is the rounding
+    residue of a zero and counts as zero.
+    """
     if analytic_mse < 0:
         raise DomainError(f"MSE must be nonnegative, got {analytic_mse!r}")
-    if analytic_mse == 0.0:
+    if analytic_mse <= _TIE_REL * baseline_var:
         warnings.warn(
             "zero MSE: relative efficiency is unbounded",
             InfiniteEfficiencyWarning,
@@ -125,8 +131,6 @@ def _optimal_coeffs(spec: EstimatorSpec, params: MedianParams) -> ExpansionCoeff
 # ---------------------------------------------------------------------------
 # Dominance checks
 # ---------------------------------------------------------------------------
-
-_TIE_REL = 1e-12
 
 
 def _verdict(margin: float, scale: float) -> bool | None:

@@ -12,8 +12,9 @@ closed-form machinery needs is condensed into :class:`MedianParams`:
   first-order variances under simple random sampling without replacement.
 
 Parameters can be extracted from raw ``(x, y)`` data or loaded from a small
-JSON document holding just the seven primitive quantities; every other field
-is always derived, never stored.
+JSON document holding just the seven primitive quantities.  The constructor
+takes only those seven; it validates them and then derives the other eight
+fields itself, so a derived value is never passed in.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import IO, Union
 
 import numpy as np
@@ -120,8 +121,9 @@ class ProportionMatrix:
 class MedianParams:
     """Population parameter vector consumed by all analytic formulas.
 
-    Only the first seven fields are primitive; the rest are derived in
-    :meth:`from_primitives` and validated for mutual consistency here.
+    The constructor takes the seven primitives; the eight fields after them
+    are derived in ``__post_init__`` once the primitives pass validation, so
+    ``dataclasses.replace`` on a primitive re-derives the rest.
     """
 
     N: int
@@ -131,49 +133,57 @@ class MedianParams:
     fy_at_median: float
     fx_at_median: float
     rho_c: float
-    # derived
-    p11: float
-    f: float
-    gamma: float
-    cv_y: float
-    cv_x: float
-    median_ratio: float
-    median_gap: float
-    k_c: float
+    p11: float = field(init=False)
+    f: float = field(init=False)
+    gamma: float = field(init=False)
+    cv_y: float = field(init=False)
+    cv_x: float = field(init=False)
+    median_ratio: float = field(init=False)
+    median_gap: float = field(init=False)
+    k_c: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.N < 2 or not (0 < self.n < self.N):
-            raise DomainError(f"need 0 < n < N with N >= 2, got n={self.n}, N={self.N}")
-        for name in ("median_y", "median_x"):
-            v = getattr(self, name)
+        given_y, given_x = self.median_y, self.median_x
+        N, n = int(self.N), int(self.n)
+        if (N, n) != (self.N, self.n):
+            raise DomainError(
+                f"N and n must be integers, got n={self.n!r}, N={self.N!r}"
+            )
+        my, mx = float(given_y), float(given_x)
+        fy, fx = float(self.fy_at_median), float(self.fx_at_median)
+        rho_c = float(self.rho_c)
+        if N < 2 or not (0 < n < N):
+            raise DomainError(f"need 0 < n < N with N >= 2, got n={n}, N={N}")
+        for name, v in (("median_y", my), ("median_x", mx)):
             if not (math.isfinite(v) and v > 0):
                 raise DomainError(f"{name} must be finite and positive, got {v!r}")
-        for name in ("fy_at_median", "fx_at_median"):
-            v = getattr(self, name)
+        for name, v in (("fy_at_median", fy), ("fx_at_median", fx)):
             if not (math.isfinite(v) and v > 0):
                 raise DomainError(f"{name} must be a positive density, got {v!r}")
-        if not -1.0 <= self.rho_c <= 1.0:
-            raise DomainError(f"rho_c must lie in [-1, 1], got {self.rho_c!r}")
-        for name in ("cv_y", "cv_x"):
-            v = getattr(self, name)
+        if not -1.0 <= rho_c <= 1.0:
+            raise DomainError(f"rho_c must lie in [-1, 1], got {rho_c!r}")
+        f = n / N
+        # median * density can underflow to 0 (or overflow, giving cv 0)
+        cv_y = 1.0 / (my * fy) if my * fy != 0 else math.inf
+        cv_x = 1.0 / (mx * fx) if mx * fx != 0 else math.inf
+        for name, v in (("cv_y", cv_y), ("cv_x", cv_x)):
             if not (math.isfinite(v) and v > 0):
                 raise DomainError(f"{name} must be finite and positive, got {v!r}")
-        checks = (
-            ("f", self.n / self.N),
-            ("gamma", (1.0 - self.n / self.N) / (4.0 * self.n)),
-            ("cv_y", 1.0 / (self.median_y * self.fy_at_median)),
-            ("cv_x", 1.0 / (self.median_x * self.fx_at_median)),
-            ("p11", (1.0 + self.rho_c) / 4.0),
-            ("median_ratio", self.median_x / self.median_y),
-            ("median_gap", self.median_y - self.median_x),
-            ("k_c", self.rho_c * self.cv_y / self.cv_x),
-        )
-        for name, expected in checks:
-            got = getattr(self, name)
-            if not math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-12):
-                raise DomainError(
-                    f"inconsistent derived field {name}: got {got!r}, expected {expected!r}"
-                )
+        values = {
+            "N": N, "n": n, "median_y": my, "median_x": mx,
+            "fy_at_median": fy, "fx_at_median": fx, "rho_c": rho_c,
+            "p11": (1.0 + rho_c) / 4.0,
+            "f": f,
+            "gamma": (1.0 - f) / (4.0 * n),
+            "cv_y": cv_y,
+            "cv_x": cv_x,
+            "median_ratio": mx / my,
+            # from the medians as given: two integer medians keep an integer gap
+            "median_gap": given_y - given_x,
+            "k_c": rho_c * cv_y / cv_x,
+        }
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_primitives(
@@ -187,48 +197,11 @@ class MedianParams:
         rho_c: float,
     ) -> "MedianParams":
         """Build the full vector from the seven primitive quantities."""
-        if not (0 < n < N):
-            raise DomainError(f"need 0 < n < N, got n={n}, N={N}")
-        f = n / N
-        cv_y = 1.0 / (median_y * fy_at_median) if median_y * fy_at_median != 0 else math.inf
-        cv_x = 1.0 / (median_x * fx_at_median) if median_x * fx_at_median != 0 else math.inf
-        return cls(
-            N=int(N),
-            n=int(n),
-            median_y=float(median_y),
-            median_x=float(median_x),
-            fy_at_median=float(fy_at_median),
-            fx_at_median=float(fx_at_median),
-            rho_c=float(rho_c),
-            p11=(1.0 + rho_c) / 4.0,
-            f=f,
-            gamma=(1.0 - f) / (4.0 * n),
-            cv_y=cv_y,
-            cv_x=cv_x,
-            median_ratio=median_x / median_y,
-            median_gap=median_y - median_x,
-            k_c=rho_c * cv_y / cv_x,
-        )
+        return cls(N, n, median_y, median_x, fy_at_median, fx_at_median, rho_c)
 
     def as_dict(self) -> dict[str, float]:
         """All fields, primitives first, in a stable order."""
-        return {
-            "N": self.N,
-            "n": self.n,
-            "median_y": self.median_y,
-            "median_x": self.median_x,
-            "fy_at_median": self.fy_at_median,
-            "fx_at_median": self.fx_at_median,
-            "rho_c": self.rho_c,
-            "p11": self.p11,
-            "f": self.f,
-            "gamma": self.gamma,
-            "cv_y": self.cv_y,
-            "cv_x": self.cv_x,
-            "median_ratio": self.median_ratio,
-            "median_gap": self.median_gap,
-            "k_c": self.k_c,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +363,6 @@ def compute_params(
 
     fy = density_at(frame.y, my, fy_method)
     fx = density_at(frame.x, mx, fx_method)
-    if fy <= 0 or fx <= 0:
-        raise DomainError(
-            f"density at a median must be positive, got fy={fy!r}, fx={fx!r}"
-        )
     return MedianParams.from_primitives(frame.N, n, my, mx, fy, fx, rho_c)
 
 
@@ -461,26 +430,9 @@ def load_population(source: Source) -> PopulationFrame:
     return PopulationFrame(x=np.array(columns["x"]), y=np.array(columns["y"]))
 
 
-_PARAM_KEYS = (
-    "N",
-    "n",
-    "median_y",
-    "median_x",
-    "fy_at_median",
-    "fx_at_median",
-    "rho_c",
-)
+_PARAM_KEYS = tuple(f.name for f in fields(MedianParams) if f.init)
 # Derived keys tolerated in lenient mode; values are cross-checked, not stored.
-_DERIVED_KEYS = (
-    "p11",
-    "f",
-    "gamma",
-    "cv_y",
-    "cv_x",
-    "median_ratio",
-    "median_gap",
-    "k_c",
-)
+_DERIVED_KEYS = tuple(f.name for f in fields(MedianParams) if not f.init)
 
 
 def load_params(source: Source, strict: bool = True) -> MedianParams:
@@ -517,11 +469,6 @@ def load_params(source: Source, strict: bool = True) -> MedianParams:
     for key in ("N", "n"):
         if isinstance(values[key], float) and not values[key].is_integer():
             raise SchemaError(f"params key {key!r} must be an integer")
-        values[key] = int(values[key])
-    if not (0 < values["n"] < values["N"]):
-        raise DomainError(
-            f"need 0 < n < N, got n={values['n']}, N={values['N']}"
-        )
 
     params = MedianParams.from_primitives(**values)
     if not strict:

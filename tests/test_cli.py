@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from medaux import PRESET_NAMES
 from medaux.cli import main
@@ -13,6 +16,12 @@ from medaux.cli import main
 POP_CSV = "x,y\n" + "\n".join(
     f"{x},{x * 2 + (i % 7)}" for i, x in enumerate(range(10, 70))
 )
+
+
+POP_I = {
+    "N": 69, "n": 17, "median_y": 2068, "median_x": 2011,
+    "fy_at_median": 0.00014, "fx_at_median": 0.00014, "rho_c": 0.1505,
+}
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +85,15 @@ class TestParamsCommand:
         )
         assert code == 0
         assert "fy_at_median = 0.01" in out
+
+    def test_zero_known_density_is_error(self, capsys, pop_csv):
+        code, out, err = run_cli(
+            capsys, "params", "--input", pop_csv, "--n", "12",
+            "--density", "known", "--fy", "0", "--fx", "0.02",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: fy_at_median must be a positive density, got 0.0\n"
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "params", "--params", "popI", "--format", "json")
@@ -177,6 +195,30 @@ class TestTableCommand:
         assert out == ""
         assert err == "error: need 1 - delta^2*gamma*cv_x^2 > 0, got nan for delta=nan\n"
 
+    @pytest.mark.parametrize("command", ["table", "compare", "params"])
+    def test_zero_median_is_one_line_error(self, capsys, tmp_path, command):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({**POP_I, "median_y": 0}), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--params", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: median_y must be finite and positive, got 0.0\n"
+
+    @pytest.mark.parametrize(
+        "values, what",
+        [
+            ({"median_y": 0.5, "fx_at_median": 1e300}, "division by zero"),
+            ({"median_y": 1, "fx_at_median": 1e-300, "rho_c": -1}, "overflow"),
+        ],
+    )
+    def test_arithmetic_error_is_one_line(self, capsys, tmp_path, values, what):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({**POP_I, **values}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "table", "--params", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: numeric {what} on extreme parameter values\n"
+
     def test_library_warning_is_one_line(self, capsys, tmp_path):
         params = _coinciding_medians(tmp_path, 0.3)
         code, out, err = run_cli(capsys, "table", "--params", params)
@@ -184,6 +226,41 @@ class TestTableCommand:
         assert err == "warning: zero MSE: relative efficiency is unbounded\n"
         assert out.splitlines()[7] == "M_d4,20.41,,,110.24"
         assert len(out.splitlines()) == 18
+
+
+EDGE_VALUES = (
+    0, 1, -1, 0.5, 2, 1e-320, -1e-320, 1e-300, 1e300, -1e300,
+    math.inf, -math.inf, math.nan,
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    sizes=st.sampled_from([(69, 17), (2, 1), (10**6, 3), (3, 3), (1, 0)]),
+    primitives=st.fixed_dictionaries(
+        {
+            key: st.sampled_from(EDGE_VALUES) | st.just(POP_I[key])
+            for key in ("median_y", "median_x", "fy_at_median", "fx_at_median")
+        }
+    ),
+    rho_c=st.sampled_from(EDGE_VALUES) | st.floats(-1.0, 1.0),
+)
+def test_extreme_parameters_never_raise(capsys, tmp_path, sizes, primitives, rho_c):
+    """Values that pass validation may still overflow or underflow later:
+    every command exits 0, or 1 with a one-line ``error:`` message."""
+    path = tmp_path / "edge.json"
+    doc = {"N": sizes[0], "n": sizes[1], **primitives, "rho_c": rho_c}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("table", "compare", "params"):
+        code, _, err = run_cli(capsys, command, "--params", str(path))
+        assert code in (0, 1)
+        lines = err.splitlines()
+        assert all(line.startswith(("warning: ", "error: ")) for line in lines)
+        assert sum(line.startswith("error: ") for line in lines) == (code == 1)
 
 
 class TestSimulateCommand:
@@ -323,6 +400,32 @@ class TestSimulateCommand:
         assert code == 1
         assert err == "error: synthetic spec entry 'N=200.7' must be an integer\n"
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_synthetic_seed_out_of_range(self, capsys, seed):
+        code, out, err = run_cli(
+            capsys, "simulate", "--synthetic", f"N=100,seed={seed}",
+            "--n", "5", "--reps", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must fit in an unsigned 64-bit integer\n"
+
+    def test_plug_in_zero_sample_median(self, capsys, tmp_path):
+        # 45% of y at 0: many samples have y median 0, so plug-in params
+        # fail for M_d; M_y needs none and keeps every replicate
+        rows = [f"{10 + i},{0 if i % 20 < 9 else 2 * i + 5}" for i in range(200)]
+        path = tmp_path / "zeros.csv"
+        path.write_text("x,y\n" + "\n".join(rows), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "simulate", "--input", str(path), "--n", "10", "--reps", "300",
+            "--seed", "1", "--weights", "plug-in", "--estimators", "M_y,M_d",
+            "--format", "json",
+        )
+        assert code == 0, err
+        detail = {d["estimator"]: d for d in json.loads(out)["detail"]}
+        assert detail["M_y"]["reps_used"] == 300
+        assert 0 < detail["M_d"]["failures"] < 300
+
     def test_detail_section_reports_failures(self, capsys, pop_csv):
         code, out, _ = run_cli(
             capsys, "simulate", "--input", pop_csv, "--n", "10", "--reps", "8",
@@ -449,6 +552,8 @@ GOLDEN = Path(__file__).parent / "golden"
                 "--weights", "plug-in", "--format", "json",
             ],
         ),
+        ("params-popI.txt", ["params", "--params", "popI"]),
+        ("params-popII.json", ["params", "--params", "popII", "--format", "json"]),
     ],
 )
 def test_golden_output(capsys, golden, argv):

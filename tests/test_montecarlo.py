@@ -178,6 +178,32 @@ class TestRunSimulation:
             assert with_lr[:2] == alone
             assert alone[0].reps_used == 500
 
+    def test_plug_in_failure_spares_regression(self):
+        # 45% of y at -1: samples whose y median is -1 give invalid plug-in
+        # params, which cost M_d its replicate but not M_lr
+        rng = np.random.default_rng(0)
+        x = rng.lognormal(3.0, 0.5, size=200)
+        y = x * rng.lognormal(0.0, 0.3, size=200)
+        y[:90] = -1.0
+        frame = PopulationFrame(x=x, y=y)
+        params = _property_params(frame, 10)
+
+        def config(names):
+            return SimulationConfig(
+                n=10, reps=300, seed=1, estimators=names, weights="plug-in"
+            )
+
+        alone = run_simulation(frame, config(("M_lr",)), params).results
+        both = config(("M_lr", "M_d"))
+        with_d = run_simulation(frame, both, params).results
+        assert with_d[1].reps_used < alone[0].reps_used
+        assert with_d[0].reps_used == alone[0].reps_used
+        assert with_d[0].empirical_mse == alone[0].empirical_mse
+        specs = _simulation_specs(both.estimators, params, both.weights)
+        got = montecarlo._replicate_estimates(frame, both, params, specs)
+        expected = [_reference_row(frame, both, params, specs, k) for k in range(300)]
+        np.testing.assert_array_equal(got, np.array(expected))
+
     def test_analytic_columns_match_table(self):
         frame = _small_frame(N=80, seed=6)
         params = compute_params(frame, 20)
@@ -263,16 +289,17 @@ def _reference_row(frame, config, params, specs, k):
         stats = SampleStats(
             median_y=my, median_x=mx, p11=p11, fy_at_median=fy, fx_at_median=fx
         )
+        extras_ok = True
         if any(per_sample):
             rho = max(-1.0, min(1.0, 4.0 * p11 - 1.0))
             hat = MedianParams.from_primitives(params.N, params.n, my, mx, fy, fx, rho)
-        extras_ok = True
     except MedauxError:
         pass
     row = []
     for spec, own in zip(specs, per_sample):
         value = math.nan
-        if extras_ok or not (own or spec.family == REGRESSION):
+        usable = hat is not None if own else extras_ok or spec.family != REGRESSION
+        if usable:
             try:
                 value = evaluate(resolve_weights(spec, hat) if own else spec, stats, params)
             except MedauxError:
@@ -371,3 +398,6 @@ class TestMakeSynthetic:
             SyntheticSpec(N=100, rho=1.0)
         with pytest.raises(DomainError):
             SyntheticSpec(N=100, sigma_x=0.0)
+        for seed in (-1, 2**64):
+            with pytest.raises(DomainError, match="unsigned 64-bit"):
+                SyntheticSpec(N=100, seed=seed)

@@ -282,6 +282,20 @@ class TestPre:
         with pytest.warns(InfiniteEfficiencyWarning):
             assert pre(0.0, 1.0) == math.inf
 
+    def test_rounding_residue_counts_as_zero(self):
+        with pytest.warns(InfiniteEfficiencyWarning):
+            assert pre(1e-12 * 22.5, 22.5) == math.inf
+        assert pre(2e-12 * 22.5, 22.5) == pytest.approx(5e13)
+
+    def test_zero_gap_perfect_concordance_rows(self):
+        """b = 0, rho_c = 1: M_d and M_d2 leave a 7.1e-15 residue, PRE inf."""
+        p = MedianParams.from_primitives(1000, 100, 80.0, 80.0, 0.01, 0.012, 1.0)
+        with pytest.warns(InfiniteEfficiencyWarning):
+            rows = {r.estimator: r for r in table_rows(p, ["M_d", "M_d2"])}
+        for row in rows.values():
+            assert 0.0 < row.analytic_mse < 1e-12
+            assert row.pre_vs_sample_median == math.inf
+
 
 class TestDominance:
     def test_both_populations_pass_all_checks(self, pop1, pop2):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -295,6 +296,48 @@ class TestMedianParams:
     def test_rho_out_of_range(self):
         with pytest.raises(DomainError):
             MedianParams.from_primitives(100, 10, 50.0, 40.0, 0.01, 0.01, 1.5)
+
+    def test_constructor_takes_the_seven_primitives(self):
+        names = [f.name for f in fields(MedianParams) if f.init]
+        assert names == [
+            "N", "n", "median_y", "median_x", "fy_at_median", "fx_at_median", "rho_c"
+        ]
+        with pytest.raises(TypeError):
+            MedianParams(100, 10, 50.0, 40.0, 0.01, 0.01, 0.0, p11=0.25)
+
+    def test_fields_derive_from_primitives(self):
+        p = MedianParams(100, 10, 50.0, 40.0, 0.02, 0.01, 0.6)
+        assert p == MedianParams.from_primitives(100, 10, 50.0, 40.0, 0.02, 0.01, 0.6)
+        assert list(p.as_dict()) == [f.name for f in fields(MedianParams)]
+        assert (p.p11, p.f, p.gamma) == (0.4, 0.1, 0.9 / 40.0)
+        assert (p.cv_y, p.cv_x, p.median_ratio) == (1.0, 2.5, 0.8)
+        assert (p.median_gap, p.k_c) == (10.0, 0.6 / 2.5)
+
+    def test_replace_rederives(self, pop1):
+        moved = replace(pop1, rho_c=0.5)
+        assert moved == MedianParams.from_primitives(
+            69, 17, 2068.0, 2011.0, 0.00014, 0.00014, 0.5
+        )
+        assert moved.p11 == 0.375 and moved.k_c == 0.5 * pop1.cv_y / pop1.cv_x
+
+    def test_integer_medians_keep_integer_gap(self, pop1):
+        assert pop1.median_y == 2068.0 and isinstance(pop1.median_y, float)
+        assert pop1.median_gap == 57 and isinstance(pop1.median_gap, int)
+
+    def test_zero_median_is_domain_error(self):
+        message = r"^median_y must be finite and positive, got 0\.0$"
+        with pytest.raises(DomainError, match=message):
+            MedianParams.from_primitives(100, 10, 0, 40.0, 0.01, 0.01, 0.0)
+
+    def test_underflowing_cv_is_domain_error(self):
+        with pytest.raises(DomainError, match="cv_y must be finite and positive"):
+            MedianParams.from_primitives(100, 10, 1e-200, 40.0, 1e-200, 0.01, 0.0)
+        with pytest.raises(DomainError, match="cv_x must be finite and positive"):
+            MedianParams.from_primitives(100, 10, 50.0, 1e200, 0.01, 1e200, 0.0)
+
+    def test_non_integer_sample_size(self):
+        with pytest.raises(DomainError, match="must be integers"):
+            MedianParams.from_primitives(100, 10.5, 50.0, 40.0, 0.01, 0.01, 0.0)
 
 
 class TestComputeParams:
