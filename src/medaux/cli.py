@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, fields
 from importlib.resources import files
 
 from . import montecarlo, mse
@@ -48,15 +48,6 @@ _BUILTIN_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class RenderedTable:
-    """Rows conforming to the fixed column schema, plus a format tag."""
-
-    rows: tuple[dict, ...]
-    format: str
-    extra: dict | None = None  # json-only payload (config and params echo)
-
-
 def _default_format() -> str:
     env = os.environ.get("MEDAUX_FORMAT", "csv").lower()
     return env if env in FORMATS else "csv"
@@ -74,29 +65,29 @@ def _fmt_cell(value, precision: int) -> str:
     return str(value)
 
 
-def render_table(table: RenderedTable, precision: int) -> str:
-    """Render to csv/md at display precision, or to full-precision json."""
-    if table.format == "json":
-        payload: dict = {"rows": [dict(r) for r in table.rows]}
-        if table.extra:
-            payload.update(table.extra)
-        return json.dumps(payload, indent=2) + "\n"
-    if table.format == "csv":
+def render_table(
+    rows: list[dict], fmt: str, precision: int, extra: dict | None = None
+) -> str:
+    """Render rows keyed by ``COLUMNS`` to csv/md at display precision, or to
+    full-precision json with the json-only ``extra`` payload appended."""
+    if fmt == "json":
+        return json.dumps({"rows": rows, **(extra or {})}, indent=2) + "\n"
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(COLUMNS)
-        for row in table.rows:
+        for row in rows:
             writer.writerow([_fmt_cell(row[c], precision) for c in COLUMNS])
         return buf.getvalue()
-    if table.format == "md":
+    if fmt == "md":
         lines = ["| " + " | ".join(COLUMNS) + " |"]
         lines.append("|" + "|".join(" --- " for _ in COLUMNS) + "|")
-        for row in table.rows:
+        for row in rows:
             lines.append(
                 "| " + " | ".join(_fmt_cell(row[c], precision) for c in COLUMNS) + " |"
             )
         return "\n".join(lines) + "\n"
-    raise MedauxError(f"unknown format {table.format!r}")
+    raise MedauxError(f"unknown format {fmt!r}")
 
 
 def _resolve_params_path(value: str) -> str:
@@ -118,6 +109,21 @@ def _density_methods(args) -> tuple:
     if args.fy is None or args.fx is None:
         raise MedauxError("--density known requires --fy and --fx values")
     return KnownDensity(args.fy), KnownDensity(args.fx)
+
+
+def _estimator_list(value) -> tuple[str, ...]:
+    """Estimator names from a comma-separated string or a list of strings."""
+    if isinstance(value, str):
+        names = tuple(s.strip() for s in value.split(",") if s.strip())
+    elif isinstance(value, list) and all(isinstance(s, str) for s in value):
+        names = tuple(value)
+    else:
+        raise MedauxError(
+            f"estimators must be a string or a list of strings, got {value!r}"
+        )
+    if not names:
+        raise MedauxError("need at least one estimator")
+    return names
 
 
 def _parse_synthetic(text: str) -> SyntheticSpec:
@@ -184,26 +190,20 @@ def cmd_params(args) -> int:
 
 def cmd_table(args) -> int:
     params = _load_params_arg(args.params, args.lenient)
-    ids = "all" if args.estimators.strip().lower() == "all" else [
-        s.strip() for s in args.estimators.split(",") if s.strip()
-    ]
-    if not ids:
-        raise MedauxError("need at least one estimator")
-    rows = mse.table_rows(params, ids, delta=args.delta)
-    table = RenderedTable(
-        rows=tuple(
-            {
-                "estimator": r.estimator,
-                "analytic_mse": r.analytic_mse,
-                "analytic_bias": r.analytic_bias,
-                "empirical_mse": None,
-                "pre": r.pre_vs_sample_median,
-            }
-            for r in rows
-        ),
-        format=args.format,
+    ids = "all" if args.estimators.strip().lower() == "all" else _estimator_list(
+        args.estimators
     )
-    sys.stdout.write(render_table(table, args.precision))
+    rows = [
+        {
+            "estimator": r.estimator,
+            "analytic_mse": r.analytic_mse,
+            "analytic_bias": r.analytic_bias,
+            "empirical_mse": None,
+            "pre": r.pre_vs_sample_median,
+        }
+        for r in mse.table_rows(params, ids, delta=args.delta)
+    ]
+    sys.stdout.write(render_table(rows, args.format, args.precision))
     return 0
 
 
@@ -238,79 +238,40 @@ def _read_config(path: str) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    file_cfg = _read_config(args.config) if args.config is not None else {}
-
-    def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, fallback)
-
-    n = pick(args.n, "n", None)
-    reps = pick(args.reps, "reps", None)
-    if n is None or reps is None:
+    settings = _read_config(args.config) if args.config is not None else {}
+    for f in fields(SimulationConfig):  # a flag overrides the config file
+        if getattr(args, f.name) is not None:
+            settings[f.name] = getattr(args, f.name)
+    if settings.get("n") is None or settings.get("reps") is None:
         raise MedauxError("simulate needs --n and --reps (flags or config file)")
-    estimators = pick(args.estimators, "estimators", "M_y,M_r,M_d,t_m")
-    if isinstance(estimators, str):
-        estimators = tuple(s.strip() for s in estimators.split(",") if s.strip())
-    elif not isinstance(estimators, list) or not all(
-        isinstance(s, str) for s in estimators
-    ):
-        raise MedauxError(
-            f"estimators must be a string or a list of strings, got {estimators!r}"
-        )
-    config = SimulationConfig(
-        n=_int_setting("n", n),
-        reps=_int_setting("reps", reps),
-        seed=_int_setting("seed", pick(args.seed, "seed", 0)),
-        estimators=tuple(estimators),
-        weights=pick(args.weights, "weights", "true-params"),
-    )
-    jobs = args.jobs if args.jobs is not None else 1
+    if "estimators" in settings:
+        settings["estimators"] = _estimator_list(settings["estimators"])
+    for key in ("n", "reps", "seed"):
+        if key in settings:
+            settings[key] = _int_setting(key, settings[key])
+    config = SimulationConfig(**settings)
 
     if args.input is not None:
         frame = load_population(args.input)
     else:
         frame = montecarlo.make_synthetic(_parse_synthetic(args.synthetic))
-
-    density = KernelDensity() if args.density == "kernel" else HistogramDensity()
     params_n = config.n if config.n < frame.N else frame.N - 1
-    params = compute_params(frame, params_n, density, density)
-    report = montecarlo.run_simulation(frame, config, params, jobs=jobs)
+    params = compute_params(frame, params_n, *_density_methods(args))
+    report = montecarlo.run_simulation(frame, config, params, jobs=args.jobs)
 
-    baseline = params.gamma * params.median_y**2 * params.cv_y**2
-    rows = tuple(
-        {
-            "estimator": r.estimator,
-            "analytic_mse": r.analytic_mse,
-            "analytic_bias": r.analytic_bias,
-            "empirical_mse": r.empirical_mse,
-            "pre": mse.pre(r.analytic_mse, baseline) if r.analytic_mse > 0 else None,
-        }
-        for r in report.results
-    )
+    baseline = mse.sample_median_mse(params)
+    results = [asdict(r) for r in report.results]
+    rows = [
+        {**{c: r[c] for c in COLUMNS[:-1]}, "pre": mse.pre(r["analytic_mse"], baseline)}
+        for r in results
+    ]
     extra = {
-        "config": {
-            "n": config.n,
-            "reps": config.reps,
-            "seed": config.seed,
-            "estimators": list(config.estimators),
-            "weights": config.weights,
-        },
+        "config": asdict(config),
         "params": report.params.as_dict(),
-        "detail": [
-            {
-                "estimator": r.estimator,
-                "reps_used": r.reps_used,
-                "failures": r.failures,
-                "empirical_bias": r.empirical_bias,
-                "mc_se_mse": r.mc_se_mse,
-                "ratio_empirical_to_analytic": r.ratio_empirical_to_analytic,
-            }
-            for r in report.results
-        ],
+        # the columns of a row are not repeated in its detail
+        "detail": [{k: v for k, v in r.items() if k not in COLUMNS[1:]} for r in results],
     }
-    table = RenderedTable(rows=rows, format=args.format, extra=extra)
-    sys.stdout.write(render_table(table, args.precision))
+    sys.stdout.write(render_table(rows, args.format, args.precision, extra))
     return 0
 
 
@@ -318,10 +279,7 @@ def cmd_compare(args) -> int:
     params = _load_params_arg(args.params, args.lenient)
     scalars = None
     if args.tmq_preset is not None:
-        try:
-            spec = preset(args.tmq_preset, params)
-        except UnknownEstimatorError as exc:
-            raise MedauxError(str(exc)) from exc
+        spec = preset(args.tmq_preset, params)
         if spec.family != RATIO_EXP or free_scalars(spec) != ("w1",):
             raise MedauxError(
                 f"--tmq-preset needs a single-weight preset, got {args.tmq_preset!r}"
@@ -400,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--estimators")
     p_sim.add_argument("--weights", choices=("true-params", "plug-in"))
     p_sim.add_argument(
-        "--jobs", type=int,
+        "--jobs", type=int, default=1,
         help="accepted for compatibility; no effect, replicates run serially",
     )
     p_sim.add_argument("--config", help="JSON file with SimulationConfig fields")

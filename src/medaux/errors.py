@@ -2,6 +2,19 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "MedauxError",
+    "ParseError",
+    "SchemaError",
+    "DomainError",
+    "DegenerateSampleError",
+    "SingularityError",
+    "DegenerateOptimumError",
+    "UnknownEstimatorError",
+    "DegeneratePivotWarning",
+    "InfiniteEfficiencyWarning",
+]
+
 
 class MedauxError(Exception):
     """Base class for every error raised by this package."""

@@ -8,7 +8,9 @@ draws its replicates' targets one key at a time, then shuffles, takes the
 sample medians, p11 and kernel densities for the whole block as (K, n)
 arrays.  Weight resolution and estimator evaluation stay per replicate.
 Every per-row result equals the one-replicate computation, so reports
-depend neither on the block size nor on ``jobs``.
+depend neither on the block size nor on ``jobs``.  A replicate that fails
+for one estimator (a package error or an arithmetic one, such as an
+overflow on extreme plug-in estimates) costs that estimator alone.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class SimulationConfig:
 
     n: int
     reps: int
-    seed: int
+    seed: int = 0
     estimators: tuple[str, ...] = ("M_y", "M_r", "M_d", "t_m")
     weights: str = "true-params"
 
@@ -197,25 +199,6 @@ def srswor(frame: PopulationFrame, n: int, rng: np.random.Generator) -> np.ndarr
     return _swap_rows(js[None, :], N)[0]
 
 
-def _plug_in_params(stats: SampleStats, params: MedianParams) -> MedianParams:
-    """Population parameters re-estimated from one sample.
-
-    Design quantities (N, n) stay fixed; everything unknown is replaced by its
-    sample estimate.  The concordance correlation estimate is clamped into
-    [-1, 1] because inclusive tie counting can push 4*p11 - 1 above 1.
-    """
-    rho_hat = max(-1.0, min(1.0, 4.0 * stats.p11 - 1.0))
-    return MedianParams.from_primitives(
-        params.N,
-        params.n,
-        stats.median_y,
-        stats.median_x,
-        stats.fy_at_median,
-        stats.fx_at_median,
-        rho_hat,
-    )
-
-
 def _block_estimates(
     frame: PopulationFrame,
     config: SimulationConfig,
@@ -227,51 +210,50 @@ def _block_estimates(
 
     Samples, medians, p11 and kernel densities are computed on (K, n) arrays;
     weight resolution and evaluation run per replicate.  Under the plug-in
-    policy specs with free scalars are resolved from each sample; those and
-    the regression family need the sample extras (p11 and the densities).  A
-    replicate whose extras fail (no usable bandwidth) loses only the specs
-    that need them; one whose plug-in parameters are invalid loses only the
-    specs resolved per sample.
+    policy, specs with free scalars are resolved from a parameter vector
+    re-estimated from each sample.  One rule decides every failure: a spec
+    loses a replicate when resolving or evaluating it there raises a package
+    or arithmetic error, or when it is resolved per sample and the replicate
+    has no valid plug-in vector (no usable bandwidth, or invalid estimates).
+    No other spec loses that replicate.
     """
     plug_in = config.weights == "plug-in"
     per_sample = [plug_in and bool(free_scalars(s)) for s in specs]
-    need_extras = [p or s.family == REGRESSION for p, s in zip(per_sample, specs)]
     n = config.n
     idx = _swap_rows(_swap_targets(config.seed, ks, n, frame.N), frame.N)
     xs, ys = frame.x[idx], frame.y[idx]
     my, mx = np.median(ys, axis=1), np.median(xs, axis=1)
-    medians = list(zip(my.tolist(), mx.tolist()))
-    stats = [SampleStats(median_y=a, median_x=b) for a, b in medians]
-    extras_ok = [False] * len(ks)
-    hats: list[MedianParams | None] = [None] * len(ks)
-    if any(need_extras) and n >= 2:  # a kernel density needs two observations
+    extras: list[tuple[float, float, float] | None] = [None] * len(ks)
+    needs_extras = any(per_sample) or any(s.family == REGRESSION for s in specs)
+    if needs_extras and n >= 2:  # a kernel density needs two observations
         p11 = np.count_nonzero((xs <= mx[:, None]) & (ys <= my[:, None]), axis=1) / n
         fy, _ = _kernel_density_rows(ys, my)
         fx, _ = _kernel_density_rows(xs, mx)
         for r in np.flatnonzero(~(np.isnan(fy) | np.isnan(fx))).tolist():
-            stats[r] = SampleStats(
-                *medians[r],
-                p11=float(p11[r]),
-                fy_at_median=float(fy[r]),
-                fx_at_median=float(fx[r]),
-            )
-            extras_ok[r] = True
-            if any(per_sample):
-                try:
-                    hats[r] = _plug_in_params(stats[r], params)
-                except MedauxError:
-                    pass  # the specs resolved per sample fail for this replicate
+            extras[r] = (float(p11[r]), float(fy[r]), float(fx[r]))
     out = np.full((len(ks), len(specs)), np.nan)
-    for r, sample in enumerate(stats):
+    for r, (a, b) in enumerate(zip(my.tolist(), mx.tolist())):
+        sample = SampleStats(a, b, *extras[r]) if extras[r] else SampleStats(a, b)
+        hat = None
+        if extras[r] and any(per_sample):
+            # design quantities (N, n) stay fixed; the concordance estimate is
+            # clamped into [-1, 1] because inclusive tie counting can push
+            # 4*p11 - 1 above 1
+            rho_hat = max(-1.0, min(1.0, 4.0 * sample.p11 - 1.0))
+            try:
+                hat = MedianParams.from_primitives(
+                    params.N, params.n, a, b,
+                    sample.fy_at_median, sample.fx_at_median, rho_hat,
+                )
+            except MedauxError:
+                pass  # the specs resolved per sample fail for this replicate
         for j, spec in enumerate(specs):
-            if (per_sample[j] and hats[r] is None) or (
-                need_extras[j] and not extras_ok[r]
-            ):
+            if per_sample[j] and hat is None:
                 continue
             try:
-                use = resolve_weights(spec, hats[r]) if per_sample[j] else spec
+                use = resolve_weights(spec, hat) if per_sample[j] else spec
                 out[r, j] = evaluate(use, sample, params)
-            except MedauxError:
+            except (MedauxError, ArithmeticError):
                 pass  # recorded as a failure for this estimator only
     return out
 
@@ -305,8 +287,8 @@ def run_simulation(
     Under the ``true-params`` policy free weights are resolved once from
     ``params``; under ``plug-in`` they are re-resolved per replicate from the
     sample.  The regression estimator always uses its per-sample slope.
-    Replicates where an estimator hits a singularity are excluded from that
-    estimator's aggregates and surfaced as failure counts.  ``jobs`` is
+    Replicates where an estimator fails are excluded from that estimator's
+    aggregates and surfaced as failure counts.  ``jobs`` is
     accepted for compatibility and has no effect: blocks of replicates run
     one after another in the calling thread, and the report never depended
     on it.

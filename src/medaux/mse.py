@@ -48,6 +48,7 @@ __all__ = [
     "min_mse_ss4",
     "analytic_bias",
     "pre",
+    "sample_median_mse",
     "dominance_checks",
     "table_rows",
     "TABLE_ALL_IDS",
@@ -105,13 +106,18 @@ def analytic_bias(spec: EstimatorSpec, params: MedianParams) -> float:
     return bias_from_coeffs(coeffs_of(spec, params), error_moments(params))
 
 
+def sample_median_mse(params: MedianParams) -> float:
+    """First-order MSE of the sample median ``M_y``: the baseline of PRE."""
+    return params.gamma * params.median_y**2 * params.cv_y**2
+
+
 def pre(analytic_mse: float, baseline_var: float) -> float:
     """Percent relative efficiency, 100 * baseline / mse.
 
-    An MSE of at most ``_TIE_REL`` times the baseline is the rounding
-    residue of a zero and counts as zero.
+    An MSE within ``_TIE_REL`` times the baseline of zero, on either side,
+    is the rounding residue of a zero and counts as zero.
     """
-    if analytic_mse < 0:
+    if analytic_mse < -_TIE_REL * baseline_var:
         raise DomainError(f"MSE must be nonnegative, got {analytic_mse!r}")
     if analytic_mse <= _TIE_REL * baseline_var:
         warnings.warn(
@@ -284,5 +290,5 @@ def table_rows(
             raise DomainError("ids must be a sequence of names or the string 'all'")
         ids = TABLE_ALL_IDS
     moments = error_moments(params)
-    baseline = params.gamma * params.median_y**2 * params.cv_y**2
+    baseline = sample_median_mse(params)
     return [_row(params, est_id, delta, moments, baseline) for est_id in ids]

@@ -95,6 +95,28 @@ class TestParamsCommand:
         assert out == ""
         assert err == "error: fy_at_median must be a positive density, got 0.0\n"
 
+    def test_known_density_needs_both_values(self, capsys, pop_csv):
+        code, out, err = run_cli(
+            capsys, "params", "--input", pop_csv, "--n", "10",
+            "--density", "known", "--fy", "0.1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --density known requires --fy and --fx values\n"
+
+    def test_histogram_density(self, capsys, pop_csv):
+        code, out, err = run_cli(
+            capsys, "params", "--input", pop_csv, "--n", "10", "--density", "histogram"
+        )
+        assert (code, err) == (0, "")
+        assert "fy_at_median = 0.00758\nfx_at_median = 0.01695\n" in out
+
+    def test_n_with_builtin_params_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["params", "--params", "popI", "--n", "5"])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "medaux: error: --n only applies to --input"
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "params", "--params", "popI", "--format", "json")
         doc = json.loads(out)
@@ -434,6 +456,68 @@ class TestSimulateCommand:
         detail = json.loads(out)["detail"]
         assert all(d["failures"] == 0 for d in detail)
 
+    @pytest.mark.parametrize("flags", [("--reps", "5"), ("--n", "5")], ids=["no-n", "no-reps"])
+    def test_missing_size_or_reps(self, capsys, pop_csv, flags):
+        code, out, err = run_cli(capsys, "simulate", "--input", pop_csv, *flags)
+        assert (code, out) == (1, "")
+        assert err == "error: simulate needs --n and --reps (flags or config file)\n"
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("n", "simulate needs --n and --reps (flags or config file)"),
+            ("seed", "seed must be an integer, got None"),
+            ("estimators", "estimators must be a string or a list of strings, got None"),
+        ],
+    )
+    def test_null_config_value(self, capsys, tmp_path, pop_csv, key, message):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"n": 5, "reps": 5, key: None}), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "simulate", "--input", pop_csv, "--config", str(cfg)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    def test_regression_without_densities_at_unit_sample(self, capsys, pop_csv):
+        # one observation has no kernel density, so M_lr uses no replicate
+        argv = (
+            "simulate", "--input", pop_csv, "--n", "1", "--reps", "20",
+            "--estimators", "M_y,M_lr",
+        )
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        detail = json.loads(out)["detail"]
+        assert code == 0
+        assert [(d["reps_used"], d["failures"]) for d in detail] == [(20, 0), (0, 20)]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert out.splitlines()[2].split(",")[3] == "nan"
+
+    def test_pre_matches_table(self, capsys, tmp_path):
+        # y = x: the shrinkage rows have zero MSE, which both commands print
+        # as PRE inf with one warning; M_d4's table row is the paper formula
+        pop = tmp_path / "equal.csv"
+        pop.write_text("x,y\n" + "\n".join(f"{v},{v}" for v in range(1, 41)))
+        names = ",".join(n for n in PRESET_NAMES if n != "M_d4")
+        code, out, err = run_cli(
+            capsys, "simulate", "--input", str(pop), "--n", "10", "--reps", "5",
+            "--estimators", names, "--format", "json",
+        )
+        assert code == 0
+        assert err == "warning: zero MSE: relative efficiency is unbounded\n"
+        doc = json.loads(out)
+        primitives = ("N", "n", "median_y", "median_x", "fy_at_median", "fx_at_median", "rho_c")
+        params = tmp_path / "equal.json"
+        params.write_text(json.dumps({k: doc["params"][k] for k in primitives}))
+        code, table, err = run_cli(
+            capsys, "table", "--params", str(params), "--estimators", names,
+            "--format", "json",
+        )
+        assert code == 0
+        assert err == "warning: zero MSE: relative efficiency is unbounded\n"
+        simulated = [r["pre"] for r in doc["rows"]]
+        assert simulated == [r["pre"] for r in json.loads(table)["rows"]]
+        assert simulated.count(math.inf) > 1
+
 
 class TestCompareCommand:
     def test_pop1_all_pass(self, capsys):
@@ -503,6 +587,13 @@ class TestCompareCommand:
         assert code == 0
         assert "5/5 checks passed" in out
 
+    def test_unknown_tmq_preset_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--params", "popI", "--tmq-preset", "M_zz"])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("medaux: error: unknown estimator 'M_zz'; valid names: M_y,")
+
     def test_non_shrunk_preset_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "compare", "--params", "popI", "--tmq-preset", "M_r"
@@ -554,6 +645,25 @@ GOLDEN = Path(__file__).parent / "golden"
         ),
         ("params-popI.txt", ["params", "--params", "popI"]),
         ("params-popII.json", ["params", "--params", "popII", "--format", "json"]),
+        *(
+            (
+                f"simulate-tied-n{n}.json",
+                [
+                    "simulate", "--input", str(GOLDEN / "tied-population.csv"),
+                    "--n", n, "--reps", "200", "--seed", "3", "--weights", "plug-in",
+                    "--estimators", "M_y,M_d,M_lr,t_mq7,M_3", "--format", "json",
+                ],
+            )
+            for n in ("6", "1")
+        ),
+        (
+            "simulate-tied-config.json",
+            [
+                "simulate", "--input", str(GOLDEN / "tied-population.csv"),
+                "--config", str(GOLDEN / "tied-config.json"), "--reps", "120",
+                "--format", "json",
+            ],
+        ),
     ],
 )
 def test_golden_output(capsys, golden, argv):

@@ -34,7 +34,6 @@ from medaux import (
     table_rows,
 )
 from medaux import montecarlo
-from medaux.estimators import REGRESSION
 from medaux.montecarlo import _replicate_rng, _swap_rows, _swap_targets
 
 
@@ -204,6 +203,39 @@ class TestRunSimulation:
         expected = [_reference_row(frame, both, params, specs, k) for k in range(300)]
         np.testing.assert_array_equal(got, np.array(expected))
 
+    def test_arithmetic_error_costs_only_its_estimators(self):
+        # one x at 1e-300 between the negative and the positive halves: a
+        # sample whose x median is that unit has a plug-in cv_x near 1e300,
+        # whose square overflows in error_moments; negative x medians give no
+        # plug-in vector at all.  Only the specs resolved per sample lose those
+        # replicates.
+        rng = np.random.default_rng(0)
+        x = np.concatenate(
+            [-rng.uniform(0.5, 1, 99), [1e-300], rng.uniform(0.5, 1, 100)]
+        )
+        y = 2 * np.abs(x) + 1 + rng.uniform(0.1, 0.2, 200)
+        frame = PopulationFrame(x=x, y=y)
+        params = compute_params(frame, 3)
+        config = SimulationConfig(
+            n=3, reps=2000, seed=1, estimators=("M_y", "M_lr", "M_d", "t_m"),
+            weights="plug-in",
+        )
+        report = run_simulation(frame, config, params)
+        used = {r.estimator: r.reps_used for r in report.results}
+        assert used == {"M_y": 2000, "M_lr": 2000, "M_d": 955, "t_m": 955}
+        specs = _simulation_specs(config.estimators, params, config.weights)
+        got = montecarlo._replicate_estimates(frame, config, params, specs)
+        expected = [_reference_row(frame, config, params, specs, k) for k in range(2000)]
+        np.testing.assert_array_equal(got, np.array(expected))
+
+    def test_invalid_run_arguments(self):
+        frame = _small_frame(N=10)
+        params = compute_params(frame, 5)
+        with pytest.raises(DomainError, match="^sample size 11 exceeds population 10$"):
+            run_simulation(frame, SimulationConfig(n=11, reps=2, seed=0), params)
+        with pytest.raises(DomainError, match="^jobs must be positive, got 0$"):
+            run_simulation(frame, SimulationConfig(n=5, reps=2, seed=0), params, jobs=0)
+
     def test_analytic_columns_match_table(self):
         frame = _small_frame(N=80, seed=6)
         params = compute_params(frame, 20)
@@ -251,6 +283,11 @@ class TestRunSimulation:
         assert abs(ratios[2] - ratios[1]) <= abs(ratios[1] - ratios[0]) + 0.02
         assert abs(ratios[2] - 1.0) < 0.35
 
+    def test_config_defaults(self):
+        config = SimulationConfig(n=10, reps=5)
+        assert (config.seed, config.weights) == (0, "true-params")
+        assert config.estimators == ("M_y", "M_r", "M_d", "t_m")
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SimulationConfig(n=10, reps=0, seed=1)
@@ -281,7 +318,7 @@ def _reference_row(frame, config, params, specs, k):
     xs, ys = frame.x[idx], frame.y[idx]
     my, mx = finite_median(ys), finite_median(xs)
     stats = SampleStats(median_y=my, median_x=mx)
-    hat, extras_ok = None, False
+    hat = None
     try:
         p11 = float(np.count_nonzero((xs <= mx) & (ys <= my))) / config.n
         fy = density_at(ys, my, KernelDensity())
@@ -289,7 +326,6 @@ def _reference_row(frame, config, params, specs, k):
         stats = SampleStats(
             median_y=my, median_x=mx, p11=p11, fy_at_median=fy, fx_at_median=fx
         )
-        extras_ok = True
         if any(per_sample):
             rho = max(-1.0, min(1.0, 4.0 * p11 - 1.0))
             hat = MedianParams.from_primitives(params.N, params.n, my, mx, fy, fx, rho)
@@ -298,11 +334,10 @@ def _reference_row(frame, config, params, specs, k):
     row = []
     for spec, own in zip(specs, per_sample):
         value = math.nan
-        usable = hat is not None if own else extras_ok or spec.family != REGRESSION
-        if usable:
+        if hat is not None or not own:
             try:
                 value = evaluate(resolve_weights(spec, hat) if own else spec, stats, params)
-            except MedauxError:
+            except (MedauxError, ArithmeticError):
                 pass
         row.append(value)
     return row

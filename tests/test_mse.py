@@ -283,9 +283,12 @@ class TestPre:
             assert pre(0.0, 1.0) == math.inf
 
     def test_rounding_residue_counts_as_zero(self):
-        with pytest.warns(InfiniteEfficiencyWarning):
-            assert pre(1e-12 * 22.5, 22.5) == math.inf
+        for residue in (1e-12 * 22.5, -1e-12 * 22.5):
+            with pytest.warns(InfiniteEfficiencyWarning):
+                assert pre(residue, 22.5) == math.inf
         assert pre(2e-12 * 22.5, 22.5) == pytest.approx(5e13)
+        with pytest.raises(DomainError, match="nonnegative"):
+            pre(-2e-12 * 22.5, 22.5)
 
     def test_zero_gap_perfect_concordance_rows(self):
         """b = 0, rho_c = 1: M_d and M_d2 leave a 7.1e-15 residue, PRE inf."""
