@@ -97,8 +97,8 @@ def _resolve_params_path(value: str) -> str:
     return value
 
 
-def _load_params_arg(value: str, lenient: bool) -> MedianParams:
-    return load_params(_resolve_params_path(value), strict=not lenient)
+def _load_params_arg(value: str) -> MedianParams:
+    return load_params(_resolve_params_path(value))
 
 
 def _density_methods(args) -> tuple:
@@ -172,7 +172,7 @@ def cmd_params(args) -> int:
         fy_m, fx_m = _density_methods(args)
         params = compute_params(frame, args.n, fy_m, fx_m)
     else:
-        params = _load_params_arg(args.params, args.lenient)
+        params = _load_params_arg(args.params)
 
     as_dict = params.as_dict()
     short_names = {"median_ratio": "R", "median_gap": "b"}
@@ -189,7 +189,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_table(args) -> int:
-    params = _load_params_arg(args.params, args.lenient)
+    params = _load_params_arg(args.params)
     ids = "all" if args.estimators.strip().lower() == "all" else _estimator_list(
         args.estimators
     )
@@ -276,7 +276,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    params = _load_params_arg(args.params, args.lenient)
+    params = _load_params_arg(args.params)
     scalars = None
     if args.tmq_preset is not None:
         spec = preset(args.tmq_preset, params)
@@ -319,11 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, default_precision: int) -> None:
         p.add_argument("--format", choices=FORMATS, default=_default_format())
         p.add_argument("--precision", type=int, default=default_precision)
-        p.add_argument(
-            "--lenient",
-            action="store_true",
-            help="warn instead of failing on unknown params-file keys",
-        )
 
     p_params = sub.add_parser("params", help="extract or load population parameters")
     src = p_params.add_mutually_exclusive_group(required=True)

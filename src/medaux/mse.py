@@ -29,7 +29,6 @@ from .estimators import (
     RATIO_EXP,
     canonical_name,
     coeffs_of,
-    free_scalars,
     preset,
     resolve_weights,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "MseReportRow",
     "DominanceResult",
     "min_mse_ss4",
-    "analytic_bias",
     "pre",
     "sample_median_mse",
     "dominance_checks",
@@ -65,10 +63,6 @@ class MseReportRow:
     analytic_mse: float
     analytic_bias: float | None
     pre_vs_sample_median: float
-
-    def __post_init__(self) -> None:
-        if self.analytic_mse < 0:
-            raise DomainError(f"analytic MSE must be nonnegative, got {self.analytic_mse!r}")
 
 
 @dataclass(frozen=True)
@@ -95,15 +89,6 @@ def min_mse_ss4(params: MedianParams, delta: float = 1.0) -> float:
         )
     v = params.gamma * params.cv_y**2 * (1.0 - params.rho_c**2)
     return u * params.median_y**2 * v / (u + v)
-
-
-def analytic_bias(spec: EstimatorSpec, params: MedianParams) -> float:
-    """First-order bias of a fixed-weight spec via its expansion coefficients."""
-    if free_scalars(spec):
-        raise DomainError(
-            f"bias of {spec.label!r} needs concrete weights; resolve them first"
-        )
-    return bias_from_coeffs(coeffs_of(spec, params), error_moments(params))
 
 
 def sample_median_mse(params: MedianParams) -> float:

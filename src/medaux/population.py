@@ -11,10 +11,11 @@ closed-form machinery needs is condensed into :class:`MedianParams`:
 * the design factor ``gamma = (1 - n/N) / (4n)`` that scales all
   first-order variances under simple random sampling without replacement.
 
-Parameters can be extracted from raw ``(x, y)`` data or loaded from a small
-JSON document holding just the seven primitive quantities.  The constructor
-takes only those seven; it validates them and then derives the other eight
-fields itself, so a derived value is never passed in.
+Parameters can be extracted from raw ``(x, y)`` data or loaded from a flat
+JSON object: the seven primitive quantities, and optionally the eight derived
+ones as ``medaux params --format json`` writes them, each checked against the
+primitives.  The constructor takes only the seven; it validates them and then
+derives the other eight fields itself, so a derived value is never passed in.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import IO, Union
 
@@ -37,7 +37,6 @@ from .errors import (
 
 __all__ = [
     "PopulationFrame",
-    "ProportionMatrix",
     "MedianParams",
     "KernelDensity",
     "HistogramDensity",
@@ -45,7 +44,6 @@ __all__ = [
     "DensityMethod",
     "load_population",
     "finite_median",
-    "proportion_matrix",
     "density_at",
     "compute_params",
     "load_params",
@@ -85,36 +83,6 @@ class PopulationFrame:
     @property
     def N(self) -> int:
         return int(self.x.size)
-
-
-@dataclass(frozen=True)
-class ProportionMatrix:
-    """2x2 split of the population around a pair of cut points.
-
-    ``p11`` counts units with both values at or below the cuts, ``p21`` the
-    x-low/y-high cell, ``p12`` the x-high/y-low cell and ``p22`` the rest.
-    Comparisons are inclusive, so ties land in the low cells.
-    """
-
-    p11: float
-    p12: float
-    p21: float
-    p22: float
-
-    def __post_init__(self) -> None:
-        cells = (self.p11, self.p12, self.p21, self.p22)
-        if any(not (0.0 <= c <= 1.0) for c in cells):
-            raise DomainError(f"proportions must lie in [0, 1], got {cells}")
-        if abs(sum(cells) - 1.0) > 1e-12:
-            raise DomainError(f"proportions must sum to 1, got {sum(cells)!r}")
-
-    @property
-    def x_low_margin(self) -> float:
-        return self.p11 + self.p21
-
-    @property
-    def y_low_margin(self) -> float:
-        return self.p11 + self.p12
 
 
 @dataclass(frozen=True)
@@ -211,21 +179,17 @@ class MedianParams:
 
 @dataclass(frozen=True)
 class KernelDensity:
-    """Gaussian kernel estimate with Silverman's bandwidth by default.
+    """Gaussian kernel estimate with Silverman's bandwidth.
 
-    ``bandwidth`` may be the rule name ``"silverman"`` or an explicit h > 0.
     The rule is h = 0.9 * min(sd, IQR / 1.34) * n ** (-1/5) with the
     sample standard deviation (ddof=1).
     """
 
-    bandwidth: str | float = "silverman"
-
 
 @dataclass(frozen=True)
 class HistogramDensity:
-    """Density read off a histogram; ``bins`` as accepted by numpy."""
-
-    bins: int | str = "fd"
+    """Density read off a histogram with numpy's ``"fd"`` (Freedman-Diaconis)
+    bin rule."""
 
 
 @dataclass(frozen=True)
@@ -239,7 +203,7 @@ DensityMethod = Union[KernelDensity, HistogramDensity, KnownDensity]
 
 
 def _kernel_density_rows(
-    rows: np.ndarray, points: np.ndarray, bandwidth: str | float = "silverman"
+    rows: np.ndarray, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian kernel density of each row of ``rows`` at its entry of ``points``.
 
@@ -250,12 +214,9 @@ def _kernel_density_rows(
     """
     # sums along contiguous rows add up in the same pairwise order as 1-D sums
     rows = np.ascontiguousarray(rows)
-    if isinstance(bandwidth, str):
-        sd = np.std(rows, axis=1, ddof=1)
-        q75, q25 = np.percentile(rows, [75, 25], axis=1)
-        h = 0.9 * np.minimum(sd, (q75 - q25) / 1.34) * rows.shape[1] ** (-0.2)
-    else:
-        h = np.full(rows.shape[0], float(bandwidth))
+    sd = np.std(rows, axis=1, ddof=1)
+    q75, q25 = np.percentile(rows, [75, 25], axis=1)
+    h = 0.9 * np.minimum(sd, (q75 - q25) / 1.34) * rows.shape[1] ** (-0.2)
     usable = np.isfinite(h) & (h > 0)
     hu = h[usable]
     z = (points[usable, None] - rows[usable]) / hu[:, None]
@@ -284,15 +245,7 @@ def density_at(values, point: float, method: DensityMethod) -> float:
     if isinstance(method, KernelDensity):
         if arr.size < 2:
             raise DomainError("kernel density needs at least 2 observations")
-        bandwidth = method.bandwidth
-        if isinstance(bandwidth, str):
-            if bandwidth != "silverman":
-                raise DomainError(f"unknown bandwidth rule {bandwidth!r}")
-        else:
-            bandwidth = float(bandwidth)
-            if not (math.isfinite(bandwidth) and bandwidth > 0):
-                raise DomainError(f"bandwidth must be positive, got {bandwidth!r}")
-        density, h = _kernel_density_rows(arr[None, :], np.array([point]), bandwidth)
+        density, h = _kernel_density_rows(arr[None, :], np.array([point]))
         if math.isnan(density[0]):
             raise DegenerateSampleError(
                 f"sample has no spread, bandwidth {float(h[0])!r} is unusable"
@@ -300,7 +253,7 @@ def density_at(values, point: float, method: DensityMethod) -> float:
         return float(density[0])
 
     if isinstance(method, HistogramDensity):
-        counts, edges = np.histogram(arr, bins=method.bins, density=True)
+        counts, edges = np.histogram(arr, bins="fd", density=True)
         if point < edges[0] or point > edges[-1]:
             return 0.0
         idx = min(int(np.searchsorted(edges, point, side="right")) - 1, counts.size - 1)
@@ -325,19 +278,6 @@ def finite_median(values) -> float:
     return float(np.median(arr))
 
 
-def proportion_matrix(frame: PopulationFrame, mx: float, my: float) -> ProportionMatrix:
-    """Split ``frame`` around the cut points (mx, my) with inclusive compares."""
-    x_low = frame.x <= mx
-    y_low = frame.y <= my
-    n = float(frame.N)
-    return ProportionMatrix(
-        p11=float(np.count_nonzero(x_low & y_low)) / n,
-        p21=float(np.count_nonzero(x_low & ~y_low)) / n,
-        p12=float(np.count_nonzero(~x_low & y_low)) / n,
-        p22=float(np.count_nonzero(~x_low & ~y_low)) / n,
-    )
-
-
 def compute_params(
     frame: PopulationFrame,
     n: int,
@@ -356,10 +296,11 @@ def compute_params(
 
     my = finite_median(frame.y)
     mx = finite_median(frame.x)
-    props = proportion_matrix(frame, mx, my)
-    # inclusive tie counting can push p11 past 1/2 on finite populations;
-    # the concordance correlation is capped at its continuum bound
-    rho_c = min(1.0, max(-1.0, 4.0 * props.p11 - 1.0))
+    # p11 is the share of units at or below both medians; inclusive tie
+    # counting can push it past 1/2 on finite populations, so the concordance
+    # correlation is capped at its continuum bound
+    p11 = np.count_nonzero((frame.x <= mx) & (frame.y <= my)) / frame.N
+    rho_c = min(1.0, max(-1.0, 4.0 * p11 - 1.0))
 
     fy = density_at(frame.y, my, fy_method)
     fx = density_at(frame.x, mx, fx_method)
@@ -431,17 +372,23 @@ def load_population(source: Source) -> PopulationFrame:
 
 
 _PARAM_KEYS = tuple(f.name for f in fields(MedianParams) if f.init)
-# Derived keys tolerated in lenient mode; values are cross-checked, not stored.
 _DERIVED_KEYS = tuple(f.name for f in fields(MedianParams) if not f.init)
 
 
-def load_params(source: Source, strict: bool = True) -> MedianParams:
+def _number(doc: dict, key: str) -> int | float:
+    v = doc[key]
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise SchemaError(f"params key {key!r} must be numeric, got {v!r}")
+    return v
+
+
+def load_params(source: Source) -> MedianParams:
     """Load :class:`MedianParams` from a flat JSON object.
 
-    Exactly the seven primitive keys are expected.  Unknown keys raise
-    :class:`SchemaError` in strict mode; in lenient mode they only warn, and
-    recognised derived keys are additionally cross-checked against the values
-    computed from the primitives.
+    The seven primitive keys are required.  The eight derived keys may be
+    present, as ``medaux params --format json`` writes them; each must agree
+    with the value derived from the primitives.  Any other key, or a derived
+    key that disagrees, raises :class:`SchemaError`.
     """
     text = _read_text(source)
     try:
@@ -454,31 +401,21 @@ def load_params(source: Source, strict: bool = True) -> MedianParams:
     missing = [k for k in _PARAM_KEYS if k not in doc]
     if missing:
         raise SchemaError(f"params file is missing required keys: {missing}")
-    extra = [k for k in doc if k not in _PARAM_KEYS]
-    if extra:
-        if strict:
-            raise SchemaError(f"params file carries unknown keys: {extra}")
-        warnings.warn(f"ignoring extra params keys: {extra}", stacklevel=2)
+    unknown = [k for k in doc if k not in _PARAM_KEYS + _DERIVED_KEYS]
+    if unknown:
+        raise SchemaError(f"params file carries unknown keys: {unknown}")
 
-    values = {}
-    for key in _PARAM_KEYS:
-        v = doc[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaError(f"params key {key!r} must be numeric, got {v!r}")
-        values[key] = v
+    values = {key: _number(doc, key) for key in _PARAM_KEYS}
     for key in ("N", "n"):
         if isinstance(values[key], float) and not values[key].is_integer():
             raise SchemaError(f"params key {key!r} must be an integer")
 
     params = MedianParams.from_primitives(**values)
-    if not strict:
-        for key in _DERIVED_KEYS:
-            if key in doc and isinstance(doc[key], (int, float)):
-                derived = getattr(params, key)
-                if not math.isclose(doc[key], derived, rel_tol=1e-4, abs_tol=1e-9):
-                    warnings.warn(
-                        f"stored {key}={doc[key]!r} disagrees with derived "
-                        f"{derived!r}; derived value wins",
-                        stacklevel=2,
-                    )
+    for key in _DERIVED_KEYS:
+        if key in doc:
+            stored, derived = _number(doc, key), getattr(params, key)
+            if not math.isclose(stored, derived, rel_tol=1e-4, abs_tol=1e-9):
+                raise SchemaError(
+                    f"params key {key!r} is {stored!r}, the primitives give {derived!r}"
+                )
     return params

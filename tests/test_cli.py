@@ -505,9 +505,8 @@ class TestSimulateCommand:
         assert code == 0
         assert err == "warning: zero MSE: relative efficiency is unbounded\n"
         doc = json.loads(out)
-        primitives = ("N", "n", "median_y", "median_x", "fy_at_median", "fx_at_median", "rho_c")
         params = tmp_path / "equal.json"
-        params.write_text(json.dumps({k: doc["params"][k] for k in primitives}))
+        params.write_text(json.dumps(doc["params"]))
         code, table, err = run_cli(
             capsys, "table", "--params", str(params), "--estimators", names,
             "--format", "json",
@@ -600,6 +599,84 @@ class TestCompareCommand:
         )
         assert code == 1
         assert "single-weight" in err
+
+
+def _written_params(capsys, tmp_path, *source: str) -> Path:
+    """The file that ``params --format json`` writes for ``source``."""
+    code, out, err = run_cli(capsys, "params", *source, "--format", "json")
+    assert (code, err) == (0, "")
+    path = tmp_path / "written.json"
+    path.write_text(out, encoding="utf-8")
+    return path
+
+
+def _analytic_columns(out: str) -> list[tuple]:
+    return [
+        (r["estimator"], r["analytic_mse"], r["analytic_bias"], r["pre"])
+        for r in json.loads(out)["rows"]
+    ]
+
+
+class TestParamsFileRoundTrip:
+    @pytest.mark.parametrize("pop", ["popI", "popII"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["table", "--format", "csv"], ["table", "--format", "json"], ["compare"]],
+    )
+    def test_written_file_matches_builtin(self, capsys, tmp_path, pop, argv):
+        written = _written_params(capsys, tmp_path, "--params", pop)
+        expected = run_cli(capsys, *argv, "--params", pop)
+        assert expected[0] == 0 and expected[2] == ""
+        assert run_cli(capsys, *argv, "--params", str(written)) == expected
+
+    def test_disagreeing_derived_key_is_one_line_error(self, capsys, tmp_path):
+        written = _written_params(capsys, tmp_path, "--params", "popI")
+        doc = json.loads(written.read_text(encoding="utf-8"))
+        written.write_text(json.dumps({**doc, "median_ratio": 0.5}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "table", "--params", str(written))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: params key 'median_ratio' is 0.5, ")
+        assert err.count("\n") == 1
+
+    def test_unknown_key_is_error(self, capsys, tmp_path):
+        written = _written_params(capsys, tmp_path, "--params", "popI")
+        doc = json.loads(written.read_text(encoding="utf-8"))
+        written.write_text(json.dumps({**doc, "extra": 1}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", "--params", str(written))
+        assert (code, out) == (1, "")
+        assert err == "error: params file carries unknown keys: ['extra']\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["params", "--params", "popI"],
+            ["table", "--params", "popI"],
+            ["compare", "--params", "popI"],
+            ["simulate", "--synthetic", "N=100", "--n", "5", "--reps", "1"],
+        ],
+    )
+    def test_lenient_is_not_an_option(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--lenient"])
+        assert exc.value.code == 2
+
+    def test_rounding_residue_mse_reports_inf(self, capsys, tmp_path, pop_csv):
+        # rho_c = 1 on this population: M_d's first-order MSE is a negative
+        # rounding residue of zero, which table reports as simulate does
+        written = _written_params(capsys, tmp_path, "--input", pop_csv, "--n", "10")
+        names = ("--estimators", "M_y,M_r,M_d,t_m")
+        code, out, _ = run_cli(capsys, "table", "--params", str(written), *names)
+        assert code == 0
+        assert "M_d,-0.00,0.00,,inf" in out.splitlines()
+        _, table, _ = run_cli(
+            capsys, "table", "--params", str(written), *names, "--format", "json"
+        )
+        code, simulated, _ = run_cli(
+            capsys, "simulate", "--input", pop_csv, "--n", "10", "--reps", "20",
+            *names, "--format", "json",
+        )
+        assert code == 0
+        assert _analytic_columns(table) == _analytic_columns(simulated)
 
 
 GOLDEN = Path(__file__).parent / "golden"

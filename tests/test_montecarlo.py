@@ -27,7 +27,6 @@ from medaux import (
     free_scalars,
     make_synthetic,
     preset,
-    proportion_matrix,
     resolve_weights,
     run_simulation,
     srswor,
@@ -413,7 +412,7 @@ class TestMakeSynthetic:
         frame = make_synthetic(SyntheticSpec(N=10_000, rho=0.001, seed=42))
         mx = float(np.median(frame.x))
         my = float(np.median(frame.y))
-        p11 = proportion_matrix(frame, mx, my).p11
+        p11 = np.count_nonzero((frame.x <= mx) & (frame.y <= my)) / frame.N
         assert abs(p11 - 0.25) < 0.02
 
     def test_strong_correlation_survives_transform(self):

@@ -19,7 +19,6 @@ from medaux import (
     InfiniteEfficiencyWarning,
     MedianParams,
     UnknownEstimatorError,
-    analytic_bias,
     bias_from_coeffs,
     coeffs_of,
     dominance_checks,
@@ -252,14 +251,15 @@ class TestAnalyticBias:
         spec = EstimatorSpec(
             family="ratio_exp", w1=1.0, w2=0.0, alpha=0.0, eta=0.0, lam=1.0
         )
-        assert analytic_bias(spec, pop1) == 0.0
+        assert bias_from_coeffs(coeffs_of(spec, pop1), error_moments(pop1)) == 0.0
 
     def test_convex_shrinkage_unbiased_at_unit_weight(self, pop1):
         spec = EstimatorSpec(family="shrink_convex", d1=1.0, d2=0.37)
-        assert analytic_bias(spec, pop1) == 0.0
+        assert bias_from_coeffs(coeffs_of(spec, pop1), error_moments(pop1)) == 0.0
 
     def test_ratio_bias_value(self, pop1):
-        got = analytic_bias(EstimatorSpec(family="power_ratio", alpha=1.0), pop1)
+        spec = EstimatorSpec(family="power_ratio", alpha=1.0)
+        got = bias_from_coeffs(coeffs_of(spec, pop1), error_moments(pop1))
         expected = pop1.median_y * pop1.gamma * (
             pop1.cv_x**2 - pop1.rho_c * pop1.cv_y * pop1.cv_x
         )
@@ -268,7 +268,7 @@ class TestAnalyticBias:
 
     def test_free_weights_rejected(self, pop1):
         with pytest.raises(DomainError):
-            analytic_bias(preset("M_d", pop1), pop1)
+            coeffs_of(preset("M_d", pop1), pop1)
 
 
 class TestPre:

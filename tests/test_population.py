@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 from dataclasses import fields, replace
 
@@ -26,7 +27,6 @@ from medaux import (
     finite_median,
     load_params,
     load_population,
-    proportion_matrix,
 )
 from medaux.population import _kernel_density_rows
 
@@ -126,40 +126,6 @@ class TestFiniteMedian:
         assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
 
 
-class TestProportionMatrix:
-    def test_concordant_pairs(self):
-        frame = PopulationFrame(x=np.array([1.0, 2.0]), y=np.array([1.0, 2.0]))
-        m = proportion_matrix(frame, 1.5, 1.5)
-        assert (m.p11, m.p22, m.p12, m.p21) == (0.5, 0.5, 0.0, 0.0)
-
-    def test_discordant_pairs(self):
-        frame = PopulationFrame(x=np.array([1.0, 2.0]), y=np.array([2.0, 1.0]))
-        m = proportion_matrix(frame, 1.5, 1.5)
-        assert m.p11 == 0.0
-        assert m.p12 == 0.5
-        assert m.p21 == 0.5
-
-    def test_inclusive_ties_go_low(self):
-        frame = PopulationFrame(x=np.array([1.0, 2.0]), y=np.array([1.0, 2.0]))
-        m = proportion_matrix(frame, 1.0, 1.0)
-        assert m.p11 == 0.5
-
-    @given(
-        st.lists(
-            st.tuples(finite_floats, finite_floats), min_size=2, max_size=40
-        ),
-        finite_floats,
-        finite_floats,
-    )
-    def test_cells_partition_population(self, pairs, mx, my):
-        xs = np.array([p[0] for p in pairs])
-        ys = np.array([p[1] for p in pairs])
-        m = proportion_matrix(PopulationFrame(x=xs, y=ys), mx, my)
-        assert abs(m.p11 + m.p12 + m.p21 + m.p22 - 1.0) <= 1e-12
-        for cell in (m.p11, m.p12, m.p21, m.p22):
-            assert 0.0 <= cell <= 1.0
-
-
 class TestDensityAt:
     def test_known_passthrough(self):
         assert density_at([1, 2, 3], 9.9, KnownDensity(0.00014)) == 0.00014
@@ -179,20 +145,14 @@ class TestDensityAt:
         with pytest.raises(DomainError):
             density_at([1.0], 1.0, KernelDensity())
 
-    def test_explicit_bandwidth(self):
-        # h = 1 at the sample point: phi(0)/1 averaged over one matching value
-        est = density_at([0.0, 2.0], 0.0, KernelDensity(bandwidth=1.0))
-        expected = (math.exp(0) + math.exp(-2.0)) / (2 * math.sqrt(2 * math.pi))
-        assert math.isclose(est, expected, rel_tol=1e-12)
-
     def test_histogram_uniform(self):
         rng = np.random.default_rng(7)
         draws = rng.uniform(0.0, 1.0, size=20_000)
-        est = density_at(draws, 0.5, HistogramDensity(bins=20))
+        est = density_at(draws, 0.5, HistogramDensity())
         assert abs(est - 1.0) < 0.15
 
     def test_histogram_outside_range_is_zero(self):
-        assert density_at([1.0, 2.0, 3.0], 99.0, HistogramDensity(bins=3)) == 0.0
+        assert density_at([1.0, 2.0, 3.0], 99.0, HistogramDensity()) == 0.0
 
 
 def _silverman_reference(values: np.ndarray, point: float) -> float:
@@ -246,14 +206,6 @@ class TestKernelDensityRows:
             _kernel_density_rows(rows, points)[0],
             equal_nan=True,
         )
-
-    def test_explicit_bandwidth_rows(self):
-        rows = _sample_rows()
-        points = np.median(rows, axis=1)
-        density, h = _kernel_density_rows(rows, points, 0.75)
-        assert (h == 0.75).all()
-        for row, point, got in zip(rows, points.tolist(), density.tolist()):
-            assert got == density_at(row, point, KernelDensity(bandwidth=0.75))
 
 
 class TestMedianParams:
@@ -340,7 +292,26 @@ class TestMedianParams:
             MedianParams.from_primitives(100, 10.5, 50.0, 40.0, 0.01, 0.01, 0.0)
 
 
+def _rho_c(x: list[float], y: list[float]) -> float:
+    """Concordance of a frame, with known densities so no kernel runs."""
+    frame = PopulationFrame(x=np.array(x), y=np.array(y))
+    return compute_params(frame, 1, KnownDensity(1.0), KnownDensity(1.0)).rho_c
+
+
 class TestComputeParams:
+    def test_concordant_pairs(self):
+        assert _rho_c([1.0, 2.0], [1.0, 2.0]) == 1.0
+
+    def test_discordant_pairs(self):
+        assert _rho_c([1.0, 2.0], [2.0, 1.0]) == -1.0
+
+    def test_inclusive_ties_go_low(self):
+        # both medians are 2: only the unit (2, 2) sits at or below both,
+        # and it counts only because the compares are inclusive
+        assert _rho_c([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == 4.0 * (1 / 3) - 1.0
+        # here p11 = 2/3 by the same rule; rho_c is capped at 1
+        assert _rho_c([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
+
     def test_identical_variables_are_concordant(self):
         rng = np.random.default_rng(99)
         values = rng.lognormal(mean=3.0, sigma=0.6, size=201)
@@ -392,24 +363,23 @@ class TestLoadParams:
         with pytest.raises(SchemaError):
             load_params(io.StringIO(doc))
 
-    def test_unknown_key_lenient_warns(self):
-        doc = (
-            '{"N": 69, "n": 17, "median_y": 2068, "median_x": 2011,'
-            ' "fy_at_median": 0.00014, "fx_at_median": 0.00014, "rho_c": 0.1505,'
-            ' "extra": 1}'
-        )
-        with pytest.warns(UserWarning):
-            params = load_params(io.StringIO(doc), strict=False)
-        assert params.median_gap == 57
+    def test_reads_what_as_dict_writes(self, pop1, pop2):
+        for p in (pop1, pop2):
+            assert load_params(io.StringIO(json.dumps(p.as_dict()))) == p
 
-    def test_lenient_cross_checks_derived_keys(self):
-        doc = (
-            '{"N": 69, "n": 17, "median_y": 2068, "median_x": 2011,'
-            ' "fy_at_median": 0.00014, "fx_at_median": 0.00014, "rho_c": 0.1505,'
-            ' "median_ratio": 0.5}'
-        )
-        with pytest.warns(UserWarning, match="median_ratio"):
-            load_params(io.StringIO(doc), strict=False)
+    def test_derived_keys_checked_at_tolerance(self, pop1):
+        doc = {**pop1.as_dict(), "median_ratio": 0.97244, "gamma": 0.011083}
+        assert load_params(io.StringIO(json.dumps(doc))) == pop1
+
+    def test_disagreeing_derived_key_is_schema_error(self, pop1):
+        doc = {**pop1.as_dict(), "median_ratio": 0.5}
+        with pytest.raises(SchemaError, match="^params key 'median_ratio' is 0.5, "):
+            load_params(io.StringIO(json.dumps(doc)))
+
+    def test_non_numeric_derived_key_is_schema_error(self, pop1):
+        doc = {**pop1.as_dict(), "k_c": "small"}
+        with pytest.raises(SchemaError, match="'k_c' must be numeric"):
+            load_params(io.StringIO(json.dumps(doc)))
 
     def test_inconsistent_sizes(self):
         doc = (
