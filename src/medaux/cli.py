@@ -61,7 +61,9 @@ def _fmt_cell(value, precision: int) -> str:
             return "nan"
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
-        return f"{value:.{precision}f}"
+        text = f"{value:.{precision}f}"
+        # a value that rounds to zero prints without a sign
+        return text[1:] if text.startswith("-") and float(text) == 0 else text
     return str(value)
 
 

@@ -36,8 +36,9 @@ presets are ``ratio_exp`` at w2 = 0 with w1 free.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .errors import (
@@ -46,7 +47,14 @@ from .errors import (
     SingularityError,
     UnknownEstimatorError,
 )
-from .expansion import ExpansionCoeffs, error_moments, exp_constants, k_const
+from .arith import FLOATS, ratio_or
+from .expansion import (
+    ExpansionCoeffs,
+    check_moments,
+    exp_constants,
+    k_const,
+    moment_values,
+)
 from .population import MedianParams
 
 __all__ = [
@@ -177,35 +185,31 @@ def _require_resolved(spec: EstimatorSpec) -> None:
         )
 
 
-def _ratio_power(mx_known: float, mx_hat: float, alpha: float) -> float:
+def _ratio_power(ops, mx_known, mx_hat, alpha):
     """(Mx / mx_hat) ** alpha with exact fast paths for alpha in {-1, 0, 1}.
 
     The fast paths keep the algebraic reductions to the plain ratio and
-    product estimators exact in floating point, not just approximate.
+    product estimators exact in floating point, not just approximate.  They
+    are selections, not early returns, so a plug-in alpha may differ per row:
+    at alpha = 0 neither the zero check nor the power applies.
     """
-    if alpha == 0.0:
-        return 1.0
-    if mx_hat == 0.0:
-        raise SingularityError("sample median of x is zero in a ratio factor")
-    if alpha == 1.0:
-        return mx_known / mx_hat
-    if alpha == -1.0:
-        return mx_hat / mx_known
-    r = mx_known / mx_hat
-    if r < 0 and alpha != round(alpha):
-        raise DomainError(
-            f"ratio {r!r} is negative; non-integer exponent {alpha!r} undefined"
-        )
-    return r**alpha
+    live = alpha != 0.0
+    ops.fail_if(live & (mx_hat == 0.0), SingularityError,
+                "sample median of x is zero in a ratio factor")
+    r = ratio_or(ops, mx_known, mx_hat, 1.0)
+    ops.fail_if(live & (r < 0) & (alpha % 1.0 != 0.0), DomainError,
+                "ratio {!r} is negative; non-integer exponent {!r} undefined", r, alpha)
+    general = live & (alpha != 1.0) & (alpha != -1.0)
+    power = ops.pow(ops.select(general, r, 1.0), ops.select(general, alpha, 1.0))
+    power = ops.select(alpha == -1.0, mx_hat / mx_known, power)
+    return ops.select(alpha == 1.0, r, power)
 
 
-def _exp_adjustment(mx_known: float, mx_hat: float, eta: float, lam: float) -> float:
+def _exp_adjustment(ops, mx_known, mx_hat, eta, lam):
     den = eta * (mx_known + mx_hat) + 2.0 * lam
-    if den == 0.0:
-        raise SingularityError(
-            "eta*(Mx + mx_hat) + 2*lam is zero in the exponential adjustment"
-        )
-    return math.exp(eta * (mx_known - mx_hat) / den)
+    ops.fail_if(den == 0.0, SingularityError,
+                "eta*(Mx + mx_hat) + 2*lam is zero in the exponential adjustment")
+    return ops.exp(eta * (mx_known - mx_hat) / den)
 
 
 def evaluate(spec: EstimatorSpec, stats: SampleStats, known: MedianParams) -> float:
@@ -215,63 +219,73 @@ def evaluate(spec: EstimatorSpec, stats: SampleStats, known: MedianParams) -> fl
     precondition fails, and :class:`DomainError` when the spec still has free
     scalars (the regression estimator has none: its slope is always plug-in).
     """
-    my, mx = stats.median_y, stats.median_x
-    Mx = known.median_x
-    fam = spec.family
     _require_resolved(spec)
+    extras = (stats.p11, stats.fy_at_median, stats.fx_at_median)
+    if any(value is None for value in extras):
+        extras = None
+    return point_value(
+        FLOATS, spec, stats.median_y, stats.median_x, known.median_x, extras
+    )
 
+
+def point_value(ops, s, my, mx, Mx, extras):
+    """Point value of the resolved scalars ``s`` (an :class:`EstimatorSpec`
+    or any object with its attributes) at the sample medians ``my``/``mx``.
+
+    ``extras`` is ``(p11, fy, fx)`` of the sample, or ``None``; only the
+    regression estimator reads it.  The preconditions go through ``ops``.
+    """
+    fam = s.family
     if fam == SHIFTED_PRODUCT:
-        if spec.shift == Mx:
-            raise SingularityError("shift equals the known auxiliary median")
-        return my * (spec.shift - mx) / (spec.shift - Mx)
+        ops.fail_if(s.shift == Mx, SingularityError,
+                    "shift equals the known auxiliary median")
+        return my * (s.shift - mx) / (s.shift - Mx)
     if fam == SHIFTED_RATIO:
-        if spec.shift + mx == 0.0:
-            raise SingularityError("shift + sample median of x is zero")
-        return my * (spec.shift + Mx) / (spec.shift + mx)
+        ops.fail_if(s.shift + mx == 0.0, SingularityError,
+                    "shift + sample median of x is zero")
+        return my * (s.shift + Mx) / (s.shift + mx)
     if fam == POWER_RATIO:
-        return my * _ratio_power(Mx, mx, spec.alpha)
+        return my * _ratio_power(ops, Mx, mx, s.alpha)
     if fam == DAMPED_RATIO:
-        den = Mx + spec.beta * (mx - Mx)
-        if den == 0.0:
-            raise SingularityError("damped ratio denominator is zero")
+        den = Mx + s.beta * (mx - Mx)
+        ops.fail_if(den == 0.0, SingularityError, "damped ratio denominator is zero")
         return my * Mx / den
     if fam == DUAL_POWER:
-        return my * (2.0 - _ratio_power(Mx, mx, spec.v))
+        return my * (2.0 - _ratio_power(ops, Mx, mx, s.v))
     if fam == MIX_PRODUCT:
-        return spec.w * my + (1.0 - spec.w) * my * (mx / Mx)
+        return s.w * my + (1.0 - s.w) * my * (mx / Mx)
     if fam == MIX_RATIO:
-        return spec.w * my + (1.0 - spec.w) * my * _ratio_power(Mx, mx, 1.0)
+        return s.w * my + (1.0 - s.w) * my * _ratio_power(ops, Mx, mx, 1.0)
     if fam == REGRESSION:
-        if stats.fy_at_median is None or stats.fx_at_median is None or stats.p11 is None:
+        if extras is None:
             raise DomainError(
                 "regression estimator needs sample p11 and density estimates"
             )
-        if stats.fy_at_median == 0.0:
-            raise SingularityError("sample density of y at its median is zero")
-        d_hat = (stats.fx_at_median / stats.fy_at_median) * (4.0 * stats.p11 - 1.0)
+        p11, fy, fx = extras
+        ops.fail_if(fy == 0.0, SingularityError,
+                    "sample density of y at its median is zero")
+        d_hat = (fx / fy) * (4.0 * p11 - 1.0)
         return my + d_hat * (Mx - mx)
     if fam == SHRINK_DIFF_TIED:
-        return spec.d1 * my + (1.0 - spec.d1) * (Mx - mx)
+        return s.d1 * my + (1.0 - s.d1) * (Mx - mx)
     if fam == SHRINK_DIFF:
-        return spec.d1 * my + spec.d2 * (Mx - mx)
+        return s.d1 * my + s.d2 * (Mx - mx)
     if fam == SHRINK_CONVEX:
-        return spec.d1 * my + spec.d2 * mx + (1.0 - spec.d1 - spec.d2) * Mx
+        return s.d1 * my + s.d2 * mx + (1.0 - s.d1 - s.d2) * Mx
     if fam == SHRINK_DIFF_SCALED:
-        den = spec.phi * mx + spec.delta
-        if den == 0.0:
-            raise SingularityError("phi*mx_hat + delta is zero")
-        base = (spec.phi * Mx + spec.delta) / den
-        if base < 0 and spec.beta != round(spec.beta):
-            raise DomainError("negative scaling base with non-integer exponent")
-        return (spec.d1 * my + spec.d2 * (Mx - mx)) * base**spec.beta
+        den = s.phi * mx + s.delta
+        ops.fail_if(den == 0.0, SingularityError, "phi*mx_hat + delta is zero")
+        base = (s.phi * Mx + s.delta) / den
+        ops.fail_if((base < 0) & (s.beta % 1.0 != 0.0), DomainError,
+                    "negative scaling base with non-integer exponent")
+        return (s.d1 * my + s.d2 * (Mx - mx)) * ops.pow(base, s.beta)
     if fam == RATIO_EXP:
-        w1, w2 = spec.w1, spec.w2
         base = (
             my
-            * _ratio_power(Mx, mx, spec.alpha)
-            * _exp_adjustment(Mx, mx, spec.eta, spec.lam)
+            * _ratio_power(ops, Mx, mx, s.alpha)
+            * _exp_adjustment(ops, Mx, mx, s.eta, s.lam)
         )
-        return w1 * base + w2 * mx + (1.0 - w1 - w2) * Mx
+        return s.w1 * base + s.w2 * mx + (1.0 - s.w1 - s.w2) * Mx
 
     raise DomainError(f"unknown estimator family {fam!r}")
 
@@ -356,15 +370,16 @@ def coeffs_of(spec: EstimatorSpec, params: MedianParams) -> ExpansionCoeffs:
 # ---------------------------------------------------------------------------
 
 
-def _second_moments(params: MedianParams) -> tuple[float, float, float, float]:
+def _second_moments(ops, params) -> tuple:
     """(V_y, V_x, C_yx, V_res): absolute-scale variances, covariance and the
     residual variance V_y*(1 - rho_c^2)."""
-    m = error_moments(params)
+    var_e0, var_e1, cov_e0e1 = moment_values(ops, params)
+    check_moments(ops, var_e0, var_e1, cov_e0e1)
     My, Mx = params.median_y, params.median_x
-    vy = My**2 * m.var_e0
-    vx = Mx**2 * m.var_e1
-    cyx = My * Mx * m.cov_e0e1
-    return vy, vx, cyx, vy * (1.0 - params.rho_c**2)
+    vy = ops.pow(My, 2) * var_e0
+    vx = ops.pow(Mx, 2) * var_e1
+    cyx = My * Mx * cov_e0e1
+    return vy, vx, cyx, vy * (1.0 - ops.pow(params.rho_c, 2))
 
 
 class RatioExpForm(NamedTuple):
@@ -383,17 +398,20 @@ class RatioExpForm(NamedTuple):
 
 
 def ratio_exp_form(
-    params: MedianParams, *, alpha: float, eta: float, lam: float
+    params: MedianParams, *, alpha: float, eta: float, lam: float, ops=FLOATS
 ) -> RatioExpForm:
-    """Constants of :class:`RatioExpForm` for the class scalars (alpha, eta, lam)."""
-    a = alpha + k_const(eta, lam, params.median_x)
-    b2 = params.median_gap**2
-    W = params.gamma * params.median_y**2 * (
-        params.cv_y**2
-        + a * a * params.cv_x**2
+    """Constants of :class:`RatioExpForm` for the class scalars (alpha, eta, lam).
+
+    ``ops`` is the arithmetic backend (see :mod:`medaux.arith`).
+    """
+    a = alpha + k_const(eta, lam, params.median_x, ops=ops)
+    b2 = ops.pow(params.median_gap, 2)
+    W = params.gamma * ops.pow(params.median_y, 2) * (
+        ops.pow(params.cv_y, 2)
+        + a * a * ops.pow(params.cv_x, 2)
         - 2.0 * a * params.rho_c * params.cv_y * params.cv_x
     )
-    B = params.gamma * params.median_x**2 * params.cv_x**2
+    B = params.gamma * ops.pow(params.median_x, 2) * ops.pow(params.cv_x, 2)
     C = (
         params.gamma
         * params.median_y
@@ -419,9 +437,25 @@ def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
     (w1 of ``ratio_exp``, d2 of ``shrink_diff``) and raises
     :class:`DomainError` otherwise.
     """
+    found = optimal_weights(FLOATS, spec, params)
+    if not found:
+        return spec
+    # the weights are checked finite floats, so the copy keeps the spec's
+    # invariants without validating its other scalars again
+    resolved = copy.copy(spec)
+    vars(resolved).update((name, float(value)) for name, value in found.items())
+    return resolved
+
+
+def optimal_weights(ops, spec: EstimatorSpec, params) -> dict:
+    """The weights :func:`resolve_weights` fills in, by name, computed by
+    ``ops`` from ``params`` (a :class:`MedianParams` or any object with its
+    fields).  A weight that is not finite fails as the spec's own check does.
+    A spec with no free scalars gets none.
+    """
     missing = free_scalars(spec)
     if not missing:
-        return spec
+        return {}
     fam = spec.family
     weights, _ = _FAMILY_FIELDS[fam]
     if len(missing) < len(weights) and _CONDITIONAL_OPTIMA.get(fam) != missing:
@@ -431,60 +465,68 @@ def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
         )
     My, Mx = params.median_y, params.median_x
     kc = params.k_c
-    vy, vx, cyx, vres = _second_moments(params)
+    vy, vx, cyx, vres = _second_moments(ops, params)
     b = params.median_gap
 
     if fam == POWER_RATIO:
-        return replace(spec, alpha=kc)
-    if fam == DAMPED_RATIO:
-        return replace(spec, beta=kc)
-    if fam == DUAL_POWER:
-        return replace(spec, v=-kc)
-    if fam == MIX_PRODUCT:
-        return replace(spec, w=1.0 + kc)
-    if fam == MIX_RATIO:
-        return replace(spec, w=1.0 - kc)
-    if fam == SHIFTED_PRODUCT:
-        if kc == 0.0:
-            raise SingularityError("optimal shift undefined when k_c is zero")
-        return replace(spec, shift=Mx * (1.0 + 1.0 / kc))
-    if fam == SHIFTED_RATIO:
-        if kc == 0.0:
-            raise SingularityError("optimal shift undefined when k_c is zero")
-        return replace(spec, shift=Mx * (1.0 - kc) / kc)
-    if fam == SHRINK_DIFF_TIED:
-        d1 = (My**2 + vx + cyx) / (My**2 + vy + vx + 2.0 * cyx)
-        return replace(spec, d1=d1)
-    if fam == SHRINK_DIFF:
-        d1 = My**2 / (My**2 + vres) if spec.d1 is None else spec.d1
-        return replace(spec, d1=d1, d2=d1 * cyx / vx)
-    if fam == SHRINK_CONVEX:
+        found = dict(alpha=kc)
+    elif fam == DAMPED_RATIO:
+        found = dict(beta=kc)
+    elif fam == DUAL_POWER:
+        found = dict(v=-kc)
+    elif fam == MIX_PRODUCT:
+        found = dict(w=1.0 + kc)
+    elif fam == MIX_RATIO:
+        found = dict(w=1.0 - kc)
+    elif fam in (SHIFTED_PRODUCT, SHIFTED_RATIO):
+        ops.fail_if(kc == 0.0, SingularityError,
+                    "optimal shift undefined when k_c is zero")
+        if fam == SHIFTED_PRODUCT:
+            found = dict(shift=Mx * (1.0 + 1.0 / kc))
+        else:
+            found = dict(shift=Mx * (1.0 - kc) / kc)
+    elif fam == SHRINK_DIFF_TIED:
+        My2 = ops.pow(My, 2)
+        found = dict(d1=(My2 + vx + cyx) / (My2 + vy + vx + 2.0 * cyx))
+    elif fam == SHRINK_DIFF:
+        d1 = spec.d1
+        if d1 is None:
+            My2 = ops.pow(My, 2)
+            d1 = My2 / (My2 + vres)
+        found = dict(d1=d1, d2=d1 * cyx / vx)
+    elif fam == SHRINK_CONVEX:
         # b = 0 with |rho_c| = 1 leaves 0/0; the limit is weight 0, MSE 0
-        den = b**2 + vres
-        d1 = b**2 / den if den else 0.0
-        return replace(spec, d1=d1, d2=-d1 * cyx / vx)
-    if fam == SHRINK_DIFF_SCALED:
+        b2 = ops.pow(b, 2)
+        d1 = ratio_or(ops, b2, b2 + vres, 0.0)
+        found = dict(d1=d1, d2=-d1 * cyx / vx)
+    elif fam == SHRINK_DIFF_SCALED:
         den = spec.phi * Mx + spec.delta
-        if den == 0.0:
-            raise SingularityError("phi*Mx + delta is zero")
+        ops.fail_if(den == 0.0, SingularityError, "phi*Mx + delta is zero")
         u = spec.beta * spec.phi * Mx / den
-        d1 = My**2 / (My**2 + vres)
+        My2 = ops.pow(My, 2)
+        d1 = My2 / (My2 + vres)
         s = d1 * My * params.rho_c * params.cv_y / params.cv_x
-        return replace(spec, d1=d1, d2=(s - d1 * My * u) / Mx)
-    if fam == RATIO_EXP:
-        f = ratio_exp_form(params, alpha=spec.alpha, eta=spec.eta, lam=spec.lam)
+        found = dict(d1=d1, d2=(s - d1 * My * u) / Mx)
+    elif fam == RATIO_EXP:
+        f = ratio_exp_form(
+            params, alpha=spec.alpha, eta=spec.eta, lam=spec.lam, ops=ops
+        )
         if spec.w2 is not None:
             # A = b^2 + W(a) is 0 only at b = 0, |rho_c| = 1 and a = k_c:
             # the limit is weight 0, MSE 0
-            return replace(spec, w1=(f.b2 - spec.w2 * f.C) / f.A if f.A else 0.0)
-        det = f.A * f.B - f.C * f.C
-        if det <= 0.0:
-            raise DegenerateOptimumError(
-                f"A*B - C^2 = {det!r} is not positive; weight optimum undefined"
-            )
-        return replace(spec, w1=f.b2 * f.B / det, w2=-f.b2 * f.C / det)
-
-    raise DomainError(f"family {fam!r} has no free scalars to resolve")
+            found = dict(w1=ratio_or(ops, f.b2 - spec.w2 * f.C, f.A, 0.0))
+        else:
+            det = f.A * f.B - f.C * f.C
+            ops.fail_if(det <= 0.0, DegenerateOptimumError,
+                        "A*B - C^2 = {!r} is not positive; weight optimum undefined",
+                        det)
+            found = dict(w1=f.b2 * f.B / det, w2=-f.b2 * f.C / det)
+    else:
+        raise DomainError(f"family {fam!r} has no free scalars to resolve")
+    for name, value in found.items():
+        ops.require(ops.isfinite(value), DomainError,
+                    "scalar {!r} must be finite", name)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .arith import FLOATS
 from .errors import DomainError, SingularityError
 from .population import MedianParams
 
@@ -75,13 +76,17 @@ class ErrorMoments:
     cov_e0e1: float
 
     def __post_init__(self) -> None:
-        if self.var_e0 < 0 or self.var_e1 < 0:
-            raise DomainError("variances must be nonnegative")
-        bound = math.sqrt(self.var_e0 * self.var_e1)
-        if abs(self.cov_e0e1) > bound * (1 + 1e-12) + 1e-300:
-            raise DomainError(
-                f"|cov|={abs(self.cov_e0e1)!r} exceeds sqrt(var*var)={bound!r}"
-            )
+        check_moments(FLOATS, self.var_e0, self.var_e1, self.cov_e0e1)
+
+
+def check_moments(ops, var_e0, var_e1, cov_e0e1) -> None:
+    """The :class:`ErrorMoments` checks, by ``ops``."""
+    ops.fail_if((var_e0 < 0) | (var_e1 < 0), DomainError,
+                "variances must be nonnegative")
+    bound = ops.sqrt(var_e0 * var_e1)
+    size = abs(cov_e0e1)
+    ops.fail_if(size > bound * (1 + 1e-12) + 1e-300, DomainError,
+                "|cov|={!r} exceeds sqrt(var*var)={!r}", size, bound)
 
 
 class ExpConstants(NamedTuple):
@@ -90,18 +95,16 @@ class ExpConstants(NamedTuple):
     d: float
 
 
-def k_const(eta: float, lam: float, median_x: float) -> float:
+def k_const(eta: float, lam: float, median_x: float, *, ops=FLOATS) -> float:
     """Exponential-adjustment constant k = eta*Mx / (2*(eta*Mx + lam)).
 
     The pair (eta, lam) parameterises the damping factor
     exp(eta*(Mx - mx_hat) / (eta*(Mx + mx_hat) + 2*lam)); k is its first-order
-    slope in e1.
+    slope in e1.  ``ops`` is the arithmetic backend (see :mod:`medaux.arith`).
     """
     den = eta * median_x + lam
-    if den == 0.0:
-        raise SingularityError(
-            f"eta*median_x + lam is zero for eta={eta!r}, lam={lam!r}"
-        )
+    ops.fail_if(den == 0.0, SingularityError,
+                "eta*median_x + lam is zero for eta={!r}, lam={!r}", eta, lam)
     return eta * median_x / (2.0 * den)
 
 
@@ -123,11 +126,16 @@ def exp_constants(
 
 def error_moments(params: MedianParams) -> ErrorMoments:
     """First-order moments of (e0, e1) implied by the population parameters."""
+    return ErrorMoments(*moment_values(FLOATS, params))
+
+
+def moment_values(ops, params) -> tuple:
+    """(var_e0, var_e1, cov_e0e1) of :func:`error_moments`, unchecked, by ``ops``."""
     g = params.gamma
-    return ErrorMoments(
-        var_e0=g * params.cv_y**2,
-        var_e1=g * params.cv_x**2,
-        cov_e0e1=g * params.rho_c * params.cv_y * params.cv_x,
+    return (
+        g * ops.pow(params.cv_y, 2),
+        g * ops.pow(params.cv_x, 2),
+        g * params.rho_c * params.cv_y * params.cv_x,
     )
 
 

@@ -6,17 +6,22 @@ partial Fisher-Yates shuffle, so the sample of a replicate depends only on
 the seed and the replicate index.  Replicates run in blocks: each block
 draws its replicates' targets one key at a time, then shuffles, takes the
 sample medians, p11 and kernel densities for the whole block as (K, n)
-arrays.  Weight resolution and estimator evaluation stay per replicate.
-Every per-row result equals the one-replicate computation, so reports
-depend neither on the block size nor on ``jobs``.  A replicate that fails
-for one estimator (a package error or an arithmetic one, such as an
-overflow on extreme plug-in estimates) costs that estimator alone.
+arrays.  Each estimator is then resolved (plug-in weights) and evaluated
+once per block on (K,) arrays, by the formulas that the scalar
+``resolve_weights`` and ``evaluate`` run, with an array backend (see
+:mod:`medaux.arith`).  Every per-row result equals the one-replicate
+computation, so reports depend neither on the block size nor on ``jobs``.
+A replicate that fails for one estimator (a failed precondition, or an
+arithmetic error such as an overflow on extreme plug-in estimates) costs
+that estimator alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,10 +29,10 @@ from .errors import DomainError, MedauxError
 from .estimators import (
     REGRESSION,
     EstimatorSpec,
-    SampleStats,
     coeffs_of,
-    evaluate,
     free_scalars,
+    optimal_weights,
+    point_value,
     preset,
     resolve_weights,
 )
@@ -36,6 +41,7 @@ from .population import (
     MedianParams,
     PopulationFrame,
     _kernel_density_rows,
+    derive_params,
     finite_median,
 )
 
@@ -199,6 +205,84 @@ def srswor(frame: PopulationFrame, n: int, rng: np.random.Generator) -> np.ndarr
     return _swap_rows(js[None, :], N)[0]
 
 
+class _Rows:
+    """The array backend of the formula code (see :mod:`medaux.arith`).
+
+    A failed precondition marks its rows in ``bad`` instead of raising, and
+    ``pow``/``exp`` apply Python's ``**`` and ``math.exp`` one element at a
+    time, marking the rows where they raise (or give a complex power), so
+    every row gets the bits of the float computation.  Backends of one block
+    share ``memo``: a power of the same array by the same number is computed
+    once.
+    """
+
+    isfinite = staticmethod(np.isfinite)
+    sqrt = staticmethod(np.sqrt)
+
+    def __init__(self, bad: np.ndarray, memo: dict):
+        self.bad = bad.copy()
+        self.memo = memo
+
+    @staticmethod
+    def select(cond, a, b):
+        if isinstance(cond, bool):
+            return a if cond else b
+        return np.where(cond, a, b)
+
+    def fail_if(self, bad, error, message, *args) -> None:
+        self.bad |= bad
+
+    def require(self, ok, error, message, *args) -> None:
+        self.bad |= np.logical_not(ok)
+
+    def pow(self, x, y):
+        if not isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            return self._each(operator.pow, x, y)
+        # the entry holds x, so its id is not reused while the memo lives
+        held, values, failed = self.memo.get((id(x), y), (None, None, None))
+        if held is not x:
+            values, failed = self._apply(operator.pow, x, y)
+            self.memo[id(x), y] = (x, values, failed)
+        self.bad |= failed
+        return values
+
+    def exp(self, x):
+        return self._each(math.exp, x)
+
+    def _each(self, fn, *args):
+        values, failed = self._apply(fn, *args)
+        self.bad |= failed
+        return values
+
+    def _apply(self, fn, *args) -> tuple[np.ndarray, np.ndarray]:
+        """``fn`` on each row of the broadcast arguments, NaN where it
+        raises or gives a complex number, and the mask of those rows."""
+        K = self.bad.size
+        failed = np.zeros(K, dtype=bool)
+        if not any(isinstance(a, np.ndarray) for a in args):
+            try:
+                return float(fn(*map(float, args))), failed
+            except (ArithmeticError, TypeError):
+                return math.nan, ~failed
+        cols = [
+            np.broadcast_to(a, K).tolist() if isinstance(a, np.ndarray)
+            else [float(a)] * K
+            for a in args
+        ]
+        try:
+            return np.fromiter(map(fn, *cols), float, K), failed
+        except (ArithmeticError, TypeError):
+            pass  # some row failed: redo one row at a time
+        out = np.empty(K)
+        for r, row in enumerate(zip(*cols)):
+            try:
+                out[r] = fn(*row)
+            except (ArithmeticError, TypeError):
+                out[r] = math.nan
+                failed[r] = True
+        return out, failed
+
+
 def _block_estimates(
     frame: PopulationFrame,
     config: SimulationConfig,
@@ -208,53 +292,80 @@ def _block_estimates(
 ) -> np.ndarray:
     """Estimates of replicates ``ks``, one row each, NaN where one failed.
 
-    Samples, medians, p11 and kernel densities are computed on (K, n) arrays;
-    weight resolution and evaluation run per replicate.  Under the plug-in
-    policy, specs with free scalars are resolved from a parameter vector
-    re-estimated from each sample.  One rule decides every failure: a spec
-    loses a replicate when resolving or evaluating it there raises a package
-    or arithmetic error, or when it is resolved per sample and the replicate
-    has no valid plug-in vector (no usable bandwidth, or invalid estimates).
-    No other spec loses that replicate.
+    Samples, medians, p11 and kernel densities are computed on (K, n)
+    arrays, and :func:`_estimate_columns` turns them into the estimates.
     """
-    plug_in = config.weights == "plug-in"
-    per_sample = [plug_in and bool(free_scalars(s)) for s in specs]
     n = config.n
+    plug_in = config.weights == "plug-in"
     idx = _swap_rows(_swap_targets(config.seed, ks, n, frame.N), frame.N)
     xs, ys = frame.x[idx], frame.y[idx]
     my, mx = np.median(ys, axis=1), np.median(xs, axis=1)
-    extras: list[tuple[float, float, float] | None] = [None] * len(ks)
-    needs_extras = any(per_sample) or any(s.family == REGRESSION for s in specs)
-    if needs_extras and n >= 2:  # a kernel density needs two observations
+    if not (np.isfinite(my).all() and np.isfinite(mx).all()):
+        raise DomainError("sample medians must be finite")
+    extras = None
+    if n >= 2 and any(  # a kernel density needs two observations
+        s.family == REGRESSION or (plug_in and free_scalars(s)) for s in specs
+    ):
         p11 = np.count_nonzero((xs <= mx[:, None]) & (ys <= my[:, None]), axis=1) / n
         fy, _ = _kernel_density_rows(ys, my)
         fx, _ = _kernel_density_rows(xs, mx)
-        for r in np.flatnonzero(~(np.isnan(fy) | np.isnan(fx))).tolist():
-            extras[r] = (float(p11[r]), float(fy[r]), float(fx[r]))
-    out = np.full((len(ks), len(specs)), np.nan)
-    for r, (a, b) in enumerate(zip(my.tolist(), mx.tolist())):
-        sample = SampleStats(a, b, *extras[r]) if extras[r] else SampleStats(a, b)
+        extras = (p11, fy, fx)
+    return _estimate_columns(params, specs, plug_in, my, mx, extras)
+
+
+def _estimate_columns(
+    params: MedianParams,
+    specs: tuple[EstimatorSpec, ...],
+    plug_in: bool,
+    my: np.ndarray,
+    mx: np.ndarray,
+    extras: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+) -> np.ndarray:
+    """(K, len(specs)) estimates from the sample medians of K replicates.
+
+    ``extras`` is ``(p11, fy, fx)`` of each sample, NaN densities where the
+    sample has no usable bandwidth, or ``None`` when not computed.  Under
+    the plug-in policy a spec with free scalars is resolved from each row's
+    re-estimated parameter vector.  Each spec is resolved and evaluated once,
+    on (K,) arrays, by the formulas of :func:`resolve_weights` and
+    :func:`evaluate`, so every row equals that one-replicate computation.
+    One rule decides every failure: a spec loses a row where resolving or
+    evaluating it there fails a precondition or raises a package or
+    arithmetic error, or where it is resolved per sample and the row has no
+    valid plug-in vector (no densities, or invalid estimates).  No other
+    spec loses that row.
+    """
+    K = my.size
+    fine, memo = np.zeros(K, dtype=bool), {}
+    per_sample = [plug_in and bool(free_scalars(s)) for s in specs]
+    out = np.full((K, len(specs)), np.nan)
+    # the float code raises where the arrays give inf or NaN silently; the
+    # backend marks those rows
+    with np.errstate(all="ignore"):
         hat = None
-        if extras[r] and any(per_sample):
-            # design quantities (N, n) stay fixed; the concordance estimate is
-            # clamped into [-1, 1] because inclusive tie counting can push
+        if extras and any(per_sample):
+            p11, fy, fx = extras
+            # design quantities (N, n) stay fixed; the concordance estimate
+            # is clamped into [-1, 1] because inclusive tie counting can push
             # 4*p11 - 1 above 1
-            rho_hat = max(-1.0, min(1.0, 4.0 * sample.p11 - 1.0))
-            try:
-                hat = MedianParams.from_primitives(
-                    params.N, params.n, a, b,
-                    sample.fy_at_median, sample.fx_at_median, rho_hat,
-                )
-            except MedauxError:
-                pass  # the specs resolved per sample fail for this replicate
+            rho_hat = np.clip(4.0 * p11 - 1.0, -1.0, 1.0)
+            hat_rows = _Rows(fine, memo)
+            hat = SimpleNamespace(
+                **derive_params(hat_rows, params.N, params.n, my, mx, fy, fx, rho_hat)
+            )
         for j, spec in enumerate(specs):
             if per_sample[j] and hat is None:
                 continue
+            rows = _Rows(hat_rows.bad if per_sample[j] else fine, memo)
             try:
-                use = resolve_weights(spec, hat) if per_sample[j] else spec
-                out[r, j] = evaluate(use, sample, params)
+                if per_sample[j]:
+                    spec = SimpleNamespace(
+                        **{**vars(spec), **optimal_weights(rows, spec, hat)}
+                    )
+                value = point_value(rows, spec, my, mx, params.median_x, extras)
             except (MedauxError, ArithmeticError):
-                pass  # recorded as a failure for this estimator only
+                continue  # the spec fails on every row
+            out[:, j] = np.where(rows.bad, np.nan, value)
     return out
 
 

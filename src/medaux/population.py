@@ -28,6 +28,7 @@ from typing import IO, Union
 
 import numpy as np
 
+from .arith import FLOATS, ratio_or
 from .errors import (
     DegenerateSampleError,
     DomainError,
@@ -111,45 +112,17 @@ class MedianParams:
     k_c: float = field(init=False)
 
     def __post_init__(self) -> None:
-        given_y, given_x = self.median_y, self.median_x
         N, n = int(self.N), int(self.n)
         if (N, n) != (self.N, self.n):
             raise DomainError(
                 f"N and n must be integers, got n={self.n!r}, N={self.N!r}"
             )
-        my, mx = float(given_y), float(given_x)
-        fy, fx = float(self.fy_at_median), float(self.fx_at_median)
-        rho_c = float(self.rho_c)
+        primitives = (self.median_y, self.median_x, self.fy_at_median,
+                      self.fx_at_median, self.rho_c)
+        reals = tuple(map(float, primitives))
         if N < 2 or not (0 < n < N):
             raise DomainError(f"need 0 < n < N with N >= 2, got n={n}, N={N}")
-        for name, v in (("median_y", my), ("median_x", mx)):
-            if not (math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be finite and positive, got {v!r}")
-        for name, v in (("fy_at_median", fy), ("fx_at_median", fx)):
-            if not (math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be a positive density, got {v!r}")
-        if not -1.0 <= rho_c <= 1.0:
-            raise DomainError(f"rho_c must lie in [-1, 1], got {rho_c!r}")
-        f = n / N
-        # median * density can underflow to 0 (or overflow, giving cv 0)
-        cv_y = 1.0 / (my * fy) if my * fy != 0 else math.inf
-        cv_x = 1.0 / (mx * fx) if mx * fx != 0 else math.inf
-        for name, v in (("cv_y", cv_y), ("cv_x", cv_x)):
-            if not (math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be finite and positive, got {v!r}")
-        values = {
-            "N": N, "n": n, "median_y": my, "median_x": mx,
-            "fy_at_median": fy, "fx_at_median": fx, "rho_c": rho_c,
-            "p11": (1.0 + rho_c) / 4.0,
-            "f": f,
-            "gamma": (1.0 - f) / (4.0 * n),
-            "cv_y": cv_y,
-            "cv_x": cv_x,
-            "median_ratio": mx / my,
-            # from the medians as given: two integer medians keep an integer gap
-            "median_gap": given_y - given_x,
-            "k_c": rho_c * cv_y / cv_x,
-        }
+        values = derive_params(FLOATS, N, n, *reals, gap=self.median_y - self.median_x)
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
@@ -170,6 +143,43 @@ class MedianParams:
     def as_dict(self) -> dict[str, float]:
         """All fields, primitives first, in a stable order."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def derive_params(ops, N, n, median_y, median_x, fy, fx, rho_c, gap=None) -> dict:
+    """Every :class:`MedianParams` field from the primitives, by ``ops``.
+
+    Runs the constructor's checks on the five real primitives with their
+    messages, then derives the other eight fields.  ``gap`` is the median
+    gap taken from the medians as given (two integer medians keep an integer
+    gap); it defaults to ``median_y - median_x``.
+    """
+    for name, v in (("median_y", median_y), ("median_x", median_x)):
+        ops.require(ops.isfinite(v) & (v > 0), DomainError,
+                    "{} must be finite and positive, got {!r}", name, v)
+    for name, v in (("fy_at_median", fy), ("fx_at_median", fx)):
+        ops.require(ops.isfinite(v) & (v > 0), DomainError,
+                    "{} must be a positive density, got {!r}", name, v)
+    ops.require((-1.0 <= rho_c) & (rho_c <= 1.0), DomainError,
+                "rho_c must lie in [-1, 1], got {!r}", rho_c)
+    f = n / N
+    # median * density can underflow to 0 (or overflow, giving cv 0)
+    cv_y = ratio_or(ops, 1.0, median_y * fy, math.inf)
+    cv_x = ratio_or(ops, 1.0, median_x * fx, math.inf)
+    for name, v in (("cv_y", cv_y), ("cv_x", cv_x)):
+        ops.require(ops.isfinite(v) & (v > 0), DomainError,
+                    "{} must be finite and positive, got {!r}", name, v)
+    return {
+        "N": N, "n": n, "median_y": median_y, "median_x": median_x,
+        "fy_at_median": fy, "fx_at_median": fx, "rho_c": rho_c,
+        "p11": (1.0 + rho_c) / 4.0,
+        "f": f,
+        "gamma": (1.0 - f) / (4.0 * n),
+        "cv_y": cv_y,
+        "cv_x": cv_x,
+        "median_ratio": median_x / median_y,
+        "median_gap": median_y - median_x if gap is None else gap,
+        "k_c": rho_c * cv_y / cv_x,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from medaux import PRESET_NAMES
-from medaux.cli import main
+from medaux.cli import _fmt_cell, main
 
 POP_CSV = "x,y\n" + "\n".join(
     f"{x},{x * 2 + (i % 7)}" for i, x in enumerate(range(10, 70))
@@ -132,6 +132,10 @@ class TestTableCommand:
         assert len(rows) == 17
         names = [r["estimator"] for r in rows]
         assert names[0] == "M_y" and "t_mq9" in names
+
+    def test_zero_after_rounding_prints_unsigned(self):
+        cells = [_fmt_cell(v, 2) for v in (-0.001, -0.0, -0.004999, -0.006, -1.5)]
+        assert cells == ["0.00", "0.00", "0.00", "-0.01", "-1.50"]
 
     def test_selected_pair_shares_minimum(self, capsys):
         code, out, _ = run_cli(
@@ -667,7 +671,7 @@ class TestParamsFileRoundTrip:
         names = ("--estimators", "M_y,M_r,M_d,t_m")
         code, out, _ = run_cli(capsys, "table", "--params", str(written), *names)
         assert code == 0
-        assert "M_d,-0.00,0.00,,inf" in out.splitlines()
+        assert "M_d,0.00,0.00,,inf" in out.splitlines()
         _, table, _ = run_cli(
             capsys, "table", "--params", str(written), *names, "--format", "json"
         )

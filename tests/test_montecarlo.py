@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -405,6 +406,49 @@ class TestBlockedReplicates:
         expected = [_reference_row(frame, config, params, specs, k) for k in range(reps)]
         np.testing.assert_array_equal(got, np.array(expected))
         assert np.isnan(got[:, 4]).any() and np.isfinite(got[:, 4]).any()
+
+
+class TestCallCounts:
+    def test_plug_in_run_calls_the_scalar_path_per_estimator(self, monkeypatch):
+        # a deterministic fence on the per-replicate path: the public scalar
+        # calls run once per estimator, and the block formulas once per
+        # estimator and block, whatever the replicate count
+        import medaux
+        from medaux import estimators
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in ("resolve_weights", "evaluate", "optimal_weights", "point_value"):
+            wrapped = counting(name, getattr(estimators, name))
+            for module in (medaux, estimators, montecarlo):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        monkeypatch.setattr(
+            MedianParams, "__init__", counting("MedianParams", MedianParams.__init__)
+        )
+        frame = make_synthetic(SyntheticSpec(N=2000, rho=0.8, seed=4))
+        params = compute_params(frame, 100)
+        names = ("M_y", "M_r", "M_d", "t_m", "M_lr", "M_3", "t_mq7")
+        config = SimulationConfig(
+            n=100, reps=500, seed=9, estimators=names, weights="plug-in"
+        )
+        calls.clear()
+        report = run_simulation(frame, config, params)
+        assert sum(r.reps_used for r in report.results) > 0.9 * 500 * len(names)
+        blocks = -(-500 // (montecarlo._BLOCK_UNITS // 100))
+        free = sum(bool(free_scalars(preset(name, params))) for name in names)
+        assert calls["resolve_weights"] <= len(names)
+        assert calls["evaluate"] == 0
+        assert calls["MedianParams"] <= len(names)
+        assert calls["point_value"] == blocks * len(names)
+        assert calls["optimal_weights"] == len(names) + free * blocks
 
 
 class TestMakeSynthetic:
