@@ -11,7 +11,6 @@ __all__ = [
     "SingularityError",
     "DegenerateOptimumError",
     "UnknownEstimatorError",
-    "DegeneratePivotWarning",
     "InfiniteEfficiencyWarning",
 ]
 
@@ -53,10 +52,6 @@ class UnknownEstimatorError(MedauxError, KeyError):
 
     def __str__(self) -> str:  # KeyError would quote the message
         return str(self.args[0]) if self.args else ""
-
-
-class DegeneratePivotWarning(UserWarning):
-    """The shrinkage pivot vanishes (study and auxiliary medians coincide)."""
 
 
 class InfiniteEfficiencyWarning(UserWarning):

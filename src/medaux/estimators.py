@@ -51,7 +51,6 @@ from .arith import FLOATS, ratio_or
 from .expansion import (
     ExpansionCoeffs,
     check_moments,
-    exp_constants,
     k_const,
     moment_values,
 )
@@ -351,11 +350,12 @@ def coeffs_of(spec: EstimatorSpec, params: MedianParams) -> ExpansionCoeffs:
             -spec.d1 * My * u,
         )
     if fam == RATIO_EXP:
-        w1, w2 = spec.w1, spec.w2
+        w1, w2, alpha = spec.w1, spec.w2, spec.alpha
         k = k_const(spec.eta, spec.lam, Mx)
-        a, gap, d2nd = exp_constants(spec.alpha, k, My, Mx)
+        a = alpha + k  # total first-order ratio slope
+        d2nd = 1.5 * k * k + alpha * k + alpha * (alpha + 1.0) / 2.0  # of e1^2
         return ExpansionCoeffs(
-            (w1 - 1.0) * gap,
+            (w1 - 1.0) * (My - Mx),
             w1 * My,
             -w1 * My * a + w2 * Mx,
             w1 * My * d2nd,
@@ -465,7 +465,10 @@ def optimal_weights(ops, spec: EstimatorSpec, params) -> dict:
         )
     My, Mx = params.median_y, params.median_x
     kc = params.k_c
-    vy, vx, cyx, vres = _second_moments(ops, params)
+    if fam in (SHRINK_DIFF_TIED, SHRINK_DIFF, SHRINK_CONVEX, SHRINK_DIFF_SCALED):
+        # only these optima read the second moments; the others read k_c
+        # alone, so they resolve also where a squared cv overflows
+        vy, vx, cyx, vres = _second_moments(ops, params)
     b = params.median_gap
 
     if fam == POWER_RATIO:

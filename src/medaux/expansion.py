@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .arith import FLOATS
 from .errors import DomainError, SingularityError
@@ -42,9 +41,7 @@ from .population import MedianParams
 __all__ = [
     "ExpansionCoeffs",
     "ErrorMoments",
-    "ExpConstants",
     "k_const",
-    "exp_constants",
     "error_moments",
     "bias_from_coeffs",
     "mse_from_coeffs",
@@ -89,12 +86,6 @@ def check_moments(ops, var_e0, var_e1, cov_e0e1) -> None:
                 "|cov|={!r} exceeds sqrt(var*var)={!r}", size, bound)
 
 
-class ExpConstants(NamedTuple):
-    a: float
-    b: float
-    d: float
-
-
 def k_const(eta: float, lam: float, median_x: float, *, ops=FLOATS) -> float:
     """Exponential-adjustment constant k = eta*Mx / (2*(eta*Mx + lam)).
 
@@ -106,22 +97,6 @@ def k_const(eta: float, lam: float, median_x: float, *, ops=FLOATS) -> float:
     ops.fail_if(den == 0.0, SingularityError,
                 "eta*median_x + lam is zero for eta={!r}, lam={!r}", eta, lam)
     return eta * median_x / (2.0 * den)
-
-
-def exp_constants(
-    alpha: float, k: float, median_y: float, median_x: float
-) -> ExpConstants:
-    """Constants of the weighted ratio-exponential expansion.
-
-    a = alpha + k is the total first-order ratio slope, b is the gap between
-    the two medians, and d collects the e1^2 coefficient
-    (3/2)k^2 + alpha*k + alpha*(alpha + 1)/2.
-    """
-    return ExpConstants(
-        a=alpha + k,
-        b=median_y - median_x,
-        d=1.5 * k * k + alpha * k + alpha * (alpha + 1.0) / 2.0,
-    )
 
 
 def error_moments(params: MedianParams) -> ErrorMoments:

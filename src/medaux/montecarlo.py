@@ -13,7 +13,8 @@ once per block on (K,) arrays, by the formulas that the scalar
 computation, so reports depend neither on the block size nor on ``jobs``.
 A replicate that fails for one estimator (a failed precondition, or an
 arithmetic error such as an overflow on extreme plug-in estimates) costs
-that estimator alone.
+that estimator alone; one whose sample median overflows costs every
+estimator that replicate.
 """
 
 from __future__ import annotations
@@ -299,17 +300,20 @@ def _block_estimates(
     plug_in = config.weights == "plug-in"
     idx = _swap_rows(_swap_targets(config.seed, ks, n, frame.N), frame.N)
     xs, ys = frame.x[idx], frame.y[idx]
-    my, mx = np.median(ys, axis=1), np.median(xs, axis=1)
-    if not (np.isfinite(my).all() and np.isfinite(mx).all()):
-        raise DomainError("sample medians must be finite")
     extras = None
-    if n >= 2 and any(  # a kernel density needs two observations
-        s.family == REGRESSION or (plug_in and free_scalars(s)) for s in specs
-    ):
-        p11 = np.count_nonzero((xs <= mx[:, None]) & (ys <= my[:, None]), axis=1) / n
-        fy, _ = _kernel_density_rows(ys, my)
-        fx, _ = _kernel_density_rows(xs, mx)
-        extras = (p11, fy, fx)
+    # an overflowing median is inf in its row, which every spec then loses;
+    # an overflowing bandwidth gives a NaN density, which the row's plug-in
+    # specs lose
+    with np.errstate(all="ignore"):
+        my, mx = np.median(ys, axis=1), np.median(xs, axis=1)
+        if n >= 2 and any(  # a kernel density needs two observations
+            s.family == REGRESSION or (plug_in and free_scalars(s)) for s in specs
+        ):
+            below = (xs <= mx[:, None]) & (ys <= my[:, None])
+            p11 = np.count_nonzero(below, axis=1) / n
+            fy, _ = _kernel_density_rows(ys, my)
+            fx, _ = _kernel_density_rows(xs, mx)
+            extras = (p11, fy, fx)
     return _estimate_columns(params, specs, plug_in, my, mx, extras)
 
 
@@ -333,10 +337,11 @@ def _estimate_columns(
     evaluating it there fails a precondition or raises a package or
     arithmetic error, or where it is resolved per sample and the row has no
     valid plug-in vector (no densities, or invalid estimates).  No other
-    spec loses that row.
+    spec loses that row, unless a sample median of the row is not finite
+    (it overflowed): then every spec loses it.
     """
     K = my.size
-    fine, memo = np.zeros(K, dtype=bool), {}
+    overflowed, memo = ~(np.isfinite(my) & np.isfinite(mx)), {}
     per_sample = [plug_in and bool(free_scalars(s)) for s in specs]
     out = np.full((K, len(specs)), np.nan)
     # the float code raises where the arrays give inf or NaN silently; the
@@ -349,14 +354,14 @@ def _estimate_columns(
             # is clamped into [-1, 1] because inclusive tie counting can push
             # 4*p11 - 1 above 1
             rho_hat = np.clip(4.0 * p11 - 1.0, -1.0, 1.0)
-            hat_rows = _Rows(fine, memo)
+            hat_rows = _Rows(overflowed, memo)
             hat = SimpleNamespace(
                 **derive_params(hat_rows, params.N, params.n, my, mx, fy, fx, rho_hat)
             )
         for j, spec in enumerate(specs):
             if per_sample[j] and hat is None:
                 continue
-            rows = _Rows(hat_rows.bad if per_sample[j] else fine, memo)
+            rows = _Rows(hat_rows.bad if per_sample[j] else overflowed, memo)
             try:
                 if per_sample[j]:
                     spec = SimpleNamespace(

@@ -126,20 +126,6 @@ class MedianParams:
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_primitives(
-        cls,
-        N: int,
-        n: int,
-        median_y: float,
-        median_x: float,
-        fy_at_median: float,
-        fx_at_median: float,
-        rho_c: float,
-    ) -> "MedianParams":
-        """Build the full vector from the seven primitive quantities."""
-        return cls(N, n, median_y, median_x, fy_at_median, fx_at_median, rho_c)
-
     def as_dict(self) -> dict[str, float]:
         """All fields, primitives first, in a stable order."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -314,7 +300,7 @@ def compute_params(
 
     fy = density_at(frame.y, my, fy_method)
     fx = density_at(frame.x, mx, fx_method)
-    return MedianParams.from_primitives(frame.N, n, my, mx, fy, fx, rho_c)
+    return MedianParams(frame.N, n, my, mx, fy, fx, rho_c)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +406,7 @@ def load_params(source: Source) -> MedianParams:
         if isinstance(values[key], float) and not values[key].is_integer():
             raise SchemaError(f"params key {key!r} must be an integer")
 
-    params = MedianParams.from_primitives(**values)
+    params = MedianParams(**values)
     for key in _DERIVED_KEYS:
         if key in doc:
             stored, derived = _number(doc, key), getattr(params, key)

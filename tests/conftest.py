@@ -45,7 +45,7 @@ def draw_params(rng: np.random.Generator) -> MedianParams:
     cv_y = float(rng.uniform(0.3, 4.0))
     cv_x = float(rng.uniform(0.3, 4.0))
     rho_c = float(rng.uniform(-0.95, 0.95))
-    return MedianParams.from_primitives(
+    return MedianParams(
         N=N,
         n=n,
         median_y=median_y,

@@ -31,8 +31,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from medaux import DegenerateOptimumError, DegeneratePivotWarning, MedianParams
+from medaux import DegenerateOptimumError, MedianParams
 from medaux.estimators import ratio_exp_form
+
+
+class DegeneratePivotWarning(UserWarning):
+    """The shrinkage pivot vanishes (study and auxiliary medians coincide)."""
 
 
 def _vres(params: MedianParams) -> float:

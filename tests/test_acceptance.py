@@ -280,7 +280,7 @@ def test_criterion_6_monte_carlo_consistency():
         z = (math.log(point) - mu) / sigma
         return math.exp(-0.5 * z * z) / (point * sigma * math.sqrt(2.0 * math.pi))
 
-    params = MedianParams.from_primitives(
+    params = MedianParams(
         N=2000,
         n=100,
         median_y=my,

@@ -122,7 +122,7 @@ def _scalar_cell(params, spec, plug_in, my, mx, extras):
         p11, fy, fx = extras
         rho = max(-1.0, min(1.0, 4.0 * p11 - 1.0))
         try:
-            hat = MedianParams.from_primitives(params.N, params.n, my, mx, fy, fx, rho)
+            hat = MedianParams(params.N, params.n, my, mx, fy, fx, rho)
         except MedauxError:
             return math.nan
     try:
@@ -224,5 +224,39 @@ def test_plug_in_overflow_fails_its_row_only():
     assert np.isfinite(got[0]).all()
     assert np.isnan(got[1, :2]).all() and got[1, 2] == 10.0
     with pytest.raises(OverflowError):
-        hat = MedianParams.from_primitives(1000, 50, 10.0, 8.0, 0.1, 1e-300, 0.6)
+        hat = MedianParams(1000, 50, 10.0, 8.0, 0.1, 1e-300, 0.6)
         resolve_weights(specs[0], hat)
+
+
+def test_k_c_optima_read_no_second_moments():
+    # cv_x = 1.25e299 overflows cv_x**2, but k_c = 4.8e-300 is all that the
+    # power, damped, dual and mix optima read
+    hat = MedianParams(1000, 50, 10.0, 8.0, 0.1, 1e-300, 0.6)
+    kc = hat.k_c
+    assert kc == pytest.approx(4.8e-300)
+    expected = {
+        "M_3": ("alpha", kc),
+        "M_4": ("beta", kc),
+        "M_5": ("v", -kc),
+        "M_6": ("w", 1.0 + kc),
+        "M_7": ("w", 1.0 - kc),
+    }
+    for name, (field, value) in expected.items():
+        assert getattr(resolve_weights(preset(name), hat), field) == value, name
+
+
+def test_k_c_optima_keep_their_plug_in_rows():
+    # row 1 re-estimates the vector above (fx 1e-300); the sample mx differs
+    # from the known Mx, so the weights move the estimates
+    known = MedianParams(1000, 50, 10.0, 7.5, 0.1, 0.1, 0.5)
+    specs = tuple(preset(name) for name in ("M_3", "M_4", "M_5", "M_6", "M_7"))
+    my, mx = np.array([10.0, 10.0]), np.array([8.0, 8.0])
+    p11 = np.array([0.4, 0.4])
+    fy, fx = np.array([0.1, 0.1]), np.array([0.1, 1e-300])
+    got = _estimate_columns(known, specs, True, my, mx, (p11, fy, fx))
+    assert np.isfinite(got).all()
+    for r in range(2):
+        hat = MedianParams(1000, 50, 10.0, 8.0, 0.1, float(fx[r]), 4.0 * 0.4 - 1.0)
+        stats = SampleStats(10.0, 8.0, 0.4, 0.1, float(fx[r]))
+        expected = [evaluate(resolve_weights(s, hat), stats, known) for s in specs]
+        assert _bits(got[r]).tolist() == _bits(expected).tolist()

@@ -31,7 +31,7 @@ from oracles import min_mse_difference, min_mse_ss2, min_mse_ss3, min_mse_tmq
 
 
 def _known(median_x: float = 100.0) -> MedianParams:
-    return MedianParams.from_primitives(
+    return MedianParams(
         1000, 100, 120.0, median_x, 1 / (120 * 1.1), 1 / (median_x * 0.9), 0.4
     )
 
@@ -351,7 +351,7 @@ class TestResolveWeights:
         assert math.isclose(got, expected, rel_tol=1e-12)
 
     def test_zero_gap_zeroes_weights(self):
-        p = MedianParams.from_primitives(1000, 100, 80.0, 80.0, 0.01, 0.012, 0.3)
+        p = MedianParams(1000, 100, 80.0, 80.0, 0.01, 0.012, 0.3)
         spec = resolve_weights(preset("t_m", p), p)
         assert spec.w1 == 0.0 and spec.w2 == 0.0
 

@@ -18,9 +18,9 @@ from medaux import (
     SampleStats,
     SingularityError,
     bias_from_coeffs,
+    coeffs_of,
     error_moments,
     evaluate,
-    exp_constants,
     k_const,
     mse_from_coeffs,
 )
@@ -45,21 +45,34 @@ class TestKConst:
             k_const(1.0, -2011.0, 2011.0)
 
 
-class TestExpConstants:
+class TestRatioExpCoefficients:
+    """The ratio_exp expansion: total slope a = alpha + k, gap My - Mx and
+    e1^2 factor d = 1.5*k^2 + alpha*k + alpha*(alpha + 1)/2."""
+
+    @staticmethod
+    def _spec(w1, alpha, eta, lam):
+        return EstimatorSpec(
+            family="ratio_exp", w1=w1, w2=0.0, alpha=alpha, eta=eta, lam=lam
+        )
+
     def test_direct_substitution(self):
-        a, b, d = exp_constants(1.0, 0.5, 100.0, 40.0)
-        assert a == 1.5
-        assert b == 60.0
-        # d = 1.5*k^2 + alpha*k + alpha*(alpha+1)/2 at alpha=1, k=0.5
-        assert d == 1.875
+        # alpha = 1 and k = 1/2 (eta 1, lam 0): a = 1.5, d = 1.875, gap 60
+        p = MedianParams(100, 10, 100.0, 40.0, 0.01, 0.01, 0.0)
+        c = coeffs_of(self._spec(0.5, 1.0, 1.0, 0.0), p)
+        assert c.c0 == -0.5 * 60.0
+        assert c.c_e0 == 0.5 * 100.0
+        assert c.c_e1 == c.c_e0e1 == -0.5 * 100.0 * 1.5
+        assert c.c_e1sq == 0.5 * 100.0 * 1.875
 
     def test_all_zero(self):
-        a, _, d = exp_constants(0.0, 0.0, 1.0, 1.0)
-        assert a == 0.0 and d == 0.0
+        p = MedianParams(100, 10, 1.0, 1.0, 0.01, 0.01, 0.0)
+        c = coeffs_of(self._spec(1.0, 0.0, 0.0, 1.0), p)
+        assert c.c_e1 == 0.0 and c.c_e1sq == 0.0 and c.c_e0e1 == 0.0
 
     def test_population_gaps(self, pop1, pop2):
-        assert exp_constants(0.0, 0.0, pop1.median_y, pop1.median_x).b == 57
-        assert exp_constants(0.0, 0.0, pop2.median_y, pop2.median_x).b == -239
+        spec = self._spec(0.0, 0.0, 0.0, 1.0)
+        assert coeffs_of(spec, pop1).c0 == -57
+        assert coeffs_of(spec, pop2).c0 == 239
 
 
 class TestErrorMoments:
@@ -69,7 +82,7 @@ class TestErrorMoments:
         assert abs(value - 565443.57) / 565443.57 < 5e-4
 
     def test_uncorrelated_covariance_vanishes(self):
-        p = MedianParams.from_primitives(100, 10, 50.0, 40.0, 0.01, 0.01, 0.0)
+        p = MedianParams(100, 10, 50.0, 40.0, 0.01, 0.01, 0.0)
         assert error_moments(p).cov_e0e1 == 0.0
 
     def test_pop2_auxiliary_variance(self, pop2):
@@ -177,7 +190,7 @@ def _quadrature_moments(coeffs: ExpansionCoeffs, moments: ErrorMoments, nodes=16
 
 def test_bias_and_mse_match_quadrature_oracle():
     # small design factor: n = 10_000 of N = 1_000_000
-    p = MedianParams.from_primitives(
+    p = MedianParams(
         1_000_000, 10_000, 50.0, 40.0, 1 / (50 * 1.2), 1 / (40 * 0.9), 0.6
     )
     m = error_moments(p)

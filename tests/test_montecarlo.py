@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -142,12 +143,26 @@ class TestRunSimulation:
         threaded = run_simulation(frame, config, params, jobs=3)
         assert serial.results == threaded.results
 
+    def test_overflowing_sample_median_costs_its_replicate_only(self):
+        # a sample holding three of the six x values at 1.7e308 has two of
+        # them in the middle, and their mean overflows
+        x = np.array([1.7e308] * 6 + [1.0] * 5)
+        frame = PopulationFrame(x=x, y=np.arange(1.0, 12.0))
+        params = MedianParams(11, 4, 6.0, 1.0, 0.1, 0.1, 0.5)
+        config = SimulationConfig(n=4, reps=200, seed=0, estimators=("M_y",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (result,) = run_simulation(frame, config, params).results
+        assert result.reps_used + result.failures == config.reps
+        assert result.failures > 0 and result.reps_used > 0
+        assert math.isfinite(result.empirical_mse)
+
     def test_failures_counted_and_excluded(self):
         # more than half zeros makes many sample medians of x exactly zero
         x = np.concatenate([np.zeros(24), np.ones(12)])
         y = np.linspace(1.0, 4.0, 36)
         frame = PopulationFrame(x=x, y=y)
-        params = MedianParams.from_primitives(36, 5, 2.0, 1.0, 0.2, 0.3, 0.2)
+        params = MedianParams(36, 5, 2.0, 1.0, 0.2, 0.3, 0.2)
         config = SimulationConfig(n=5, reps=300, seed=1, estimators=("M_y", "M_r"))
         report = run_simulation(frame, config, params)
         by_name = {r.estimator: r for r in report.results}
@@ -163,7 +178,7 @@ class TestRunSimulation:
         x = np.where(k % 20 < 10, 10.0, np.where(k % 20 < 14, 12.0, 5.0 + k / 20))
         y = np.where(k % 20 < 10, 20.0, np.where(k % 20 < 14, 25.0, 10.0 + k / 10))
         frame = PopulationFrame(x=x, y=y)
-        params = MedianParams.from_primitives(400, 20, 20.0, 10.0, 0.05, 0.1, 0.5)
+        params = MedianParams(400, 20, 20.0, 10.0, 0.05, 0.1, 0.5)
         for weights in ("true-params", "plug-in"):
             def run(names):
                 config = SimulationConfig(
@@ -328,7 +343,7 @@ def _reference_row(frame, config, params, specs, k):
         )
         if any(per_sample):
             rho = max(-1.0, min(1.0, 4.0 * p11 - 1.0))
-            hat = MedianParams.from_primitives(params.N, params.n, my, mx, fy, fx, rho)
+            hat = MedianParams(params.N, params.n, my, mx, fy, fx, rho)
     except MedauxError:
         pass
     row = []
@@ -357,7 +372,7 @@ def _property_frame(N, levels, seed):
 
 def _property_params(frame, n):
     my, mx = finite_median(frame.y), finite_median(frame.x)
-    return MedianParams.from_primitives(
+    return MedianParams(
         frame.N, min(n, frame.N - 1), my, mx, 1.0 / (0.8 * my), 1.0 / (0.9 * mx), 0.6
     )
 

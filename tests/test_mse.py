@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from medaux import (
     PRESET_NAMES,
     DegenerateOptimumError,
-    DegeneratePivotWarning,
     DomainError,
     EstimatorSpec,
     InfiniteEfficiencyWarning,
@@ -34,6 +33,7 @@ from medaux.mse import TABLE_ALL_IDS
 
 from conftest import draw_params
 from oracles import (
+    DegeneratePivotWarning,
     min_mse_difference,
     min_mse_ss1,
     min_mse_ss2,
@@ -48,7 +48,7 @@ from oracles import (
 
 def _flat_params() -> MedianParams:
     """Valid params with coinciding medians (degenerate pivot R = 1)."""
-    return MedianParams.from_primitives(1000, 100, 80.0, 80.0, 0.01, 0.012, 0.3)
+    return MedianParams(1000, 100, 80.0, 80.0, 0.01, 0.012, 0.3)
 
 
 class TestMinMseDifference:
@@ -58,7 +58,7 @@ class TestMinMseDifference:
 
     def test_perfect_concordance_vanishes(self):
         for rho in (-1.0, 1.0):
-            p = MedianParams.from_primitives(100, 10, 50.0, 40.0, 0.01, 0.01, rho)
+            p = MedianParams(100, 10, 50.0, 40.0, 0.01, 0.01, rho)
             assert min_mse_difference(p) == 0.0
 
     def test_strictly_decreasing_in_concordance(self):
@@ -68,7 +68,7 @@ class TestMinMseDifference:
             lo, hi = sorted(abs(rng.uniform(-0.99, 0.99, size=2)))
             if lo == hi:
                 continue
-            mk = lambda rho: MedianParams.from_primitives(
+            mk = lambda rho: MedianParams(
                 base.N, base.n, base.median_y, base.median_x,
                 base.fy_at_median, base.fx_at_median, rho,
             )
@@ -167,7 +167,7 @@ class TestQuadraticWeights:
 
     def test_degenerate_optimum_detected(self):
         # zero gap plus perfect concordance collapses A*B - C^2 to zero
-        p = MedianParams.from_primitives(100, 10, 50.0, 50.0, 0.01, 0.01, 1.0)
+        p = MedianParams(100, 10, 50.0, 50.0, 0.01, 0.01, 1.0)
         with pytest.raises(DegenerateOptimumError):
             quadratic_weights(p, alpha=p.k_c, eta=0.0, lam=1.0)
         with pytest.raises(DegenerateOptimumError):
@@ -292,7 +292,7 @@ class TestPre:
 
     def test_zero_gap_perfect_concordance_rows(self):
         """b = 0, rho_c = 1: M_d and M_d2 leave a 7.1e-15 residue, PRE inf."""
-        p = MedianParams.from_primitives(1000, 100, 80.0, 80.0, 0.01, 0.012, 1.0)
+        p = MedianParams(1000, 100, 80.0, 80.0, 0.01, 0.012, 1.0)
         with pytest.warns(InfiniteEfficiencyWarning):
             rows = {r.estimator: r for r in table_rows(p, ["M_d", "M_d2"])}
         for row in rows.values():
@@ -416,7 +416,7 @@ class TestCatalogueAgreesWithOracles:
     @pytest.mark.parametrize("kind", ["default", "t_mq7", "random"])
     def test_coinciding_medians(self, rho_c, kind):
         """b = 0, also with |rho_c| = 1 where the optima take their limit."""
-        p = MedianParams.from_primitives(1000, 100, 80.0, 80.0, 0.01, 0.012, rho_c)
+        p = MedianParams(1000, 100, 80.0, 80.0, 0.01, 0.012, rho_c)
         scalars = _tmq_scalars(p, kind, np.random.default_rng(10))
         _assert_catalogue_matches_oracles(p, scalars)
 

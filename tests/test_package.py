@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
+import pytest
+
 import medaux
 from medaux import errors, estimators, expansion, montecarlo, mse, population
 
@@ -22,5 +27,48 @@ def test_every_exported_name_resolves():
 
 
 def test_module_level_public_names_are_exported():
-    for name in ("FAMILIES", "TABLE_ALL_IDS", "ExpConstants", "UnknownEstimatorError"):
+    for name in ("FAMILIES", "TABLE_ALL_IDS", "ExpansionCoeffs", "UnknownEstimatorError"):
         assert name in medaux.__all__
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (medaux.MedianParams, "from_primitives"),  # call the constructor
+        (medaux, "ExpConstants"),  # read the coefficients from coeffs_of
+        (medaux, "exp_constants"),
+        (medaux, "DegeneratePivotWarning"),  # the package never raised it
+    ],
+)
+def test_removed_names_stay_removed(owner, name):
+    assert not hasattr(owner, name)
+    assert all(name not in module.__all__ for module in MODULES)
+
+
+def _raised_warned_or_caught(tree: ast.AST) -> set[str]:
+    """Names a module raises, catches, warns with, or fails a precondition
+    with (``ops.fail_if``/``ops.require`` raise through the float backend)."""
+    found: list[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            found.append(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            found.extend(getattr(node.type, "elts", [node.type]))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if called in ("warn", "fail_if", "require"):
+                found.extend(node.args)
+    return {node.id for node in found if isinstance(node, ast.Name)}
+
+
+def test_every_error_class_is_used_outside_its_module():
+    src = pathlib.Path(errors.__file__).parent
+    used = set().union(
+        *(
+            _raised_warned_or_caught(ast.parse(path.read_text()))
+            for path in sorted(src.glob("*.py"))
+            if path.name != "errors.py"
+        )
+    )
+    assert set(errors.__all__) - used == set()

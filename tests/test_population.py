@@ -234,20 +234,20 @@ class TestMedianParams:
 
     def test_rho_to_p11_mapping(self):
         for rho, p11 in ((-1.0, 0.0), (0.0, 0.25), (1.0, 0.5)):
-            p = MedianParams.from_primitives(100, 10, 50.0, 40.0, 0.01, 0.01, rho)
+            p = MedianParams(100, 10, 50.0, 40.0, 0.01, 0.01, rho)
             assert math.isclose(p.p11, p11, abs_tol=1e-15)
 
     def test_invalid_sample_size(self):
         with pytest.raises(DomainError):
-            MedianParams.from_primitives(10, 10, 50.0, 40.0, 0.01, 0.01, 0.0)
+            MedianParams(10, 10, 50.0, 40.0, 0.01, 0.01, 0.0)
 
     def test_nonpositive_density(self):
         with pytest.raises(DomainError):
-            MedianParams.from_primitives(100, 10, 50.0, 40.0, 0.0, 0.01, 0.0)
+            MedianParams(100, 10, 50.0, 40.0, 0.0, 0.01, 0.0)
 
     def test_rho_out_of_range(self):
         with pytest.raises(DomainError):
-            MedianParams.from_primitives(100, 10, 50.0, 40.0, 0.01, 0.01, 1.5)
+            MedianParams(100, 10, 50.0, 40.0, 0.01, 0.01, 1.5)
 
     def test_constructor_takes_the_seven_primitives(self):
         names = [f.name for f in fields(MedianParams) if f.init]
@@ -259,7 +259,7 @@ class TestMedianParams:
 
     def test_fields_derive_from_primitives(self):
         p = MedianParams(100, 10, 50.0, 40.0, 0.02, 0.01, 0.6)
-        assert p == MedianParams.from_primitives(100, 10, 50.0, 40.0, 0.02, 0.01, 0.6)
+        assert p == MedianParams(100, 10, 50.0, 40.0, 0.02, 0.01, 0.6)
         assert list(p.as_dict()) == [f.name for f in fields(MedianParams)]
         assert (p.p11, p.f, p.gamma) == (0.4, 0.1, 0.9 / 40.0)
         assert (p.cv_y, p.cv_x, p.median_ratio) == (1.0, 2.5, 0.8)
@@ -267,7 +267,7 @@ class TestMedianParams:
 
     def test_replace_rederives(self, pop1):
         moved = replace(pop1, rho_c=0.5)
-        assert moved == MedianParams.from_primitives(
+        assert moved == MedianParams(
             69, 17, 2068.0, 2011.0, 0.00014, 0.00014, 0.5
         )
         assert moved.p11 == 0.375 and moved.k_c == 0.5 * pop1.cv_y / pop1.cv_x
@@ -279,17 +279,17 @@ class TestMedianParams:
     def test_zero_median_is_domain_error(self):
         message = r"^median_y must be finite and positive, got 0\.0$"
         with pytest.raises(DomainError, match=message):
-            MedianParams.from_primitives(100, 10, 0, 40.0, 0.01, 0.01, 0.0)
+            MedianParams(100, 10, 0, 40.0, 0.01, 0.01, 0.0)
 
     def test_underflowing_cv_is_domain_error(self):
         with pytest.raises(DomainError, match="cv_y must be finite and positive"):
-            MedianParams.from_primitives(100, 10, 1e-200, 40.0, 1e-200, 0.01, 0.0)
+            MedianParams(100, 10, 1e-200, 40.0, 1e-200, 0.01, 0.0)
         with pytest.raises(DomainError, match="cv_x must be finite and positive"):
-            MedianParams.from_primitives(100, 10, 50.0, 1e200, 0.01, 1e200, 0.0)
+            MedianParams(100, 10, 50.0, 1e200, 0.01, 1e200, 0.0)
 
     def test_non_integer_sample_size(self):
         with pytest.raises(DomainError, match="must be integers"):
-            MedianParams.from_primitives(100, 10.5, 50.0, 40.0, 0.01, 0.01, 0.0)
+            MedianParams(100, 10.5, 50.0, 40.0, 0.01, 0.01, 0.0)
 
 
 def _rho_c(x: list[float], y: list[float]) -> float:
