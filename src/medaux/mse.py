@@ -1,16 +1,18 @@
 """Analytic table rows, efficiencies and dominance checks.
 
-Every minimum MSE here comes from one route, the estimator catalogue: a
-named spec's free scalars are set to their first-order optimum by
-:func:`medaux.estimators.resolve_weights`, and its MSE follows from its own
-expansion coefficients, ``mse_from_coeffs(coeffs_of(resolve_weights(spec)))``.
-:func:`table_rows` and :func:`dominance_checks` share that route, so a
-dominance margin is exactly the difference of two table values.
+Every analytic MSE and bias comes from one function, :func:`analytic_figures`,
+which :func:`table_rows`, :func:`dominance_checks` and
+:func:`medaux.montecarlo.run_simulation` all call.  A named estimator's
+figures are the first-order MSE and bias of its spec with the free scalars
+at their optimum (see :func:`medaux.estimators.resolve_weights`), from its
+own expansion coefficients, ``mse_from_coeffs(coeffs_of(spec))``.  So a
+dominance margin is exactly the difference of two table values, and
+``simulate`` reports the values ``table`` does.
 
 The one paper formula kept is :func:`min_mse_ss4`, the scaled shrinkage
 minimum.  The published value keeps a second-order term of the scaling
-factor that the first-order calculus drops, so the ``M_d4`` row and the two
-scaled-shrinkage checks use it instead of the catalogue.
+factor that the first-order calculus drops, so :func:`analytic_figures`
+gives ``M_d4`` that formula, with no bias, instead of the catalogue value.
 
 The paper's other closed forms (the difference, shrinkage and two-weight
 minima, e.g. ``b^2 * V_res / (b^2 + V_res)`` for the two-weight class with
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .errors import DomainError, InfiniteEfficiencyWarning
@@ -32,18 +35,13 @@ from .estimators import (
     preset,
     resolve_weights,
 )
-from .expansion import (
-    ErrorMoments,
-    ExpansionCoeffs,
-    bias_from_coeffs,
-    error_moments,
-    mse_from_coeffs,
-)
+from .expansion import bias_from_coeffs, error_moments, mse_from_coeffs
 from .population import MedianParams
 
 __all__ = [
     "MseReportRow",
     "DominanceResult",
+    "analytic_figures",
     "min_mse_ss4",
     "pre",
     "sample_median_mse",
@@ -114,9 +112,31 @@ def pre(analytic_mse: float, baseline_var: float) -> float:
     return 100.0 * baseline_var / analytic_mse
 
 
-def _optimal_coeffs(spec: EstimatorSpec, params: MedianParams) -> ExpansionCoeffs:
-    """Expansion coefficients of ``spec`` with its free scalars at their optimum."""
-    return coeffs_of(resolve_weights(spec, params), params)
+def analytic_figures(
+    params: MedianParams,
+    names: Sequence[str],
+    resolved: Callable[[str], EstimatorSpec],
+    delta: float,
+) -> list[tuple[float, float | None]]:
+    """Analytic (MSE, bias) of each named estimator, in order.
+
+    ``resolved(name)`` is the estimator's spec with its free scalars at
+    their optimum; its figures are the first-order MSE and bias from its
+    expansion coefficients, with the error moments computed once.  ``M_d4``
+    is the one exception: its MSE is :func:`min_mse_ss4` at exponent
+    ``delta``, its bias is None, and ``resolved`` is not called for it.
+    """
+    moments = error_moments(params)
+    figures: list[tuple[float, float | None]] = []
+    for name in names:
+        if name == "M_d4":
+            figures.append((min_mse_ss4(params, delta=delta), None))
+        else:
+            coeffs = coeffs_of(resolved(name), params)
+            figures.append(
+                (mse_from_coeffs(coeffs, moments), bias_from_coeffs(coeffs, moments))
+            )
+    return figures
 
 
 # ---------------------------------------------------------------------------
@@ -138,69 +158,54 @@ def dominance_checks(
 ) -> list[DominanceResult]:
     """Evaluate the five efficiency orderings numerically, with margins.
 
-    Each minimum is the catalogue value that :func:`table_rows` reports: the
-    difference bound is ``M_d``, the two-weight class ``t_m``, the shrinkage
-    difference ``M_d2``, and the single-weight class a ``ratio_exp`` spec
-    with w2 = 0 at ``tmq_scalars`` = (alpha, eta, lam).  By default its
-    slope is set to its own optimum a = k_c, matching the at-the-optimum
-    comparison.  The scaled shrinkage minimum is :func:`min_mse_ss4` at
-    exponent ``delta``.  Ties within 1e-12 relative report
+    Each minimum is the :func:`analytic_figures` value that
+    :func:`table_rows` reports: the difference bound is ``M_d``, the
+    two-weight class ``t_m``, the shrinkage difference ``M_d2``, the scaled
+    shrinkage ``M_d4`` at exponent ``delta``, and the single-weight class a
+    ``ratio_exp`` spec with w2 = 0 at ``tmq_scalars`` = (alpha, eta, lam).
+    By default its slope is set to its own optimum a = k_c, matching the
+    at-the-optimum comparison.  Ties within 1e-12 relative report
     ``satisfied=None``.
     """
     if tmq_scalars is None:
         tmq_scalars = (params.k_c, 0.0, 1.0)
     alpha, eta, lam = tmq_scalars
     tmq = EstimatorSpec(family=RATIO_EXP, w2=0.0, alpha=alpha, eta=eta, lam=lam)
-    moments = error_moments(params)
-
-    def min_mse(spec: EstimatorSpec) -> float:
-        return mse_from_coeffs(_optimal_coeffs(spec, params), moments)
-
-    m_d = min_mse(preset("M_d"))
-    m_tm = min_mse(preset("t_m"))
-    m_tmq = min_mse(tmq)
-    m_ss2 = min_mse(preset("M_d2"))
-    m_ss4 = min_mse_ss4(params, delta=delta)
+    specs = {"M_d": preset("M_d"), "t_m": preset("t_m"), "t_mq": tmq, "M_d2": preset("M_d2")}
+    names = (*specs, "M_d4")
+    figures = analytic_figures(
+        params, names, lambda name: resolve_weights(specs[name], params), delta
+    )
+    minimum = {name: mse for name, (mse, _) in zip(names, figures)}
 
     R = params.median_ratio
     degenerate = "degenerate pivot: R = 1" if R == 1.0 else ""
-
-    results = [
-        DominanceResult(
-            name="tm_vs_difference",
-            description="two-weight class beats the optimal difference estimator",
-            satisfied=_verdict(m_d - m_tm, m_d),
-            margin=m_d - m_tm,
-            note=degenerate,
-        ),
-        DominanceResult(
-            name="tmq_vs_difference",
-            description="single-weight class beats the optimal difference estimator",
-            satisfied=_verdict(m_d - m_tmq, m_d),
-            margin=m_d - m_tmq,
-            note=degenerate,
-        ),
-        DominanceResult(
-            name="tm_vs_shrink_diff",
-            description="two-weight class beats the two-weight shrinkage difference",
-            satisfied=_verdict(m_ss2 - m_tm, m_ss2),
-            margin=m_ss2 - m_tm,
-            note=(degenerate or ("outside validity range 0 < R < 2" if not 0 < R < 2 else "")),
-        ),
-        DominanceResult(
-            name="shrink_scaled_vs_shrink_diff",
-            description="scaled shrinkage difference beats the plain one",
-            satisfied=_verdict(m_ss2 - m_ss4, m_ss2),
-            margin=m_ss2 - m_ss4,
-        ),
-        DominanceResult(
-            name="tm_vs_shrink_scaled",
-            description="two-weight class beats the scaled shrinkage difference",
-            satisfied=_verdict(m_ss4 - m_tm, m_ss4),
-            margin=m_ss4 - m_tm,
-            note=degenerate,
-        ),
-    ]
+    outside = "outside validity range 0 < R < 2" if not 0 < R < 2 else ""
+    # (name, description, larger minimum, smaller minimum, note)
+    checks = (
+        ("tm_vs_difference", "two-weight class beats the optimal difference estimator",
+         "M_d", "t_m", degenerate),
+        ("tmq_vs_difference", "single-weight class beats the optimal difference estimator",
+         "M_d", "t_mq", degenerate),
+        ("tm_vs_shrink_diff", "two-weight class beats the two-weight shrinkage difference",
+         "M_d2", "t_m", degenerate or outside),
+        ("shrink_scaled_vs_shrink_diff", "scaled shrinkage difference beats the plain one",
+         "M_d2", "M_d4", ""),
+        ("tm_vs_shrink_scaled", "two-weight class beats the scaled shrinkage difference",
+         "M_d4", "t_m", degenerate),
+    )
+    results = []
+    for name, description, larger, smaller, note in checks:
+        margin = minimum[larger] - minimum[smaller]
+        results.append(
+            DominanceResult(
+                name=name,
+                description=description,
+                satisfied=_verdict(margin, minimum[larger]),
+                margin=margin,
+                note=note,
+            )
+        )
     return results
 
 
@@ -229,33 +234,6 @@ TABLE_ALL_IDS = (
 )
 
 
-def _row(
-    params: MedianParams,
-    est_id: str,
-    delta: float,
-    moments: ErrorMoments,
-    baseline: float,
-) -> MseReportRow:
-    name = canonical_name(est_id)
-    bias: float | None
-    if name == "M_d4":
-        # the published M_d4 value keeps a second-order term of the scaling
-        # factor that the first-order calculus drops, so this row is the
-        # paper's formula; the catalogue route gives the M_d2 minimum instead
-        mse = min_mse_ss4(params, delta=delta)
-        bias = None
-    else:
-        coeffs = _optimal_coeffs(preset(name, params), params)
-        mse = mse_from_coeffs(coeffs, moments)
-        bias = bias_from_coeffs(coeffs, moments)
-    return MseReportRow(
-        estimator=name,
-        analytic_mse=mse,
-        analytic_bias=bias,
-        pre_vs_sample_median=pre(mse, baseline),
-    )
-
-
 def table_rows(
     params: MedianParams,
     ids="all",
@@ -263,17 +241,24 @@ def table_rows(
 ) -> list[MseReportRow]:
     """Analytic table rows for the requested estimator ids (or ``"all"``).
 
-    Each row is the first-order MSE and bias of the named estimator with its
-    free scalars resolved to their optimum: the route
-    ``coeffs_of(resolve_weights(preset(name)))`` that
-    :func:`medaux.montecarlo.run_simulation` reports as well.  ``M_d4`` is
-    the one exception: its row is :func:`min_mse_ss4` at exponent ``delta``,
-    with no bias.
+    Each row is the :func:`analytic_figures` MSE and bias of the named
+    preset, resolved to its optimum, with ``M_d4`` at exponent ``delta``.
     """
     if isinstance(ids, str):
         if ids.strip().lower() != "all":
             raise DomainError("ids must be a sequence of names or the string 'all'")
         ids = TABLE_ALL_IDS
-    moments = error_moments(params)
+    names = [canonical_name(est_id) for est_id in ids]
+    figures = analytic_figures(
+        params, names, lambda name: resolve_weights(preset(name, params), params), delta
+    )
     baseline = sample_median_mse(params)
-    return [_row(params, est_id, delta, moments, baseline) for est_id in ids]
+    return [
+        MseReportRow(
+            estimator=name,
+            analytic_mse=mse,
+            analytic_bias=bias,
+            pre_vs_sample_median=pre(mse, baseline),
+        )
+        for name, (mse, bias) in zip(names, figures)
+    ]

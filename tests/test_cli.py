@@ -498,10 +498,10 @@ class TestSimulateCommand:
 
     def test_pre_matches_table(self, capsys, tmp_path):
         # y = x: the shrinkage rows have zero MSE, which both commands print
-        # as PRE inf with one warning; M_d4's table row is the paper formula
+        # as PRE inf with one warning; M_d4 is the paper formula, no bias
         pop = tmp_path / "equal.csv"
         pop.write_text("x,y\n" + "\n".join(f"{v},{v}" for v in range(1, 41)))
-        names = ",".join(n for n in PRESET_NAMES if n != "M_d4")
+        names = ",".join(PRESET_NAMES)
         code, out, err = run_cli(
             capsys, "simulate", "--input", str(pop), "--n", "10", "--reps", "5",
             "--estimators", names, "--format", "json",
@@ -517,9 +517,26 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert err == "warning: zero MSE: relative efficiency is unbounded\n"
-        simulated = [r["pre"] for r in doc["rows"]]
-        assert simulated == [r["pre"] for r in json.loads(table)["rows"]]
-        assert simulated.count(math.inf) > 1
+        columns = ("estimator", "analytic_mse", "analytic_bias", "pre")
+        simulated = [tuple(r[c] for c in columns) for r in doc["rows"]]
+        assert simulated == [tuple(r[c] for c in columns) for r in json.loads(table)["rows"]]
+        assert [r[3] for r in simulated].count(math.inf) > 1
+        assert [r[0] for r in simulated if r[2] is None] == ["M_d4"]
+
+    def test_overflowing_squared_errors_print_no_warning(self, capsys, tmp_path):
+        # M_r's squared errors overflow: the report says inf and nan, silently
+        pop = tmp_path / "tiny.csv"
+        pop.write_text("x,y\n" + "\n".join(
+            f"{1e-300 if i < 5 else 1.0},{i + 1}" for i in range(11)
+        ))
+        code, out, err = run_cli(
+            capsys, "simulate", "--input", str(pop), "--n", "4", "--reps", "300",
+            "--seed", "1", "--estimators", "M_y,M_r", "--format", "json",
+        )
+        assert code == 0
+        assert err == ""
+        m_r = json.loads(out)["detail"][1]
+        assert m_r["reps_used"] == 300 and math.isnan(m_r["mc_se_mse"])
 
 
 class TestCompareCommand:

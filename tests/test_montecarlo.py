@@ -157,6 +157,20 @@ class TestRunSimulation:
         assert result.failures > 0 and result.reps_used > 0
         assert math.isfinite(result.empirical_mse)
 
+    def test_overflowing_squared_errors_aggregate_silently(self):
+        # a sample median of x at 1e-300 makes M_r about 1e300: finite, but
+        # its squared error overflows
+        x = np.array([1e-300] * 5 + [1.0] * 6)
+        frame = PopulationFrame(x=x, y=np.arange(1.0, 12.0))
+        params = compute_params(frame, 4)
+        config = SimulationConfig(n=4, reps=300, seed=1, estimators=("M_y", "M_r"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m_y, m_r = run_simulation(frame, config, params).results
+        assert m_r.reps_used == 300 and math.isfinite(m_r.empirical_bias)
+        assert m_r.empirical_mse == math.inf and math.isnan(m_r.mc_se_mse)
+        assert math.isfinite(m_y.empirical_mse) and math.isfinite(m_y.mc_se_mse)
+
     def test_failures_counted_and_excluded(self):
         # more than half zeros makes many sample medians of x exactly zero
         x = np.concatenate([np.zeros(24), np.ones(12)])
@@ -254,10 +268,10 @@ class TestRunSimulation:
     def test_analytic_columns_match_table(self):
         frame = _small_frame(N=80, seed=6)
         params = compute_params(frame, 20)
-        names = tuple(n for n in PRESET_NAMES if n != "M_d4")
-        config = SimulationConfig(n=20, reps=2, seed=1, estimators=names)
+        config = SimulationConfig(n=20, reps=2, seed=1, estimators=PRESET_NAMES)
         report = run_simulation(frame, config, params)
-        for result, row in zip(report.results, table_rows(params, names)):
+        rows = table_rows(params, PRESET_NAMES)
+        for result, row in zip(report.results, rows, strict=True):
             assert result.analytic_mse == row.analytic_mse, row.estimator
             assert result.analytic_bias == row.analytic_bias, row.estimator
 

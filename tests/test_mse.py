@@ -336,15 +336,17 @@ class TestDominance:
         for p in [pop1, pop2] + [draw_params(rng) for _ in range(200)]:
             spec = preset("t_mq7", p)
             scalars = (spec.alpha, spec.eta, spec.lam)
-            margins = {c.name: c.margin for c in dominance_checks(p, tmq_scalars=scalars)}
-            mse = {r.estimator: r.analytic_mse for r in table_rows(p, names)}
-            assert margins == {
-                "tm_vs_difference": mse["M_d"] - mse["t_m"],
-                "tmq_vs_difference": mse["M_d"] - mse["t_mq7"],
-                "tm_vs_shrink_diff": mse["M_d2"] - mse["t_m"],
-                "shrink_scaled_vs_shrink_diff": mse["M_d2"] - mse["M_d4"],
-                "tm_vs_shrink_scaled": mse["M_d4"] - mse["t_m"],
-            }
+            for delta in (1.0, 0.9):
+                checks = dominance_checks(p, tmq_scalars=scalars, delta=delta)
+                margins = {c.name: c.margin for c in checks}
+                mse = {r.estimator: r.analytic_mse for r in table_rows(p, names, delta)}
+                assert margins == {
+                    "tm_vs_difference": mse["M_d"] - mse["t_m"],
+                    "tmq_vs_difference": mse["M_d"] - mse["t_mq7"],
+                    "tm_vs_shrink_diff": mse["M_d2"] - mse["t_m"],
+                    "shrink_scaled_vs_shrink_diff": mse["M_d2"] - mse["M_d4"],
+                    "tm_vs_shrink_scaled": mse["M_d4"] - mse["t_m"],
+                }
 
 
 def _tmq_scalars(p: MedianParams, kind: str, rng: np.random.Generator):

@@ -72,3 +72,23 @@ def test_every_error_class_is_used_outside_its_module():
         )
     )
     assert set(errors.__all__) - used == set()
+
+
+def _calls(path: pathlib.Path) -> list[str]:
+    """Names of the functions a module calls, by plain name or attribute."""
+    return [
+        node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+    ]
+
+
+def test_analytic_figures_have_one_route():
+    # run_simulation reads its analytic columns from mse.analytic_figures,
+    # and that function alone applies the M_d4 formula
+    src = pathlib.Path(mse.__file__).parent
+    analytic = {"coeffs_of", "mse_from_coeffs", "bias_from_coeffs", "min_mse_ss4"}
+    assert analytic.isdisjoint(_calls(src / "montecarlo.py"))
+    sites = [path.name for path in sorted(src.glob("*.py")) for name in _calls(path)
+             if name == "min_mse_ss4"]
+    assert sites == ["mse.py"]
