@@ -9,6 +9,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 data or computation error, 2 usage error.
 The default output format comes from ``MEDAUX_FORMAT`` (csv, json or md).
+
+``table``, ``compare``, ``params --params`` and usage errors run without
+numpy: the numpy modules (:mod:`medaux.montecarlo` and
+:mod:`medaux.population`) are imported only inside ``simulate`` and
+``params --input``, the commands that read raw data.
 """
 
 from __future__ import annotations
@@ -24,19 +29,10 @@ import warnings
 from dataclasses import asdict, fields
 from importlib.resources import files
 
-from . import montecarlo, mse
+from . import mse
 from .errors import MedauxError, UnknownEstimatorError
 from .estimators import RATIO_EXP, free_scalars, preset
-from .montecarlo import SimulationConfig, SyntheticSpec
-from .population import (
-    HistogramDensity,
-    KernelDensity,
-    KnownDensity,
-    MedianParams,
-    compute_params,
-    load_params,
-    load_population,
-)
+from .parameters import MedianParams, load_params
 
 COLUMNS = ("estimator", "analytic_mse", "analytic_bias", "empirical_mse", "pre")
 FORMATS = ("csv", "json", "md")
@@ -104,6 +100,8 @@ def _load_params_arg(value: str) -> MedianParams:
 
 
 def _density_methods(args) -> tuple:
+    from .population import HistogramDensity, KernelDensity, KnownDensity
+
     if args.density == "kernel":
         return KernelDensity(), KernelDensity()
     if args.density == "histogram":
@@ -129,6 +127,8 @@ def _estimator_list(value) -> tuple[str, ...]:
 
 
 def _parse_synthetic(text: str) -> SyntheticSpec:
+    from .montecarlo import SyntheticSpec
+
     kwargs: dict[str, float] = {}
     for part in text.split(","):
         if not part.strip():
@@ -170,6 +170,8 @@ def cmd_params(args) -> int:
     if args.input is not None:
         if args.n is None:
             raise MedauxError("--input requires --n")
+        from .population import compute_params, load_population
+
         frame = load_population(args.input)
         fy_m, fx_m = _density_methods(args)
         params = compute_params(frame, args.n, fy_m, fx_m)
@@ -222,6 +224,8 @@ def _int_setting(key: str, value) -> int:
 
 
 def _read_config(path: str) -> dict:
+    from .montecarlo import SimulationConfig
+
     with open(path, encoding="utf-8") as fh:
         try:
             file_cfg = json.load(fh)
@@ -240,8 +244,11 @@ def _read_config(path: str) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    from . import montecarlo
+    from .population import compute_params, load_population
+
     settings = _read_config(args.config) if args.config is not None else {}
-    for f in fields(SimulationConfig):  # a flag overrides the config file
+    for f in fields(montecarlo.SimulationConfig):  # a flag overrides the config file
         if getattr(args, f.name) is not None:
             settings[f.name] = getattr(args, f.name)
     if settings.get("n") is None or settings.get("reps") is None:
@@ -251,7 +258,7 @@ def cmd_simulate(args) -> int:
     for key in ("n", "reps", "seed"):
         if key in settings:
             settings[key] = _int_setting(key, settings[key])
-    config = SimulationConfig(**settings)
+    config = montecarlo.SimulationConfig(**settings)
 
     if args.input is not None:
         frame = load_population(args.input)

@@ -54,7 +54,7 @@ from .expansion import (
     k_const,
     moment_values,
 )
-from .population import MedianParams
+from .parameters import MedianParams
 
 __all__ = [
     "EstimatorSpec",
@@ -422,6 +422,9 @@ def ratio_exp_form(
     return RatioExpForm(b2=b2, W=W, A=b2 + W, B=B, C=C)
 
 
+# V_x = Mx^2 * gamma * cv_x^2 > 0 in exact arithmetic, but it can underflow
+_VX_ZERO = "optimal d2 undefined: V_x = Mx^2*var(e1) underflows to zero"
+
 # family -> the one free scalar that has an optimum when the other is pinned
 _CONDITIONAL_OPTIMA = {RATIO_EXP: ("w1",), SHRINK_DIFF: ("d2",)}
 
@@ -496,11 +499,13 @@ def optimal_weights(ops, spec: EstimatorSpec, params) -> dict:
         if d1 is None:
             My2 = ops.pow(My, 2)
             d1 = My2 / (My2 + vres)
+        ops.fail_if(vx == 0.0, SingularityError, _VX_ZERO)
         found = dict(d1=d1, d2=d1 * cyx / vx)
     elif fam == SHRINK_CONVEX:
         # b = 0 with |rho_c| = 1 leaves 0/0; the limit is weight 0, MSE 0
         b2 = ops.pow(b, 2)
         d1 = ratio_or(ops, b2, b2 + vres, 0.0)
+        ops.fail_if(vx == 0.0, SingularityError, _VX_ZERO)
         found = dict(d1=d1, d2=-d1 * cyx / vx)
     elif fam == SHRINK_DIFF_SCALED:
         den = spec.phi * Mx + spec.delta

@@ -32,11 +32,12 @@ test oracles in ``tests/oracles.py``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .arith import FLOATS
 from .errors import DomainError, SingularityError
-from .population import MedianParams
+from .parameters import MedianParams
 
 __all__ = [
     "ExpansionCoeffs",
@@ -86,6 +87,9 @@ def check_moments(ops, var_e0, var_e1, cov_e0e1) -> None:
                 "|cov|={!r} exceeds sqrt(var*var)={!r}", size, bound)
 
 
+_SQRT_MAX = math.sqrt(sys.float_info.max)  # x**2 overflows exactly for x above it
+
+
 def k_const(eta: float, lam: float, median_x: float, *, ops=FLOATS) -> float:
     """Exponential-adjustment constant k = eta*Mx / (2*(eta*Mx + lam)).
 
@@ -105,7 +109,14 @@ def error_moments(params: MedianParams) -> ErrorMoments:
 
 
 def moment_values(ops, params) -> tuple:
-    """(var_e0, var_e1, cov_e0e1) of :func:`error_moments`, unchecked, by ``ops``."""
+    """(var_e0, var_e1, cov_e0e1) of :func:`error_moments`, by ``ops``.
+
+    A cv whose square overflows fails with :class:`DomainError`; the
+    :class:`ErrorMoments` checks are not applied.
+    """
+    for name, cv in (("cv_y", params.cv_y), ("cv_x", params.cv_x)):
+        ops.fail_if(cv > _SQRT_MAX, DomainError,
+                    "{} = {!r} is too large: its square overflows", name, cv)
     g = params.gamma
     return (
         g * ops.pow(params.cv_y, 2),

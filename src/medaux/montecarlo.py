@@ -37,13 +37,8 @@ from .estimators import (
     resolve_weights,
 )
 from .mse import analytic_figures
-from .population import (
-    MedianParams,
-    PopulationFrame,
-    _kernel_density_rows,
-    derive_params,
-    finite_median,
-)
+from .parameters import MedianParams, derive_params
+from .population import PopulationFrame, _kernel_density_rows, finite_median
 
 __all__ = [
     "SimulationConfig",

@@ -36,7 +36,7 @@ from .estimators import (
     resolve_weights,
 )
 from .expansion import bias_from_coeffs, error_moments, mse_from_coeffs
-from .population import MedianParams
+from .parameters import MedianParams
 
 __all__ = [
     "MseReportRow",

@@ -1,44 +1,30 @@
-"""Finite populations and the parameter vector driving every analytic formula.
+"""Finite populations: frames, point densities and parameter extraction.
 
-The estimation problem pairs a study variable y (median unknown) with an
-auxiliary variable x (median known for the whole population).  Everything the
-closed-form machinery needs is condensed into :class:`MedianParams`:
+A :class:`PopulationFrame` holds the paired ``(x, y)`` values of all N units,
+read from CSV by :func:`load_population`.  :func:`compute_params` condenses a
+frame into the :class:`~medaux.parameters.MedianParams` vector: the two
+medians, the densities at them (Gaussian kernel, histogram, or a known value)
+and the concordance share ``p11`` of units at or below both medians.
 
-* the two finite-population medians and the marginal densities at them,
-* the median coefficients of variation ``cv = 1 / (median * density)``,
-* the concordance correlation ``rho_c = 4 * p11 - 1`` where ``p11`` is the
-  share of units at or below both medians,
-* the design factor ``gamma = (1 - n/N) / (4n)`` that scales all
-  first-order variances under simple random sampling without replacement.
-
-Parameters can be extracted from raw ``(x, y)`` data or loaded from a flat
-JSON object: the seven primitive quantities, and optionally the eight derived
-ones as ``medaux params --format json`` writes them, each checked against the
-primitives.  The constructor takes only the seven; it validates them and then
-derives the other eight fields itself, so a derived value is never passed in.
+This is the numpy half of the population code; the parameter vector and its
+JSON loader are pure Python in :mod:`medaux.parameters`, so that the analytic
+path never imports numpy.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from dataclasses import dataclass, field, fields
-from typing import IO, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
-from .arith import FLOATS, ratio_or
-from .errors import (
-    DegenerateSampleError,
-    DomainError,
-    ParseError,
-    SchemaError,
-)
+from .errors import DegenerateSampleError, DomainError, ParseError
+# load_params is unused here; it stays importable as medaux.population.load_params
+from .parameters import MedianParams, Source, _read_text, load_params  # noqa: F401
 
 __all__ = [
     "PopulationFrame",
-    "MedianParams",
     "KernelDensity",
     "HistogramDensity",
     "KnownDensity",
@@ -47,7 +33,6 @@ __all__ = [
     "finite_median",
     "density_at",
     "compute_params",
-    "load_params",
 ]
 
 
@@ -84,88 +69,6 @@ class PopulationFrame:
     @property
     def N(self) -> int:
         return int(self.x.size)
-
-
-@dataclass(frozen=True)
-class MedianParams:
-    """Population parameter vector consumed by all analytic formulas.
-
-    The constructor takes the seven primitives; the eight fields after them
-    are derived in ``__post_init__`` once the primitives pass validation, so
-    ``dataclasses.replace`` on a primitive re-derives the rest.
-    """
-
-    N: int
-    n: int
-    median_y: float
-    median_x: float
-    fy_at_median: float
-    fx_at_median: float
-    rho_c: float
-    p11: float = field(init=False)
-    f: float = field(init=False)
-    gamma: float = field(init=False)
-    cv_y: float = field(init=False)
-    cv_x: float = field(init=False)
-    median_ratio: float = field(init=False)
-    median_gap: float = field(init=False)
-    k_c: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        N, n = int(self.N), int(self.n)
-        if (N, n) != (self.N, self.n):
-            raise DomainError(
-                f"N and n must be integers, got n={self.n!r}, N={self.N!r}"
-            )
-        primitives = (self.median_y, self.median_x, self.fy_at_median,
-                      self.fx_at_median, self.rho_c)
-        reals = tuple(map(float, primitives))
-        if N < 2 or not (0 < n < N):
-            raise DomainError(f"need 0 < n < N with N >= 2, got n={n}, N={N}")
-        values = derive_params(FLOATS, N, n, *reals, gap=self.median_y - self.median_x)
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-
-    def as_dict(self) -> dict[str, float]:
-        """All fields, primitives first, in a stable order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def derive_params(ops, N, n, median_y, median_x, fy, fx, rho_c, gap=None) -> dict:
-    """Every :class:`MedianParams` field from the primitives, by ``ops``.
-
-    Runs the constructor's checks on the five real primitives with their
-    messages, then derives the other eight fields.  ``gap`` is the median
-    gap taken from the medians as given (two integer medians keep an integer
-    gap); it defaults to ``median_y - median_x``.
-    """
-    for name, v in (("median_y", median_y), ("median_x", median_x)):
-        ops.require(ops.isfinite(v) & (v > 0), DomainError,
-                    "{} must be finite and positive, got {!r}", name, v)
-    for name, v in (("fy_at_median", fy), ("fx_at_median", fx)):
-        ops.require(ops.isfinite(v) & (v > 0), DomainError,
-                    "{} must be a positive density, got {!r}", name, v)
-    ops.require((-1.0 <= rho_c) & (rho_c <= 1.0), DomainError,
-                "rho_c must lie in [-1, 1], got {!r}", rho_c)
-    f = n / N
-    # median * density can underflow to 0 (or overflow, giving cv 0)
-    cv_y = ratio_or(ops, 1.0, median_y * fy, math.inf)
-    cv_x = ratio_or(ops, 1.0, median_x * fx, math.inf)
-    for name, v in (("cv_y", cv_y), ("cv_x", cv_x)):
-        ops.require(ops.isfinite(v) & (v > 0), DomainError,
-                    "{} must be finite and positive, got {!r}", name, v)
-    return {
-        "N": N, "n": n, "median_y": median_y, "median_x": median_x,
-        "fy_at_median": fy, "fx_at_median": fx, "rho_c": rho_c,
-        "p11": (1.0 + rho_c) / 4.0,
-        "f": f,
-        "gamma": (1.0 - f) / (4.0 * n),
-        "cv_y": cv_y,
-        "cv_x": cv_x,
-        "median_ratio": median_x / median_y,
-        "median_gap": median_y - median_x if gap is None else gap,
-        "k_c": rho_c * cv_y / cv_x,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -307,23 +210,6 @@ def compute_params(
 # Input parsing
 # ---------------------------------------------------------------------------
 
-Source = Union[str, bytes, os.PathLike, IO]
-
-
-def _read_text(source: Source) -> str:
-    if isinstance(source, bytes):
-        try:
-            return source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc}") from exc
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            return _read_text(fh.read())
-    data = source.read()
-    if isinstance(data, bytes):
-        return _read_text(data)
-    return data
-
 
 def load_population(source: Source) -> PopulationFrame:
     """Parse a population CSV with header ``x,y``.
@@ -365,53 +251,3 @@ def load_population(source: Source) -> PopulationFrame:
             f"population needs at least 2 rows, got {len(columns['x'])}"
         )
     return PopulationFrame(x=np.array(columns["x"]), y=np.array(columns["y"]))
-
-
-_PARAM_KEYS = tuple(f.name for f in fields(MedianParams) if f.init)
-_DERIVED_KEYS = tuple(f.name for f in fields(MedianParams) if not f.init)
-
-
-def _number(doc: dict, key: str) -> int | float:
-    v = doc[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise SchemaError(f"params key {key!r} must be numeric, got {v!r}")
-    return v
-
-
-def load_params(source: Source) -> MedianParams:
-    """Load :class:`MedianParams` from a flat JSON object.
-
-    The seven primitive keys are required.  The eight derived keys may be
-    present, as ``medaux params --format json`` writes them; each must agree
-    with the value derived from the primitives.  Any other key, or a derived
-    key that disagrees, raises :class:`SchemaError`.
-    """
-    text = _read_text(source)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("params document must be a JSON object")
-
-    missing = [k for k in _PARAM_KEYS if k not in doc]
-    if missing:
-        raise SchemaError(f"params file is missing required keys: {missing}")
-    unknown = [k for k in doc if k not in _PARAM_KEYS + _DERIVED_KEYS]
-    if unknown:
-        raise SchemaError(f"params file carries unknown keys: {unknown}")
-
-    values = {key: _number(doc, key) for key in _PARAM_KEYS}
-    for key in ("N", "n"):
-        if isinstance(values[key], float) and not values[key].is_integer():
-            raise SchemaError(f"params key {key!r} must be an integer")
-
-    params = MedianParams(**values)
-    for key in _DERIVED_KEYS:
-        if key in doc:
-            stored, derived = _number(doc, key), getattr(params, key)
-            if not math.isclose(stored, derived, rel_tol=1e-4, abs_tol=1e-9):
-                raise SchemaError(
-                    f"params key {key!r} is {stored!r}, the primitives give {derived!r}"
-                )
-    return params

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from medaux import (
     FAMILIES,
     PRESET_NAMES,
+    DomainError,
     EstimatorSpec,
     MedauxError,
     MedianParams,
@@ -223,7 +224,7 @@ def test_plug_in_overflow_fails_its_row_only():
     got = _estimate_columns(params, specs, True, my, mx, extras)
     assert np.isfinite(got[0]).all()
     assert np.isnan(got[1, :2]).all() and got[1, 2] == 10.0
-    with pytest.raises(OverflowError):
+    with pytest.raises(DomainError, match="^cv_x = .* is too large: its square overflows$"):
         hat = MedianParams(1000, 50, 10.0, 8.0, 0.1, 1e-300, 0.6)
         resolve_weights(specs[0], hat)
 

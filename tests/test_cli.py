@@ -233,8 +233,9 @@ class TestTableCommand:
     @pytest.mark.parametrize(
         "values, what",
         [
-            ({"median_y": 0.5, "fx_at_median": 1e300}, "division by zero"),
-            ({"median_y": 1, "fx_at_median": 1e-300, "rho_c": -1}, "overflow"),
+            # a median near 1e-300 squares to 0; one of 1e160 squares past the range
+            ({"median_y": 1e-300, "fy_at_median": 1e300}, "division by zero"),
+            ({"median_x": 1e160}, "overflow"),
         ],
     )
     def test_arithmetic_error_is_one_line(self, capsys, tmp_path, values, what):
@@ -244,6 +245,26 @@ class TestTableCommand:
         assert code == 1
         assert out == ""
         assert err == f"error: numeric {what} on extreme parameter values\n"
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"median_y": 0.5, "fx_at_median": 1e300},
+             "optimal d2 undefined: V_x = Mx^2*var(e1) underflows to zero"),
+            ({"median_y": 1, "fx_at_median": 1e-300, "rho_c": -1},
+             "cv_x = 4.9726504226752854e+296 is too large: its square overflows"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["table", "compare"])
+    def test_underflowing_or_overflowing_cv_is_package_error(
+        self, capsys, tmp_path, command, values, message
+    ):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({**POP_I, **values}), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--params", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_library_warning_is_one_line(self, capsys, tmp_path):
         params = _coinciding_medians(tmp_path, 0.3)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from medaux import (
     k_const,
     mse_from_coeffs,
 )
+from medaux.arith import FLOATS
+from medaux.expansion import moment_values
 
 
 class TestKConst:
@@ -96,6 +100,17 @@ class TestErrorMoments:
     def test_invalid_covariance_bound(self):
         with pytest.raises(DomainError):
             ErrorMoments(var_e0=1.0, var_e1=1.0, cov_e0e1=1.5)
+
+    @pytest.mark.parametrize("name", ["cv_y", "cv_x"])
+    def test_cv_whose_square_overflows_is_domain_error(self, name):
+        # the largest float whose square is finite, and the next one up
+        edge = math.sqrt(sys.float_info.max)
+        fields = dict(gamma=0.01, cv_y=1.0, cv_x=1.0, rho_c=0.0)
+        moments = moment_values(FLOATS, SimpleNamespace(**{**fields, name: edge}))
+        assert all(math.isfinite(v) for v in moments)
+        above = SimpleNamespace(**{**fields, name: math.nextafter(edge, math.inf)})
+        with pytest.raises(DomainError, match=f"^{name} = .* its square overflows$"):
+            moment_values(FLOATS, above)
 
 
 class TestBiasFromCoeffs:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from medaux import (
     EstimatorSpec,
     InfiniteEfficiencyWarning,
     MedianParams,
+    SingularityError,
     UnknownEstimatorError,
     bias_from_coeffs,
     coeffs_of,
@@ -440,6 +442,25 @@ class TestTableRows:
     def test_unknown_estimator(self, pop1):
         with pytest.raises(UnknownEstimatorError):
             table_rows(pop1, ["nope"])
+
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            # var(e1) underflows to 0, and the d2 optima divide by V_x
+            ({"median_y": 0.5, "fx_at_median": 1e300}, SingularityError,
+             "optimal d2 undefined: V_x = Mx^2*var(e1) underflows to zero"),
+            ({"median_y": 1, "fx_at_median": 1e-300, "rho_c": -1}, DomainError,
+             "cv_x = 4.9726504226752854e+296 is too large: its square overflows"),
+        ],
+    )
+    @pytest.mark.parametrize("ids", [["M_d"], ["M_d2"], ["M_d3"], None])
+    def test_extreme_parameters_raise_package_errors(
+        self, pop1, values, error, message, ids
+    ):
+        params = replace(pop1, **values)
+        with pytest.raises(error) as info:
+            table_rows(params, ids) if ids else dominance_checks(params)
+        assert str(info.value) == message
 
     def test_classical_rows_collapse_to_difference_bound(self, pop1):
         for name in ("M_1", "M_2", "M_3", "M_4", "M_5", "M_6", "M_7", "M_lr"):

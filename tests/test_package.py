@@ -1,16 +1,39 @@
-"""The package namespace is the union of its modules' public names."""
+"""The package namespace is the union of its modules' public names, and the
+analytic path imports no numpy."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import medaux
-from medaux import errors, estimators, expansion, montecarlo, mse, population
+from medaux import errors, estimators, expansion, montecarlo, mse, parameters, population
 
-MODULES = (population, expansion, estimators, mse, montecarlo, errors)
+MODULES = (parameters, population, expansion, estimators, mse, montecarlo, errors)
+
+PUBLIC_NAMES = {
+    "__version__",
+    "PopulationFrame", "MedianParams", "KernelDensity", "HistogramDensity",
+    "KnownDensity", "DensityMethod", "load_population", "finite_median",
+    "density_at", "compute_params", "load_params",
+    "ExpansionCoeffs", "ErrorMoments", "k_const", "error_moments",
+    "bias_from_coeffs", "mse_from_coeffs",
+    "EstimatorSpec", "SampleStats", "FAMILIES", "PRESET_NAMES", "evaluate",
+    "coeffs_of", "preset", "resolve_weights", "free_scalars",
+    "MseReportRow", "DominanceResult", "analytic_figures", "min_mse_ss4", "pre",
+    "sample_median_mse", "dominance_checks", "table_rows", "TABLE_ALL_IDS",
+    "SimulationConfig", "SyntheticSpec", "EstimatorResult", "SimulationReport",
+    "srswor", "run_simulation", "make_synthetic",
+    "MedauxError", "ParseError", "SchemaError", "DomainError",
+    "DegenerateSampleError", "SingularityError", "DegenerateOptimumError",
+    "UnknownEstimatorError", "InfiniteEfficiencyWarning",
+}
 
 
 def test_all_is_union_of_module_exports():
@@ -24,6 +47,12 @@ def test_every_exported_name_resolves():
         for name in module.__all__:
             assert getattr(medaux, name) is getattr(module, name), name
     assert isinstance(medaux.__version__, str)
+
+
+def test_public_names_are_listed_and_visible():
+    assert len(PUBLIC_NAMES) == 52
+    assert set(medaux.__all__) == PUBLIC_NAMES
+    assert PUBLIC_NAMES <= set(dir(medaux))
 
 
 def test_module_level_public_names_are_exported():
@@ -92,3 +121,91 @@ def test_analytic_figures_have_one_route():
     sites = [path.name for path in sorted(src.glob("*.py")) for name in _calls(path)
              if name == "min_mse_ss4"]
     assert sites == ["mse.py"]
+
+
+# ---------------------------------------------------------------------------
+# The analytic path imports no numpy
+# ---------------------------------------------------------------------------
+
+NUMPY_MODULES = {"numpy", "montecarlo", "population"}
+
+
+def _import_time_imports(node: ast.AST):
+    """Every module part and name an import outside a function body names."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.Import):
+            for alias in child.names:
+                yield from alias.name.split(".")
+        elif isinstance(child, ast.ImportFrom):
+            yield from (child.module or "").split(".")
+            yield from (alias.name for alias in child.names)
+        else:
+            yield from _import_time_imports(child)
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["__init__", "arith", "errors", "estimators", "expansion", "mse", "parameters", "cli"],
+)
+def test_analytic_modules_import_no_numpy_module(module):
+    path = pathlib.Path(medaux.__file__).parent / f"{module}.py"
+    assert NUMPY_MODULES.isdisjoint(_import_time_imports(ast.parse(path.read_text())))
+
+
+def _loaded_after(code: str) -> list:
+    """Run ``code`` in a fresh interpreter importing this medaux, and return
+    the numpy modules loaded at its end; its stdout is discarded."""
+    src = pathlib.Path(medaux.__file__).parent.parent
+    script = (
+        "import json, sys\n"
+        f"{code}\n"
+        "loaded = {'numpy', 'medaux.montecarlo', 'medaux.population'} & set(sys.modules)\n"
+        "print(json.dumps(sorted(loaded)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["table", "--params", "popI", "--format", "csv"], 0),
+        (["table", "--params", "popI", "--format", "json"], 0),
+        (["table", "--params", "popI", "--format", "md"], 0),
+        (["compare", "--params", "popI"], 0),
+        (["compare", "--params", "popII", "--tmq-preset", "t_mq7"], 0),
+        (["params", "--params", "popII"], 0),
+        (["table", "--params", "popI", "--estimators", "M_zz"], 2),
+    ],
+)
+def test_analytic_commands_load_no_numpy(argv, code):
+    run = (
+        "from medaux.cli import main\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        f"assert code == {code}, code"
+    )
+    assert _loaded_after(run) == []
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import medaux", []),
+        ("from medaux import MedianParams, dominance_checks, table_rows", []),
+        ("from medaux import run_simulation", ["medaux.montecarlo", "medaux.population", "numpy"]),
+        ("import medaux; medaux.montecarlo", ["medaux.montecarlo", "medaux.population", "numpy"]),
+        ("from medaux import PopulationFrame", ["medaux.population", "numpy"]),
+        ("from medaux.population import MedianParams", ["medaux.population", "numpy"]),
+    ],
+)
+def test_numpy_loads_on_first_use_of_a_numpy_name(code, loaded):
+    assert _loaded_after(code) == loaded
