@@ -205,7 +205,7 @@ def cmd_table(args) -> int:
             "empirical_mse": None,
             "pre": r.pre_vs_sample_median,
         }
-        for r in mse.table_rows(params, ids, delta=args.delta)
+        for r in mse.table_rows(params, ids)
     ]
     sys.stdout.write(render_table(rows, args.format, args.precision))
     return 0
@@ -294,7 +294,7 @@ def cmd_compare(args) -> int:
                 f"--tmq-preset needs a single-weight preset, got {args.tmq_preset!r}"
             )
         scalars = (spec.alpha, spec.eta, spec.lam)
-    checks = mse.dominance_checks(params, tmq_scalars=scalars, delta=args.delta)
+    checks = mse.dominance_checks(params, tmq_scalars=scalars)
     passed = 0
     for check in checks:
         if check.satisfied is None:
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="analytic minimum-MSE table")
     p_table.add_argument("--params", required=True)
     p_table.add_argument("--estimators", default="all")
-    p_table.add_argument("--delta", type=float, default=1.0)
     add_common(p_table, default_precision=2)
     p_table.set_defaults(handler=cmd_table)
 
@@ -379,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tmq-preset",
         help="single-weight ratio_exp preset (w2 pinned to 0, w1 free), e.g. t_mq7",
     )
-    p_cmp.add_argument("--delta", type=float, default=1.0)
     add_common(p_cmp, default_precision=2)
     p_cmp.set_defaults(handler=cmd_compare)
 

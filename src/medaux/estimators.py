@@ -39,7 +39,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 from .errors import (
     DegenerateOptimumError,
@@ -51,6 +50,7 @@ from .arith import FLOATS, ratio_or
 from .expansion import (
     ExpansionCoeffs,
     check_moments,
+    check_squares,
     k_const,
     moment_values,
 )
@@ -309,6 +309,7 @@ def coeffs_of(spec: EstimatorSpec, params: MedianParams) -> ExpansionCoeffs:
         a = spec.alpha
         return ExpansionCoeffs(0.0, My, -a * My, a * (a + 1.0) / 2.0 * My, -a * My)
     if fam == DAMPED_RATIO:
+        check_squares(FLOATS, spec, ("beta",))
         bt = spec.beta
         return ExpansionCoeffs(0.0, My, -bt * My, bt**2 * My, -bt * My)
     if fam == DUAL_POWER:
@@ -375,6 +376,7 @@ def _second_moments(ops, params) -> tuple:
     residual variance V_y*(1 - rho_c^2)."""
     var_e0, var_e1, cov_e0e1 = moment_values(ops, params)
     check_moments(ops, var_e0, var_e1, cov_e0e1)
+    check_squares(ops, params, ("median_y", "median_x"))
     My, Mx = params.median_y, params.median_x
     vy = ops.pow(My, 2) * var_e0
     vx = ops.pow(Mx, 2) * var_e1
@@ -382,48 +384,10 @@ def _second_moments(ops, params) -> tuple:
     return vy, vx, cyx, vy * (1.0 - ops.pow(params.rho_c, 2))
 
 
-class RatioExpForm(NamedTuple):
-    """Quadratic first-order MSE of the weighted ratio-exponential class,
-
-        mse(w1, w2) = (1 - 2 w1) b2 + w1^2 A + w2^2 B + 2 w1 w2 C,
-
-    with b2 = (My - Mx)^2 and A = b2 + W(a) for the total slope a = alpha + k.
-    """
-
-    b2: float
-    W: float
-    A: float
-    B: float
-    C: float
-
-
-def ratio_exp_form(
-    params: MedianParams, *, alpha: float, eta: float, lam: float, ops=FLOATS
-) -> RatioExpForm:
-    """Constants of :class:`RatioExpForm` for the class scalars (alpha, eta, lam).
-
-    ``ops`` is the arithmetic backend (see :mod:`medaux.arith`).
-    """
-    a = alpha + k_const(eta, lam, params.median_x, ops=ops)
-    b2 = ops.pow(params.median_gap, 2)
-    W = params.gamma * ops.pow(params.median_y, 2) * (
-        ops.pow(params.cv_y, 2)
-        + a * a * ops.pow(params.cv_x, 2)
-        - 2.0 * a * params.rho_c * params.cv_y * params.cv_x
-    )
-    B = params.gamma * ops.pow(params.median_x, 2) * ops.pow(params.cv_x, 2)
-    C = (
-        params.gamma
-        * params.median_y
-        * params.median_x
-        * params.cv_x
-        * (params.rho_c * params.cv_y - a * params.cv_x)
-    )
-    return RatioExpForm(b2=b2, W=W, A=b2 + W, B=B, C=C)
-
-
-# V_x = Mx^2 * gamma * cv_x^2 > 0 in exact arithmetic, but it can underflow
+# V_x = Mx^2 * gamma * cv_x^2 and the d1 denominators are > 0 in exact
+# arithmetic, but they can underflow
 _VX_ZERO = "optimal d2 undefined: V_x = Mx^2*var(e1) underflows to zero"
+_D1_ZERO = "optimal d1 undefined: {} underflows to zero"
 
 # family -> the one free scalar that has an optimum when the other is pinned
 _CONDITIONAL_OPTIMA = {RATIO_EXP: ("w1",), SHRINK_DIFF: ("d2",)}
@@ -435,6 +399,13 @@ def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
     Each family's optimum is the closed-form minimiser of the MSE implied by
     its own expansion coefficients, so the resolved spec is internally
     consistent with :func:`coeffs_of` and :func:`medaux.expansion.mse_from_coeffs`.
+    For ``ratio_exp`` it is the quadratic form in the weights
+
+        mse(w1, w2) = (1 - 2 w1) b^2 + w1^2 A + w2^2 B + 2 w1 w2 C,
+
+    with b = My - Mx, A = b^2 + W(a) where W(a) is the MSE of
+    my_hat * (Mx / mx_hat) ** a at the total slope a = alpha + k, B = V_x and
+    C = My * Mx * (cov(e0, e1) - a * var(e1)).
     Pinned scalars are never changed: a two-weight spec with one weight
     pinned gets the conditional optimum of the other where one is defined
     (w1 of ``ratio_exp``, d2 of ``shrink_diff``) and raises
@@ -493,11 +464,14 @@ def optimal_weights(ops, spec: EstimatorSpec, params) -> dict:
             found = dict(shift=Mx * (1.0 - kc) / kc)
     elif fam == SHRINK_DIFF_TIED:
         My2 = ops.pow(My, 2)
-        found = dict(d1=(My2 + vx + cyx) / (My2 + vy + vx + 2.0 * cyx))
+        den = My2 + vy + vx + 2.0 * cyx
+        ops.fail_if(den == 0.0, SingularityError, _D1_ZERO, "My^2 + V_y + V_x + 2*C_yx")
+        found = dict(d1=(My2 + vx + cyx) / den)
     elif fam == SHRINK_DIFF:
         d1 = spec.d1
         if d1 is None:
             My2 = ops.pow(My, 2)
+            ops.fail_if(My2 + vres == 0.0, SingularityError, _D1_ZERO, "My^2 + V_res")
             d1 = My2 / (My2 + vres)
         ops.fail_if(vx == 0.0, SingularityError, _VX_ZERO)
         found = dict(d1=d1, d2=d1 * cyx / vx)
@@ -512,23 +486,31 @@ def optimal_weights(ops, spec: EstimatorSpec, params) -> dict:
         ops.fail_if(den == 0.0, SingularityError, "phi*Mx + delta is zero")
         u = spec.beta * spec.phi * Mx / den
         My2 = ops.pow(My, 2)
+        ops.fail_if(My2 + vres == 0.0, SingularityError, _D1_ZERO, "My^2 + V_res")
         d1 = My2 / (My2 + vres)
         s = d1 * My * params.rho_c * params.cv_y / params.cv_x
         found = dict(d1=d1, d2=(s - d1 * My * u) / Mx)
     elif fam == RATIO_EXP:
-        f = ratio_exp_form(
-            params, alpha=spec.alpha, eta=spec.eta, lam=spec.lam, ops=ops
+        check_squares(ops, params, ("median_y", "median_x", "cv_y", "cv_x"))
+        a = spec.alpha + k_const(spec.eta, spec.lam, Mx, ops=ops)
+        cy, cx, rho = params.cv_y, params.cv_x, params.rho_c
+        b2 = ops.pow(b, 2)
+        W = params.gamma * ops.pow(My, 2) * (
+            ops.pow(cy, 2) + a * a * ops.pow(cx, 2) - 2.0 * a * rho * cy * cx
         )
+        A = b2 + W
+        B = params.gamma * ops.pow(Mx, 2) * ops.pow(cx, 2)
+        C = params.gamma * My * Mx * cx * (rho * cy - a * cx)
         if spec.w2 is not None:
-            # A = b^2 + W(a) is 0 only at b = 0, |rho_c| = 1 and a = k_c:
-            # the limit is weight 0, MSE 0
-            found = dict(w1=ratio_or(ops, f.b2 - spec.w2 * f.C, f.A, 0.0))
+            # A is 0 only at b = 0, |rho_c| = 1 and a = k_c: the limit is
+            # weight 0, MSE 0
+            found = dict(w1=ratio_or(ops, b2 - spec.w2 * C, A, 0.0))
         else:
-            det = f.A * f.B - f.C * f.C
+            det = A * B - C * C
             ops.fail_if(det <= 0.0, DegenerateOptimumError,
                         "A*B - C^2 = {!r} is not positive; weight optimum undefined",
                         det)
-            found = dict(w1=f.b2 * f.B / det, w2=-f.b2 * f.C / det)
+            found = dict(w1=b2 * B / det, w2=-b2 * C / det)
     else:
         raise DomainError(f"family {fam!r} has no free scalars to resolve")
     for name, value in found.items():

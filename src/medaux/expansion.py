@@ -90,6 +90,17 @@ def check_moments(ops, var_e0, var_e1, cov_e0e1) -> None:
 _SQRT_MAX = math.sqrt(sys.float_info.max)  # x**2 overflows exactly for x above it
 
 
+def check_squares(ops, values, names) -> None:
+    """Fail with :class:`DomainError` where a named field of ``values`` is
+    too large for its square to stay in the float range."""
+    for name in names:
+        value = getattr(values, name)
+        too_large = abs(value) > _SQRT_MAX
+        if too_large is not False:  # a float passes here; an array goes to ops
+            ops.fail_if(too_large, DomainError,
+                        "{} = {!r} is too large: its square overflows", name, value)
+
+
 def k_const(eta: float, lam: float, median_x: float, *, ops=FLOATS) -> float:
     """Exponential-adjustment constant k = eta*Mx / (2*(eta*Mx + lam)).
 
@@ -114,9 +125,7 @@ def moment_values(ops, params) -> tuple:
     A cv whose square overflows fails with :class:`DomainError`; the
     :class:`ErrorMoments` checks are not applied.
     """
-    for name, cv in (("cv_y", params.cv_y), ("cv_x", params.cv_x)):
-        ops.fail_if(cv > _SQRT_MAX, DomainError,
-                    "{} = {!r} is too large: its square overflows", name, cv)
+    check_squares(ops, params, ("cv_y", "cv_x"))
     g = params.gamma
     return (
         g * ops.pow(params.cv_y, 2),
@@ -137,6 +146,7 @@ def bias_from_coeffs(coeffs: ExpansionCoeffs, moments: ErrorMoments) -> float:
 
 def mse_from_coeffs(coeffs: ExpansionCoeffs, moments: ErrorMoments) -> float:
     """First-order MSE of the expansion (second-order coefficients excluded)."""
+    check_squares(FLOATS, coeffs, ("c0", "c_e0", "c_e1"))
     return (
         coeffs.c0**2
         + coeffs.c_e0**2 * moments.var_e0

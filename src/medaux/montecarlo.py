@@ -386,6 +386,14 @@ def _replicate_estimates(
     )
 
 
+def _figures_or_nan(params: MedianParams, label: str, spec: EstimatorSpec) -> tuple:
+    """The estimator's analytic (MSE, bias), or (NaN, None) where they fail."""
+    try:
+        return analytic_figures(params, [label], lambda _: spec)[0]
+    except (MedauxError, ArithmeticError):
+        return math.nan, None
+
+
 def run_simulation(
     frame: PopulationFrame,
     config: SimulationConfig,
@@ -400,10 +408,11 @@ def run_simulation(
     Replicates where an estimator fails are excluded from that estimator's
     aggregates and surfaced as failure counts.  The analytic columns are
     :func:`medaux.mse.analytic_figures` of the true-params specs, the values
-    ``table`` reports (``M_d4`` at exponent 1, with no bias).  ``jobs`` is
-    accepted for compatibility and has no effect: blocks of replicates run
-    one after another in the calling thread, and the report never depended
-    on it.
+    ``table`` reports (``M_d4`` with no bias).  Where an estimator's figures
+    fail, by the rule of a failing replicate, they are NaN and no bias for
+    that estimator alone.  ``jobs`` is accepted for compatibility and has no
+    effect: blocks of replicates run one after another in the calling
+    thread, and the report never depended on it.
     """
     if config.n > frame.N:
         raise DomainError(f"sample size {config.n} exceeds population {frame.N}")
@@ -416,9 +425,7 @@ def run_simulation(
     estimates = _replicate_estimates(frame, config, params, specs)
 
     target = finite_median(frame.y)
-    labels = [spec.label for spec in base_specs]
-    # simulate has no exponent option: M_d4 is read at the paper's delta 1
-    figures = analytic_figures(params, labels, dict(zip(labels, resolved)).__getitem__, 1.0)
+    figures = [_figures_or_nan(params, s.label, r) for s, r in zip(base_specs, resolved)]
     results = []
     for j, (name, (ana_mse, ana_bias)) in enumerate(zip(config.estimators, figures)):
         col = estimates[:, j]

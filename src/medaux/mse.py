@@ -10,9 +10,10 @@ dominance margin is exactly the difference of two table values, and
 ``simulate`` reports the values ``table`` does.
 
 The one paper formula kept is :func:`min_mse_ss4`, the scaled shrinkage
-minimum.  The published value keeps a second-order term of the scaling
-factor that the first-order calculus drops, so :func:`analytic_figures`
-gives ``M_d4`` that formula, with no bias, instead of the catalogue value.
+minimum as published, with a first-power scaling factor.  It keeps a
+second-order term of that factor that the first-order calculus drops, so
+:func:`analytic_figures` gives ``M_d4`` that formula, with no bias, instead
+of the catalogue value.
 
 The paper's other closed forms (the difference, shrinkage and two-weight
 minima, e.g. ``b^2 * V_res / (b^2 + V_res)`` for the two-weight class with
@@ -26,6 +27,7 @@ import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+from .arith import FLOATS
 from .errors import DomainError, InfiniteEfficiencyWarning
 from .estimators import (
     EstimatorSpec,
@@ -35,7 +37,7 @@ from .estimators import (
     preset,
     resolve_weights,
 )
-from .expansion import bias_from_coeffs, error_moments, mse_from_coeffs
+from .expansion import bias_from_coeffs, check_squares, error_moments, mse_from_coeffs
 from .parameters import MedianParams
 
 __all__ = [
@@ -74,23 +76,19 @@ class DominanceResult:
     note: str = ""
 
 
-def min_mse_ss4(params: MedianParams, delta: float = 1.0) -> float:
-    """Minimum MSE of the scaled shrinkage difference estimator.
-
-    ``delta`` is the effective exponent of the scaling factor; the default 1
-    corresponds to an unshifted first-power factor.
-    """
-    u = 1.0 - delta**2 * params.gamma * params.cv_x**2
+def min_mse_ss4(params: MedianParams) -> float:
+    """Minimum MSE of the scaled shrinkage difference estimator ``M_d4``."""
+    check_squares(FLOATS, params, ("cv_x", "cv_y", "median_y"))
+    u = 1.0 - params.gamma * params.cv_x**2
     if not u > 0.0:  # NaN fails this too
-        raise DomainError(
-            f"need 1 - delta^2*gamma*cv_x^2 > 0, got {u!r} for delta={delta!r}"
-        )
+        raise DomainError(f"need 1 - gamma*cv_x^2 > 0, got {u!r}")
     v = params.gamma * params.cv_y**2 * (1.0 - params.rho_c**2)
     return u * params.median_y**2 * v / (u + v)
 
 
 def sample_median_mse(params: MedianParams) -> float:
     """First-order MSE of the sample median ``M_y``: the baseline of PRE."""
+    check_squares(FLOATS, params, ("median_y", "cv_y"))
     return params.gamma * params.median_y**2 * params.cv_y**2
 
 
@@ -116,21 +114,20 @@ def analytic_figures(
     params: MedianParams,
     names: Sequence[str],
     resolved: Callable[[str], EstimatorSpec],
-    delta: float,
 ) -> list[tuple[float, float | None]]:
     """Analytic (MSE, bias) of each named estimator, in order.
 
     ``resolved(name)`` is the estimator's spec with its free scalars at
     their optimum; its figures are the first-order MSE and bias from its
     expansion coefficients, with the error moments computed once.  ``M_d4``
-    is the one exception: its MSE is :func:`min_mse_ss4` at exponent
-    ``delta``, its bias is None, and ``resolved`` is not called for it.
+    is the one exception: its MSE is :func:`min_mse_ss4`, its bias is None,
+    and ``resolved`` is not called for it.
     """
     moments = error_moments(params)
     figures: list[tuple[float, float | None]] = []
     for name in names:
         if name == "M_d4":
-            figures.append((min_mse_ss4(params, delta=delta), None))
+            figures.append((min_mse_ss4(params), None))
         else:
             coeffs = coeffs_of(resolved(name), params)
             figures.append(
@@ -154,15 +151,14 @@ def dominance_checks(
     params: MedianParams,
     *,
     tmq_scalars: tuple[float, float, float] | None = None,
-    delta: float = 1.0,
 ) -> list[DominanceResult]:
     """Evaluate the five efficiency orderings numerically, with margins.
 
     Each minimum is the :func:`analytic_figures` value that
     :func:`table_rows` reports: the difference bound is ``M_d``, the
     two-weight class ``t_m``, the shrinkage difference ``M_d2``, the scaled
-    shrinkage ``M_d4`` at exponent ``delta``, and the single-weight class a
-    ``ratio_exp`` spec with w2 = 0 at ``tmq_scalars`` = (alpha, eta, lam).
+    shrinkage ``M_d4``, and the single-weight class a ``ratio_exp`` spec
+    with w2 = 0 at ``tmq_scalars`` = (alpha, eta, lam).
     By default its slope is set to its own optimum a = k_c, matching the
     at-the-optimum comparison.  Ties within 1e-12 relative report
     ``satisfied=None``.
@@ -174,7 +170,7 @@ def dominance_checks(
     specs = {"M_d": preset("M_d"), "t_m": preset("t_m"), "t_mq": tmq, "M_d2": preset("M_d2")}
     names = (*specs, "M_d4")
     figures = analytic_figures(
-        params, names, lambda name: resolve_weights(specs[name], params), delta
+        params, names, lambda name: resolve_weights(specs[name], params)
     )
     minimum = {name: mse for name, (mse, _) in zip(names, figures)}
 
@@ -234,15 +230,11 @@ TABLE_ALL_IDS = (
 )
 
 
-def table_rows(
-    params: MedianParams,
-    ids="all",
-    delta: float = 1.0,
-) -> list[MseReportRow]:
+def table_rows(params: MedianParams, ids="all") -> list[MseReportRow]:
     """Analytic table rows for the requested estimator ids (or ``"all"``).
 
     Each row is the :func:`analytic_figures` MSE and bias of the named
-    preset, resolved to its optimum, with ``M_d4`` at exponent ``delta``.
+    preset, resolved to its optimum.
     """
     if isinstance(ids, str):
         if ids.strip().lower() != "all":
@@ -250,7 +242,7 @@ def table_rows(
         ids = TABLE_ALL_IDS
     names = [canonical_name(est_id) for est_id in ids]
     figures = analytic_figures(
-        params, names, lambda name: resolve_weights(preset(name, params), params), delta
+        params, names, lambda name: resolve_weights(preset(name, params), params)
     )
     baseline = sample_median_mse(params)
     return [

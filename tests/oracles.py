@@ -11,7 +11,8 @@ formulas check it.  Notation (all derivable from :class:`MedianParams`):
     W(a)  = gamma * My^2 * (cv_y^2 + a^2 cv_x^2 - 2 a rho_c cv_y cv_x)
 
 where ``a = alpha + k`` is the total ratio slope of the weighted
-ratio-exponential class.  The two-weight class has the quadratic MSE
+ratio-exponential class, with k = eta*Mx / (2*(eta*Mx + lam)).  The
+two-weight class has the quadratic MSE
 
     mse(w1, w2) = (1 - 2 w1) b^2 + w1^2 A + w2^2 B + 2 w1 w2 C
     A = b^2 + W(a),  B = gamma * Mx^2 * cv_x^2,
@@ -24,6 +25,10 @@ identity A B - C^2 = B * (b^2 + V_res) makes the minimum
 
 independent of (alpha, eta, lam) and equal to the minimum of the convex
 shrinkage estimator ``d1*my_hat + d2*mx_hat + (1 - d1 - d2)*Mx``.
+
+The scaled shrinkage minimum is published with a scaling exponent ``delta``;
+:func:`min_mse_ss4_at` keeps that general form, and the package's
+``min_mse_ss4`` is its value at delta = 1.
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from medaux import DegenerateOptimumError, MedianParams
-from medaux.estimators import ratio_exp_form
+from medaux import DegenerateOptimumError, DomainError, MedianParams
 
 
 class DegeneratePivotWarning(UserWarning):
@@ -90,6 +94,29 @@ def min_mse_ss3(params: MedianParams) -> float:
     return params.median_y**2 * v * q / (q + v)
 
 
+def min_mse_ss4_at(params: MedianParams, delta: float) -> float:
+    """Minimum MSE of the scaled shrinkage estimator at scaling exponent delta:
+    u * My^2 * v / (u + v), u = 1 - delta^2 gamma cv_x^2,
+    v = gamma cv_y^2 (1 - rho_c^2)."""
+    u = 1.0 - delta**2 * params.gamma * params.cv_x**2
+    if not u > 0.0:
+        raise DomainError(f"need 1 - delta^2*gamma*cv_x^2 > 0, got {u!r}")
+    v = params.gamma * params.cv_y**2 * (1.0 - params.rho_c**2)
+    return u * params.median_y**2 * v / (u + v)
+
+
+def _form(params: MedianParams, alpha: float, eta: float, lam: float) -> tuple:
+    """(b^2, W(a), A, B, C) of the two-weight class at a = alpha + k."""
+    g, My, Mx = params.gamma, params.median_y, params.median_x
+    cy, cx, rho = params.cv_y, params.cv_x, params.rho_c
+    a = alpha + eta * Mx / (2.0 * (eta * Mx + lam))
+    b2 = (My - Mx) ** 2
+    W = g * My**2 * (cy**2 + a**2 * cx**2 - 2.0 * a * rho * cy * cx)
+    B = g * Mx**2 * cx**2
+    C = g * My * Mx * cx * (rho * cy - a * cx)
+    return b2, W, b2 + W, B, C
+
+
 @dataclass(frozen=True)
 class QuadraticWeights:
     """Quadratic-form constants of the two-weight class and its optimum."""
@@ -109,15 +136,13 @@ def quadratic_weights(
     lam: float = 1.0,
 ) -> QuadraticWeights:
     """Quadratic constants A, B, C and the optimal (w1, w2)."""
-    f = ratio_exp_form(params, alpha=alpha, eta=eta, lam=lam)
-    det = f.A * f.B - f.C * f.C
+    b2, _, A, B, C = _form(params, alpha, eta, lam)
+    det = A * B - C * C
     if det <= 0.0:
         raise DegenerateOptimumError(
             f"A*B - C^2 = {det!r} is not positive; weight optimum undefined"
         )
-    return QuadraticWeights(
-        A=f.A, B=f.B, C=f.C, w1_opt=f.b2 * f.B / det, w2_opt=-f.b2 * f.C / det
-    )
+    return QuadraticWeights(A=A, B=B, C=C, w1_opt=b2 * B / det, w2_opt=-b2 * C / det)
 
 
 def tm_mse_at(
@@ -130,8 +155,8 @@ def tm_mse_at(
     lam: float = 1.0,
 ):
     """MSE of the two-weight class at arbitrary weights (vectorises in w1/w2)."""
-    f = ratio_exp_form(params, alpha=alpha, eta=eta, lam=lam)
-    return (1.0 - 2.0 * w1) * f.b2 + w1 * w1 * f.A + w2 * w2 * f.B + 2.0 * w1 * w2 * f.C
+    b2, _, A, B, C = _form(params, alpha, eta, lam)
+    return (1.0 - 2.0 * w1) * b2 + w1 * w1 * A + w2 * w2 * B + 2.0 * w1 * w2 * C
 
 
 def tm_min_from_weights(
@@ -182,5 +207,5 @@ def min_mse_tmq(
             stacklevel=2,
         )
         return 0.0
-    f = ratio_exp_form(params, alpha=alpha, eta=eta, lam=lam)
-    return f.b2 * f.W / f.A
+    b2, W, A, _, _ = _form(params, alpha, eta, lam)
+    return b2 * W / A

@@ -136,7 +136,7 @@ def test_criterion_2_shrinkage_rows(pop1, pop2):
         ref = REFERENCE[tag]
         if _rel(min_mse_ss1(params), ref["min_Md1"]) >= 1e-2:
             failures.append(f"{tag}:min_Md1")
-        if _rel(min_mse_ss4(params, delta=1.0), ref["min_Md4"]) >= 5e-4:
+        if _rel(min_mse_ss4(params), ref["min_Md4"]) >= 5e-4:
             failures.append(f"{tag}:min_Md4")
     ok = not failures
     _report(

@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from medaux import PRESET_NAMES
+from medaux import PRESET_NAMES, mse
 from medaux.cli import _fmt_cell, main
 
 POP_CSV = "x,y\n" + "\n".join(
@@ -22,6 +23,17 @@ POP_I = {
     "N": 69, "n": 17, "median_y": 2068, "median_x": 2011,
     "fy_at_median": 0.00014, "fx_at_median": 0.00014, "rho_c": 0.1505,
 }
+
+# gamma * cv_x^2 = 0.125 * 10^2 = 12.5: the M_d4 formula is undefined
+STEEP = {
+    "N": 2, "n": 1, "median_y": 1, "median_x": 1,
+    "fy_at_median": 0.1, "fx_at_median": 0.1, "rho_c": 0.3,
+}
+
+# x = 1..5, 1e6..6e6 and y = 1..11: at n = 4, gamma * cv_x^2 = 1.46
+STEEP_CSV = "x,y\n" + "\n".join(
+    f"{x},{y}" for y, x in enumerate([*range(1, 6), *range(10**6, 7 * 10**6, 10**6)], 1)
+)
 
 
 def run_cli(capsys, *argv):
@@ -215,11 +227,12 @@ class TestTableCommand:
         assert rows["M_d3"] == "0.00,0.00,,inf"
         assert rows["t_mq7"] == "0.00,0.00,,inf"
 
-    def test_nan_delta_is_error(self, capsys):
-        code, out, err = run_cli(capsys, "table", "--params", "popI", "--delta", "nan")
-        assert code == 1
-        assert out == ""
-        assert err == "error: need 1 - delta^2*gamma*cv_x^2 > 0, got nan for delta=nan\n"
+    def test_ss4_precondition_is_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(STEEP), encoding="utf-8")
+        code, out, err = run_cli(capsys, "table", "--params", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: need 1 - gamma*cv_x^2 > 0, got -11.5\n"
 
     @pytest.mark.parametrize("command", ["table", "compare", "params"])
     def test_zero_median_is_one_line_error(self, capsys, tmp_path, command):
@@ -231,17 +244,14 @@ class TestTableCommand:
         assert err == "error: median_y must be finite and positive, got 0.0\n"
 
     @pytest.mark.parametrize(
-        "values, what",
-        [
-            # a median near 1e-300 squares to 0; one of 1e160 squares past the range
-            ({"median_y": 1e-300, "fy_at_median": 1e300}, "division by zero"),
-            ({"median_x": 1e160}, "overflow"),
-        ],
+        "error, what",
+        [(ZeroDivisionError, "division by zero"), (OverflowError, "overflow")],
     )
-    def test_arithmetic_error_is_one_line(self, capsys, tmp_path, values, what):
-        path = tmp_path / "extreme.json"
-        path.write_text(json.dumps({**POP_I, **values}), encoding="utf-8")
-        code, out, err = run_cli(capsys, "table", "--params", str(path))
+    def test_arithmetic_error_is_one_line(self, capsys, error, what):
+        # every known site names its cause (see the package-error test
+        # below); a bare error from the library still prints one line
+        with mock.patch.object(mse, "table_rows", side_effect=error):
+            code, out, err = run_cli(capsys, "table", "--params", "popI")
         assert code == 1
         assert out == ""
         assert err == f"error: numeric {what} on extreme parameter values\n"
@@ -253,6 +263,10 @@ class TestTableCommand:
              "optimal d2 undefined: V_x = Mx^2*var(e1) underflows to zero"),
             ({"median_y": 1, "fx_at_median": 1e-300, "rho_c": -1},
              "cv_x = 4.9726504226752854e+296 is too large: its square overflows"),
+            # a median near 1e-300 squares to 0; one of 1e160 squares past the range
+            ({"median_y": 1e-300, "fy_at_median": 1e300},
+             "optimal d1 undefined: My^2 + V_res underflows to zero"),
+            ({"median_x": 1e160}, "median_x = 1e+160 is too large: its square overflows"),
         ],
     )
     @pytest.mark.parametrize("command", ["table", "compare"])
@@ -559,6 +573,25 @@ class TestSimulateCommand:
         m_r = json.loads(out)["detail"][1]
         assert m_r["reps_used"] == 300 and math.isnan(m_r["mc_se_mse"])
 
+    def test_failing_analytic_figures_cost_their_estimator_alone(self, capsys, tmp_path):
+        # the M_d4 formula is undefined here: simulate reports its analytic
+        # columns as nan and keeps M_y, where table stops with one line
+        pop = tmp_path / "steep.csv"
+        pop.write_text(STEEP_CSV, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "simulate", "--input", str(pop), "--n", "4", "--reps", "200",
+            "--seed", "1", "--estimators", "M_y,M_d4",
+        )
+        assert (code, err) == (0, "")
+        m_y, m_d4 = out.splitlines()[1:]
+        assert m_y == "M_y,4.84,0.00,3.29,100.00"
+        assert m_d4.startswith("M_d4,nan,,") and m_d4.endswith(",nan")
+        written = _written_params(capsys, tmp_path, "--input", str(pop), "--n", "4")
+        code, out, err = run_cli(capsys, "table", "--params", str(written))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: need 1 - gamma*cv_x^2 > 0, got -0.46")
+        assert err.count("\n") == 1
+
 
 class TestCompareCommand:
     def test_pop1_all_pass(self, capsys):
@@ -615,11 +648,12 @@ class TestCompareCommand:
         )
         assert (code, out, err) == (0, expected, "")
 
-    def test_nan_delta_is_error(self, capsys):
-        code, out, err = run_cli(capsys, "compare", "--params", "popI", "--delta", "nan")
-        assert code == 1
-        assert out == ""
-        assert err == "error: need 1 - delta^2*gamma*cv_x^2 > 0, got nan for delta=nan\n"
+    def test_ss4_precondition_is_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(STEEP), encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", "--params", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: need 1 - gamma*cv_x^2 > 0, got -11.5\n"
 
     def test_tmq_preset_scalars(self, capsys):
         code, out, _ = run_cli(
@@ -700,6 +734,13 @@ class TestParamsFileRoundTrip:
     def test_lenient_is_not_an_option(self, argv):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--lenient"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["table", "compare"])
+    def test_delta_is_not_an_option(self, command):
+        # M_d4 is the paper's formula at exponent 1, as in simulate
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--params", "popI", "--delta", "1"])
         assert exc.value.code == 2
 
     def test_rounding_residue_mse_reports_inf(self, capsys, tmp_path, pop_csv):

@@ -265,6 +265,24 @@ class TestRunSimulation:
         with pytest.raises(DomainError, match="^jobs must be positive, got 0$"):
             run_simulation(frame, SimulationConfig(n=5, reps=2, seed=0), params, jobs=0)
 
+    def test_failing_analytic_figures_cost_their_estimator_alone(self):
+        # gamma * cv_x^2 = 1.46 leaves the M_d4 formula undefined; M_y keeps
+        # its replicates and the figures table gives it
+        x = np.array([*range(1, 6), *range(10**6, 7 * 10**6, 10**6)], dtype=float)
+        frame = PopulationFrame(x=x, y=np.arange(1.0, 12.0))
+        params = compute_params(frame, 4)
+        config = SimulationConfig(n=4, reps=200, seed=1, estimators=("M_y", "M_d4"))
+        m_y, m_d4 = run_simulation(frame, config, params).results
+        row = table_rows(params, ["M_y"])[0]
+        assert (m_y.reps_used, m_y.analytic_mse, m_y.analytic_bias) == (
+            200, row.analytic_mse, row.analytic_bias
+        )
+        assert m_d4.reps_used == 200 and m_d4.analytic_bias is None
+        assert math.isnan(m_d4.analytic_mse)
+        assert math.isnan(m_d4.ratio_empirical_to_analytic)
+        with pytest.raises(DomainError, match=r"^need 1 - gamma\*cv_x\^2 > 0"):
+            table_rows(params, ["M_y", "M_d4"])
+
     def test_analytic_columns_match_table(self):
         frame = _small_frame(N=80, seed=6)
         params = compute_params(frame, 20)

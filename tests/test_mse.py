@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -17,6 +18,7 @@ from medaux import (
     DomainError,
     EstimatorSpec,
     InfiniteEfficiencyWarning,
+    MedauxError,
     MedianParams,
     SingularityError,
     UnknownEstimatorError,
@@ -28,6 +30,7 @@ from medaux import (
     mse_from_coeffs,
     pre,
     resolve_weights,
+    sample_median_mse,
     table_rows,
 )
 from medaux import preset
@@ -40,6 +43,7 @@ from oracles import (
     min_mse_ss1,
     min_mse_ss2,
     min_mse_ss3,
+    min_mse_ss4_at,
     min_mse_tm,
     min_mse_tmq,
     quadratic_weights,
@@ -92,24 +96,33 @@ class TestShrinkageMinima:
         assert abs(min_mse_ss1(pop2) - 495484.97) / 495484.97 < 1e-2
 
     def test_ss4_reference_values_at_unit_exponent(self, pop1, pop2):
-        assert abs(min_mse_ss4(pop1, delta=1.0) - 480458.97) / 480458.97 < 5e-4
-        assert abs(min_mse_ss4(pop2, delta=1.0) - 454616.15) / 454616.15 < 5e-4
+        assert abs(min_mse_ss4(pop1) - 480458.97) / 480458.97 < 5e-4
+        assert abs(min_mse_ss4(pop2) - 454616.15) / 454616.15 < 5e-4
 
     def test_unit_exponent_recovered_by_root_find(self, pop1):
-        """Bisection on delta against the published value lands at 1."""
+        """Bisection on the oracle's exponent against the published value
+        lands at 1."""
         target = 480458.97
-        lo, hi = 0.5, 1.5  # min_mse_ss4 is strictly decreasing in delta here
+        lo, hi = 0.5, 1.5  # the oracle is strictly decreasing in delta here
         for _ in range(80):
             mid = (lo + hi) / 2
-            if min_mse_ss4(pop1, delta=mid) > target:
+            if min_mse_ss4_at(pop1, mid) > target:
                 lo = mid
             else:
                 hi = mid
         assert abs((lo + hi) / 2 - 1.0) < 0.01
 
-    def test_ss4_precondition(self, pop1):
-        with pytest.raises(DomainError):
-            min_mse_ss4(pop1, delta=10.0)
+    def test_ss4_is_the_oracle_at_unit_exponent(self, pop1, pop2):
+        rng = np.random.default_rng(12)
+        for p in [pop1, pop2] + [draw_params(rng) for _ in range(200)]:
+            if p.gamma * p.cv_x**2 < 1.0:
+                assert min_mse_ss4(p) == min_mse_ss4_at(p, 1.0)
+
+    def test_ss4_precondition(self):
+        # gamma * cv_x^2 = 0.125 * 10^2 = 12.5
+        p = MedianParams(2, 1, 1.0, 1.0, 0.1, 0.1, 0.3)
+        with pytest.raises(DomainError, match=r"^need 1 - gamma\*cv_x\^2 > 0, got -11\.5$"):
+            min_mse_ss4(p)
 
     def test_ss3_degenerate_pivot_warns_and_returns_zero(self):
         with pytest.warns(DegeneratePivotWarning):
@@ -338,17 +351,16 @@ class TestDominance:
         for p in [pop1, pop2] + [draw_params(rng) for _ in range(200)]:
             spec = preset("t_mq7", p)
             scalars = (spec.alpha, spec.eta, spec.lam)
-            for delta in (1.0, 0.9):
-                checks = dominance_checks(p, tmq_scalars=scalars, delta=delta)
-                margins = {c.name: c.margin for c in checks}
-                mse = {r.estimator: r.analytic_mse for r in table_rows(p, names, delta)}
-                assert margins == {
-                    "tm_vs_difference": mse["M_d"] - mse["t_m"],
-                    "tmq_vs_difference": mse["M_d"] - mse["t_mq7"],
-                    "tm_vs_shrink_diff": mse["M_d2"] - mse["t_m"],
-                    "shrink_scaled_vs_shrink_diff": mse["M_d2"] - mse["M_d4"],
-                    "tm_vs_shrink_scaled": mse["M_d4"] - mse["t_m"],
-                }
+            checks = dominance_checks(p, tmq_scalars=scalars)
+            margins = {c.name: c.margin for c in checks}
+            mse = {r.estimator: r.analytic_mse for r in table_rows(p, names)}
+            assert margins == {
+                "tm_vs_difference": mse["M_d"] - mse["t_m"],
+                "tmq_vs_difference": mse["M_d"] - mse["t_mq7"],
+                "tm_vs_shrink_diff": mse["M_d2"] - mse["t_m"],
+                "shrink_scaled_vs_shrink_diff": mse["M_d2"] - mse["M_d4"],
+                "tm_vs_shrink_scaled": mse["M_d4"] - mse["t_m"],
+            }
 
 
 def _tmq_scalars(p: MedianParams, kind: str, rng: np.random.Generator):
@@ -462,6 +474,66 @@ class TestTableRows:
             table_rows(params, ids) if ids else dominance_checks(params)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "values, ids, message",
+        [
+            # the optimal damping k_c squares past the range in M_4's coefficients
+            ({"median_y": 1e-300, "median_x": 1e-160, "fy_at_median": 1e160,
+              "fx_at_median": 1e300, "rho_c": -1}, ["M_4"],
+             "beta = -1e+280 is too large: its square overflows"),
+            ({"median_y": 1e160, "median_x": 1e-300, "fy_at_median": 1e-300,
+              "fx_at_median": 1e160, "rho_c": -1}, ["M_d4"],
+             "median_y = 1e+160 is too large: its square overflows"),
+        ],
+    )
+    def test_squares_past_the_float_range_raise_package_errors(
+        self, pop1, values, ids, message
+    ):
+        with pytest.raises(DomainError) as info:
+            table_rows(replace(pop1, **values), ids)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "values, call, error, message",
+        [
+            # table reaches none of these: an earlier row or check fails first
+            ({"median_y": 1e160}, lambda p: resolve_weights(preset("t_m"), p),
+             DomainError, "median_y = 1e+160 is too large: its square overflows"),
+            ({"median_y": 1e-300, "fy_at_median": 1e300},
+             lambda p: resolve_weights(preset("M_d4"), p),
+             SingularityError, "optimal d1 undefined: My^2 + V_res underflows to zero"),
+            ({"median_y": 1e160}, sample_median_mse,
+             DomainError, "median_y = 1e+160 is too large: its square overflows"),
+        ],
+    )
+    def test_optima_and_baseline_raise_package_errors(
+        self, pop1, values, call, error, message
+    ):
+        with pytest.raises(error) as info:
+            call(replace(pop1, **values))
+        assert str(info.value) == message
+
+    def test_extreme_parameter_grid_raises_only_package_errors(self):
+        """Every valid vector over seven magnitudes per primitive either
+        gives its table and dominance checks or raises a package error."""
+        magnitudes = (1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e160, 1e300)
+        valid = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InfiniteEfficiencyWarning)
+            for primitives in itertools.product(magnitudes, repeat=4):
+                for rho_c in (-1.0, 0.3, 1.0):
+                    try:
+                        p = MedianParams(100, 10, *primitives, rho_c)
+                    except MedauxError:
+                        continue
+                    valid += 1
+                    for check in (table_rows, dominance_checks):
+                        try:
+                            check(p)
+                        except MedauxError:
+                            pass
+        assert valid == 4107
+
     def test_classical_rows_collapse_to_difference_bound(self, pop1):
         for name in ("M_1", "M_2", "M_3", "M_4", "M_5", "M_6", "M_7", "M_lr"):
             row = table_rows(pop1, [name])[0]
@@ -486,8 +558,8 @@ class TestTableRows:
                 assert row.pre_vs_sample_median == pre(mse, baseline), name
 
     def test_scaled_shrinkage_row_is_paper_formula(self, pop1):
-        row = table_rows(pop1, ["M_d4"], delta=0.9)[0]
-        assert row.analytic_mse == min_mse_ss4(pop1, delta=0.9)
+        row = table_rows(pop1, ["M_d4"])[0]
+        assert row.analytic_mse == min_mse_ss4(pop1)
         assert row.analytic_bias is None
 
     def test_resolved_bias_columns(self, pop1):

@@ -3,7 +3,9 @@ analytic path imports no numpy."""
 
 from __future__ import annotations
 
+import argparse
 import ast
+import inspect
 import json
 import os
 import pathlib
@@ -13,7 +15,7 @@ import sys
 import pytest
 
 import medaux
-from medaux import errors, estimators, expansion, montecarlo, mse, parameters, population
+from medaux import cli, errors, estimators, expansion, montecarlo, mse, parameters, population
 
 MODULES = (parameters, population, expansion, estimators, mse, montecarlo, errors)
 
@@ -67,11 +69,45 @@ def test_module_level_public_names_are_exported():
         (medaux, "ExpConstants"),  # read the coefficients from coeffs_of
         (medaux, "exp_constants"),
         (medaux, "DegeneratePivotWarning"),  # the package never raised it
+        (estimators, "RatioExpForm"),  # the ratio_exp optimum computes its form
+        (estimators, "ratio_exp_form"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):
     assert not hasattr(owner, name)
     assert all(name not in module.__all__ for module in MODULES)
+
+
+def _options(parser: argparse.ArgumentParser) -> list[str]:
+    return [option for action in parser._actions for option in action.option_strings]
+
+
+def test_knob_inventory():
+    """Every option and keyword of the entry points, pinned: a new knob, or
+    one removed, shows up as a change to this test."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {name: _options(sub) for name, sub in commands.choices.items()} == {
+        "params": ["-h", "--help", "--input", "--params", "--n", "--density", "--fy",
+                   "--fx", "--format", "--precision"],
+        "table": ["-h", "--help", "--params", "--estimators", "--format", "--precision"],
+        "simulate": ["-h", "--help", "--input", "--synthetic", "--n", "--reps", "--seed",
+                     "--estimators", "--weights", "--jobs", "--config", "--density",
+                     "--format", "--precision"],
+        "compare": ["-h", "--help", "--params", "--tmq-preset", "--format",
+                    "--precision"],
+    }
+    signatures = {
+        fn.__name__: list(inspect.signature(fn).parameters)
+        for fn in (mse.table_rows, mse.dominance_checks, mse.analytic_figures,
+                   montecarlo.run_simulation)
+    }
+    assert signatures == {
+        "table_rows": ["params", "ids"],
+        "dominance_checks": ["params", "tmq_scalars"],
+        "analytic_figures": ["params", "names", "resolved"],
+        "run_simulation": ["frame", "config", "params", "jobs"],
+    }
 
 
 def _raised_warned_or_caught(tree: ast.AST) -> set[str]:
