@@ -268,7 +268,10 @@ def cmd_simulate(args) -> int:
     params = compute_params(frame, params_n, *_density_methods(args))
     report = montecarlo.run_simulation(frame, config, params, jobs=args.jobs)
 
-    baseline = mse.sample_median_mse(params)
+    try:
+        baseline = mse.sample_median_mse(params)
+    except MedauxError:  # the finished replicates stand; PRE is nan
+        baseline = math.nan
     results = [asdict(r) for r in report.results]
     rows = [
         {**{c: r[c] for c in COLUMNS[:-1]}, "pre": mse.pre(r["analytic_mse"], baseline)}

@@ -6,15 +6,15 @@ partial Fisher-Yates shuffle, so the sample of a replicate depends only on
 the seed and the replicate index.  Replicates run in blocks: each block
 draws its replicates' targets one key at a time, then shuffles, takes the
 sample medians, p11 and kernel densities for the whole block as (K, n)
-arrays.  Each estimator is then resolved (plug-in weights) and evaluated
-once per block on (K,) arrays, by the formulas that the scalar
-``resolve_weights`` and ``evaluate`` run, with an array backend (see
-:mod:`medaux.arith`).  Every per-row result equals the one-replicate
-computation, so reports depend neither on the block size nor on ``jobs``.
-A replicate that fails for one estimator (a failed precondition, or an
-arithmetic error such as an overflow on extreme plug-in estimates) costs
-that estimator alone; one whose sample median overflows costs every
-estimator that replicate.
+arrays.  Each estimator is then resolved (from the true parameters or each
+sample's plug-in vector) and evaluated once per block on (K,) arrays, by
+the formulas that the scalar ``resolve_weights`` and ``evaluate`` run, with
+an array backend (see :mod:`medaux.arith`).  Every per-row result equals
+the one-replicate computation, so reports depend neither on the block size
+nor on ``jobs``.  A replicate that fails for one estimator (a failed
+precondition, an undefined optimum, or an arithmetic error such as an
+overflow on extreme plug-in estimates) costs that estimator alone; one
+whose sample median overflows costs every estimator that replicate.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .estimators import (
     optimal_weights,
     point_value,
     preset,
-    resolve_weights,
 )
 from .mse import analytic_figures
 from .parameters import MedianParams, derive_params
@@ -206,17 +205,15 @@ class _Rows:
     A failed precondition marks its rows in ``bad`` instead of raising, and
     ``pow``/``exp`` apply Python's ``**`` and ``math.exp`` one element at a
     time, marking the rows where they raise (or give a complex power), so
-    every row gets the bits of the float computation.  Backends of one block
-    share ``memo``: a power of the same array by the same number is computed
-    once.
+    every row gets the bits of the float computation.  A plain float stands
+    for every row: a precondition or power that fails on it marks them all.
     """
 
     isfinite = staticmethod(np.isfinite)
     sqrt = staticmethod(np.sqrt)
 
-    def __init__(self, bad: np.ndarray, memo: dict):
+    def __init__(self, bad: np.ndarray):
         self.bad = bad.copy()
-        self.memo = memo
 
     @staticmethod
     def select(cond, a, b):
@@ -231,15 +228,7 @@ class _Rows:
         self.bad |= np.logical_not(ok)
 
     def pow(self, x, y):
-        if not isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-            return self._each(operator.pow, x, y)
-        # the entry holds x, so its id is not reused while the memo lives
-        held, values, failed = self.memo.get((id(x), y), (None, None, None))
-        if held is not x:
-            values, failed = self._apply(operator.pow, x, y)
-            self.memo[id(x), y] = (x, values, failed)
-        self.bad |= failed
-        return values
+        return self._each(operator.pow, x, y)
 
     def exp(self, x):
         return self._each(math.exp, x)
@@ -322,44 +311,47 @@ def _estimate_columns(
     """(K, len(specs)) estimates from the sample medians of K replicates.
 
     ``extras`` is ``(p11, fy, fx)`` of each sample, NaN densities where the
-    sample has no usable bandwidth, or ``None`` when not computed.  Under
-    the plug-in policy a spec with free scalars is resolved from each row's
-    re-estimated parameter vector.  Each spec is resolved and evaluated once,
-    on (K,) arrays, by the formulas of :func:`resolve_weights` and
-    :func:`evaluate`, so every row equals that one-replicate computation.
-    One rule decides every failure: a spec loses a row where resolving or
-    evaluating it there fails a precondition or raises a package or
-    arithmetic error, or where it is resolved per sample and the row has no
-    valid plug-in vector (no densities, or invalid estimates).  No other
-    spec loses that row, unless a sample median of the row is not finite
-    (it overflowed): then every spec loses it.
+    sample has no usable bandwidth, or ``None`` when not computed.  A spec
+    with free scalars is resolved from ``params``, or under the plug-in
+    policy from each row's re-estimated parameter vector.  Each spec is
+    resolved and evaluated once, on (K,) arrays, by the formulas of
+    :func:`resolve_weights` and :func:`evaluate`, so every row equals that
+    one-replicate computation.  One rule decides every failure: a spec loses
+    a row where resolving or evaluating it there fails a precondition or
+    raises a package or arithmetic error, or where it is resolved per sample
+    and the row has no valid plug-in vector (no densities, or invalid
+    estimates).  No other spec loses that row, unless a sample median of the
+    row is not finite (it overflowed): then every spec loses it.
     """
     K = my.size
-    overflowed, memo = ~(np.isfinite(my) & np.isfinite(mx)), {}
-    per_sample = [plug_in and bool(free_scalars(s)) for s in specs]
+    overflowed = ~(np.isfinite(my) & np.isfinite(mx))
+    free = [bool(free_scalars(s)) for s in specs]
     out = np.full((K, len(specs)), np.nan)
     # the float code raises where the arrays give inf or NaN silently; the
     # backend marks those rows
     with np.errstate(all="ignore"):
-        hat = None
-        if extras and any(per_sample):
-            p11, fy, fx = extras
-            # design quantities (N, n) stay fixed; the concordance estimate
-            # is clamped into [-1, 1] because inclusive tie counting can push
-            # 4*p11 - 1 above 1
-            rho_hat = np.clip(4.0 * p11 - 1.0, -1.0, 1.0)
-            hat_rows = _Rows(overflowed, memo)
-            hat = SimpleNamespace(
-                **derive_params(hat_rows, params.N, params.n, my, mx, fy, fx, rho_hat)
-            )
+        source, source_bad = params, overflowed
+        if plug_in:
+            source = None
+            if extras and any(free):
+                p11, fy, fx = extras
+                # design quantities (N, n) stay fixed; the concordance
+                # estimate is clamped into [-1, 1] because inclusive tie
+                # counting can push 4*p11 - 1 above 1
+                rho_hat = np.clip(4.0 * p11 - 1.0, -1.0, 1.0)
+                hat_rows = _Rows(overflowed)
+                source = SimpleNamespace(
+                    **derive_params(hat_rows, params.N, params.n, my, mx, fy, fx, rho_hat)
+                )
+                source_bad = hat_rows.bad
         for j, spec in enumerate(specs):
-            if per_sample[j] and hat is None:
+            if free[j] and source is None:
                 continue
-            rows = _Rows(hat_rows.bad if per_sample[j] else overflowed, memo)
+            rows = _Rows(source_bad if free[j] else overflowed)
             try:
-                if per_sample[j]:
+                if free[j]:
                     spec = SimpleNamespace(
-                        **{**vars(spec), **optimal_weights(rows, spec, hat)}
+                        **{**vars(spec), **optimal_weights(rows, spec, source)}
                     )
                 value = point_value(rows, spec, my, mx, params.median_x, extras)
             except (MedauxError, ArithmeticError):
@@ -386,10 +378,10 @@ def _replicate_estimates(
     )
 
 
-def _figures_or_nan(params: MedianParams, label: str, spec: EstimatorSpec) -> tuple:
+def _figures_or_nan(params: MedianParams, spec: EstimatorSpec) -> tuple:
     """The estimator's analytic (MSE, bias), or (NaN, None) where they fail."""
     try:
-        return analytic_figures(params, [label], lambda _: spec)[0]
+        return analytic_figures(params, [spec])[0]
     except (MedauxError, ArithmeticError):
         return math.nan, None
 
@@ -402,14 +394,15 @@ def run_simulation(
 ) -> SimulationReport:
     """Replicate SRSWOR estimation of the study median.
 
-    Under the ``true-params`` policy free weights are resolved once from
-    ``params``; under ``plug-in`` they are re-resolved per replicate from the
-    sample.  The regression estimator always uses its per-sample slope.
+    Free weights are resolved in each block of replicates: from ``params``
+    under the ``true-params`` policy, and from each sample under
+    ``plug-in``.  The regression estimator always uses its per-sample slope.
     Replicates where an estimator fails are excluded from that estimator's
-    aggregates and surfaced as failure counts.  The analytic columns are
-    :func:`medaux.mse.analytic_figures` of the true-params specs, the values
-    ``table`` reports (``M_d4`` with no bias).  Where an estimator's figures
-    fail, by the rule of a failing replicate, they are NaN and no bias for
+    aggregates and surfaced as failure counts; one whose true-params
+    optimum is undefined fails every replicate, and no other loses one.  The
+    analytic columns are :func:`medaux.mse.analytic_figures` of the presets,
+    the values ``table`` reports (``M_d4`` with no bias).  Where an
+    estimator's figures fail, by the same rule, they are NaN and no bias for
     that estimator alone.  ``jobs`` is accepted for compatibility and has no
     effect: blocks of replicates run one after another in the calling
     thread, and the report never depended on it.
@@ -419,13 +412,11 @@ def run_simulation(
     if jobs < 1:
         raise DomainError(f"jobs must be positive, got {jobs}")
 
-    base_specs = tuple(preset(name, params) for name in config.estimators)
-    resolved = tuple(resolve_weights(s, params) for s in base_specs)
-    specs = base_specs if config.weights == "plug-in" else resolved
+    specs = tuple(preset(name, params) for name in config.estimators)
     estimates = _replicate_estimates(frame, config, params, specs)
 
     target = finite_median(frame.y)
-    figures = [_figures_or_nan(params, s.label, r) for s, r in zip(base_specs, resolved)]
+    figures = [_figures_or_nan(params, s) for s in specs]
     results = []
     for j, (name, (ana_mse, ana_bias)) in enumerate(zip(config.estimators, figures)):
         col = estimates[:, j]

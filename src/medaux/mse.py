@@ -2,12 +2,13 @@
 
 Every analytic MSE and bias comes from one function, :func:`analytic_figures`,
 which :func:`table_rows`, :func:`dominance_checks` and
-:func:`medaux.montecarlo.run_simulation` all call.  A named estimator's
-figures are the first-order MSE and bias of its spec with the free scalars
-at their optimum (see :func:`medaux.estimators.resolve_weights`), from its
-own expansion coefficients, ``mse_from_coeffs(coeffs_of(spec))``.  So a
-dominance margin is exactly the difference of two table values, and
-``simulate`` reports the values ``table`` does.
+:func:`medaux.montecarlo.run_simulation` all call with unresolved specs.  An
+estimator's figures are the first-order MSE and bias of its spec with the
+free scalars at their optimum (see :func:`medaux.estimators.resolve_weights`),
+from its own expansion coefficients, ``mse_from_coeffs(coeffs_of(spec))``;
+``analytic_figures`` resolves each spec itself.  So a dominance margin is
+exactly the difference of two table values, and ``simulate`` reports the
+values ``table`` does.
 
 The one paper formula kept is :func:`min_mse_ss4`, the scaled shrinkage
 minimum as published, with a first-power scaling factor.  It keeps a
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .arith import FLOATS
@@ -32,7 +33,6 @@ from .errors import DomainError, InfiniteEfficiencyWarning
 from .estimators import (
     EstimatorSpec,
     RATIO_EXP,
-    canonical_name,
     coeffs_of,
     preset,
     resolve_weights,
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _TIE_REL = 1e-12  # relative size below which a value is rounding residue of 0
+_SCALED_SHRINKAGE = preset("M_d4")  # its figures are the published formula
 
 
 @dataclass(frozen=True)
@@ -111,25 +112,23 @@ def pre(analytic_mse: float, baseline_var: float) -> float:
 
 
 def analytic_figures(
-    params: MedianParams,
-    names: Sequence[str],
-    resolved: Callable[[str], EstimatorSpec],
+    params: MedianParams, specs: Sequence[EstimatorSpec]
 ) -> list[tuple[float, float | None]]:
-    """Analytic (MSE, bias) of each named estimator, in order.
+    """Analytic (MSE, bias) of each estimator spec, in order.
 
-    ``resolved(name)`` is the estimator's spec with its free scalars at
-    their optimum; its figures are the first-order MSE and bias from its
-    expansion coefficients, with the error moments computed once.  ``M_d4``
-    is the one exception: its MSE is :func:`min_mse_ss4`, its bias is None,
-    and ``resolved`` is not called for it.
+    Each spec is resolved at ``params`` (:func:`resolve_weights`), and its
+    figures are the first-order MSE and bias from its expansion
+    coefficients, with the error moments computed once.  The ``M_d4``
+    preset is the one exception: its MSE is :func:`min_mse_ss4` and its
+    bias is None.
     """
     moments = error_moments(params)
     figures: list[tuple[float, float | None]] = []
-    for name in names:
-        if name == "M_d4":
+    for spec in specs:
+        if spec == _SCALED_SHRINKAGE:
             figures.append((min_mse_ss4(params), None))
         else:
-            coeffs = coeffs_of(resolved(name), params)
+            coeffs = coeffs_of(resolve_weights(spec, params), params)
             figures.append(
                 (mse_from_coeffs(coeffs, moments), bias_from_coeffs(coeffs, moments))
             )
@@ -166,13 +165,10 @@ def dominance_checks(
     if tmq_scalars is None:
         tmq_scalars = (params.k_c, 0.0, 1.0)
     alpha, eta, lam = tmq_scalars
-    tmq = EstimatorSpec(family=RATIO_EXP, w2=0.0, alpha=alpha, eta=eta, lam=lam)
-    specs = {"M_d": preset("M_d"), "t_m": preset("t_m"), "t_mq": tmq, "M_d2": preset("M_d2")}
-    names = (*specs, "M_d4")
-    figures = analytic_figures(
-        params, names, lambda name: resolve_weights(specs[name], params)
-    )
-    minimum = {name: mse for name, (mse, _) in zip(names, figures)}
+    tmq = EstimatorSpec(family=RATIO_EXP, label="t_mq", w2=0.0, alpha=alpha, eta=eta, lam=lam)
+    specs = [preset("M_d"), preset("t_m"), tmq, preset("M_d2"), _SCALED_SHRINKAGE]
+    figures = analytic_figures(params, specs)
+    minimum = {s.label: mse for s, (mse, _) in zip(specs, figures)}
 
     R = params.median_ratio
     degenerate = "degenerate pivot: R = 1" if R == 1.0 else ""
@@ -240,17 +236,15 @@ def table_rows(params: MedianParams, ids="all") -> list[MseReportRow]:
         if ids.strip().lower() != "all":
             raise DomainError("ids must be a sequence of names or the string 'all'")
         ids = TABLE_ALL_IDS
-    names = [canonical_name(est_id) for est_id in ids]
-    figures = analytic_figures(
-        params, names, lambda name: resolve_weights(preset(name, params), params)
-    )
+    specs = [preset(est_id, params) for est_id in ids]
+    figures = analytic_figures(params, specs)
     baseline = sample_median_mse(params)
     return [
         MseReportRow(
-            estimator=name,
+            estimator=spec.label,
             analytic_mse=mse,
             analytic_bias=bias,
             pre_vs_sample_median=pre(mse, baseline),
         )
-        for name, (mse, bias) in zip(names, figures)
+        for spec, (mse, bias) in zip(specs, figures)
     ]

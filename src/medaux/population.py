@@ -113,15 +113,16 @@ def _kernel_density_rows(
     """
     # sums along contiguous rows add up in the same pairwise order as 1-D sums
     rows = np.ascontiguousarray(rows)
-    sd = np.std(rows, axis=1, ddof=1)
-    q75, q25 = np.percentile(rows, [75, 25], axis=1)
-    h = 0.9 * np.minimum(sd, (q75 - q25) / 1.34) * rows.shape[1] ** (-0.2)
-    usable = np.isfinite(h) & (h > 0)
-    hu = h[usable]
-    z = (points[usable, None] - rows[usable]) / hu[:, None]
-    kernel_mean = np.mean(np.exp(-0.5 * z * z), axis=1)
-    density = np.full(rows.shape[0], np.nan)
-    density[usable] = kernel_mean / (hu * math.sqrt(2.0 * math.pi))
+    with np.errstate(all="ignore"):  # values near the float limit overflow, unwarned
+        sd = np.std(rows, axis=1, ddof=1)
+        q75, q25 = np.percentile(rows, [75, 25], axis=1)
+        h = 0.9 * np.minimum(sd, (q75 - q25) / 1.34) * rows.shape[1] ** (-0.2)
+        usable = np.isfinite(h) & (h > 0)
+        hu = h[usable]
+        z = (points[usable, None] - rows[usable]) / hu[:, None]
+        kernel_mean = np.mean(np.exp(-0.5 * z * z), axis=1)
+        density = np.full(rows.shape[0], np.nan)
+        density[usable] = kernel_mean / (hu * math.sqrt(2.0 * math.pi))
     return density, h
 
 

@@ -35,6 +35,12 @@ STEEP_CSV = "x,y\n" + "\n".join(
     f"{x},{y}" for y, x in enumerate([*range(1, 6), *range(10**6, 7 * 10**6, 10**6)], 1)
 )
 
+# y = 1e160 * x, x = 1..11: at n = 4 the square of median_y = 6e160 overflows
+HUGE_Y_CSV = "x,y\n" + "\n".join(f"{x},{1e160 * x!r}" for x in range(1, 12))
+
+# x = y = 1..5: at n = 3 the t_m optimum is degenerate (A*B - C^2 < 0 by rounding)
+TIED_CSV = "x,y\n" + "\n".join(f"{v},{v}" for v in range(1, 6))
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -121,6 +127,14 @@ class TestParamsCommand:
         )
         assert (code, err) == (0, "")
         assert "fy_at_median = 0.00758\nfx_at_median = 0.01695\n" in out
+
+    def test_values_near_the_float_limit_print_no_warning(self, capsys, tmp_path):
+        # np.std squares the y values and overflows; the densities stand
+        pop = tmp_path / "huge.csv"
+        pop.write_text(HUGE_Y_CSV, encoding="utf-8")
+        code, out, err = run_cli(capsys, "params", "--input", str(pop), "--n", "4")
+        assert (code, err) == (0, "")
+        assert "fx_at_median = 0.09067\n" in out
 
     def test_n_with_builtin_params_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -591,6 +605,36 @@ class TestSimulateCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: need 1 - gamma*cv_x^2 > 0, got -0.46")
         assert err.count("\n") == 1
+
+    def test_overflowing_baseline_leaves_the_report_with_pre_nan(self, capsys, tmp_path):
+        # the PRE baseline gamma * median_y^2 * cv_y^2 overflows after every
+        # replicate has run: the report stands, where table stops with one line
+        pop = tmp_path / "huge.csv"
+        pop.write_text(HUGE_Y_CSV, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "simulate", "--input", str(pop), "--n", "4", "--reps", "20",
+            "--estimators", "M_y,M_r",
+        )
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["M_y", "M_r"]
+        assert all(row.endswith(",nan") for row in rows)
+        written = _written_params(capsys, tmp_path, "--input", str(pop), "--n", "4")
+        code, out, err = run_cli(
+            capsys, "table", "--params", str(written), "--estimators", "M_y,M_r"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: c_e0 = 6e+160 is too large: its square overflows\n"
+
+    def test_undefined_optimum_costs_its_estimator_alone(self, capsys, tmp_path):
+        pop = tmp_path / "tied.csv"
+        pop.write_text(TIED_CSV, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "simulate", "--input", str(pop), "--n", "3", "--reps", "50",
+            "--estimators", "M_y,t_m",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["M_y,0.85,0.00,0.64,100.00", "t_m,nan,,nan,nan"]
 
 
 class TestCompareCommand:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 from collections import Counter
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from medaux import (
@@ -227,7 +229,7 @@ class TestRunSimulation:
         assert with_d[1].reps_used < alone[0].reps_used
         assert with_d[0].reps_used == alone[0].reps_used
         assert with_d[0].empirical_mse == alone[0].empirical_mse
-        specs = _simulation_specs(both.estimators, params, both.weights)
+        specs = _simulation_specs(both.estimators, params)
         got = montecarlo._replicate_estimates(frame, both, params, specs)
         expected = [_reference_row(frame, both, params, specs, k) for k in range(300)]
         np.testing.assert_array_equal(got, np.array(expected))
@@ -252,7 +254,7 @@ class TestRunSimulation:
         report = run_simulation(frame, config, params)
         used = {r.estimator: r.reps_used for r in report.results}
         assert used == {"M_y": 2000, "M_lr": 2000, "M_d": 955, "t_m": 955}
-        specs = _simulation_specs(config.estimators, params, config.weights)
+        specs = _simulation_specs(config.estimators, params)
         got = montecarlo._replicate_estimates(frame, config, params, specs)
         expected = [_reference_row(frame, config, params, specs, k) for k in range(2000)]
         np.testing.assert_array_equal(got, np.array(expected))
@@ -349,12 +351,9 @@ class TestRunSimulation:
 _PROPERTY_ESTIMATORS = ("M_y", "M_r", "M_d", "t_m", "M_lr", "t_mq7")
 
 
-def _simulation_specs(names, params, weights):
-    """The specs ``run_simulation`` evaluates per replicate."""
-    specs = tuple(preset(name, params) for name in names)
-    if weights == "true-params":
-        specs = tuple(resolve_weights(s, params) for s in specs)
-    return specs
+def _simulation_specs(names, params):
+    """The specs ``run_simulation`` hands to the replicate blocks, unresolved."""
+    return tuple(preset(name, params) for name in names)
 
 
 def _reference_row(frame, config, params, specs, k):
@@ -383,7 +382,7 @@ def _reference_row(frame, config, params, specs, k):
         value = math.nan
         if hat is not None or not own:
             try:
-                value = evaluate(resolve_weights(spec, hat) if own else spec, stats, params)
+                value = evaluate(resolve_weights(spec, hat if own else params), stats, params)
             except (MedauxError, ArithmeticError):
                 pass
         row.append(value)
@@ -427,7 +426,7 @@ class TestBlockedReplicates:
         config = SimulationConfig(
             n=n, reps=reps, seed=seed, estimators=_PROPERTY_ESTIMATORS, weights=weights
         )
-        specs = _simulation_specs(_PROPERTY_ESTIMATORS, params, weights)
+        specs = _simulation_specs(_PROPERTY_ESTIMATORS, params)
         with mock.patch.object(montecarlo, "_BLOCK_UNITS", K * n):
             got = montecarlo._replicate_estimates(frame, config, params, specs)
         expected = [_reference_row(frame, config, params, specs, k) for k in range(reps)]
@@ -448,11 +447,87 @@ class TestBlockedReplicates:
             n=n, reps=reps, seed=2**64 - 1, estimators=_PROPERTY_ESTIMATORS,
             weights=weights,
         )
-        specs = _simulation_specs(_PROPERTY_ESTIMATORS, params, weights)
+        specs = _simulation_specs(_PROPERTY_ESTIMATORS, params)
         got = montecarlo._replicate_estimates(frame, config, params, specs)
         expected = [_reference_row(frame, config, params, specs, k) for k in range(reps)]
         np.testing.assert_array_equal(got, np.array(expected))
         assert np.isnan(got[:, 4]).any() and np.isfinite(got[:, 4]).any()
+
+
+_SCALES = (1e-300, 1e-20, 1.0, 1e20, 1e160, 1e300)
+
+
+def _result_bits(result) -> tuple:
+    """The fields of an ``EstimatorResult``, floats by their bits, NaN as one."""
+    return tuple(
+        ("nan" if math.isnan(v) else struct.pack("<d", v)) if isinstance(v, float) else v
+        for v in astuple(result)
+    )
+
+
+def _results_or_error(frame, params, config):
+    """The run's results by their bits, or its package error; any warning
+    raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return [_result_bits(r) for r in run_simulation(frame, config, params).results]
+        except MedauxError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+class TestEstimatorIndependence:
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_an_estimator_reports_the_same_in_any_company(self, data):
+        # each estimator's result is a function of the estimator alone: the
+        # others in the run never change a bit of it, nor turn it into an error
+        N = data.draw(st.integers(2, 30), label="N")
+        column = st.lists(st.integers(0, 6), min_size=N, max_size=N)
+        x = np.array(data.draw(column, label="x"), float) * data.draw(st.sampled_from(_SCALES))
+        y = np.array(data.draw(column, label="y"), float) * data.draw(st.sampled_from(_SCALES))
+        frame = PopulationFrame(x=x, y=y)
+        n = data.draw(st.integers(1, N), label="n")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                params = compute_params(frame, min(n, N - 1))
+        except MedauxError:
+            reject()
+        names = data.draw(
+            st.lists(st.sampled_from(PRESET_NAMES), min_size=2, max_size=5, unique=True),
+            label="names",
+        )
+        config = SimulationConfig(
+            n=n,
+            reps=data.draw(st.integers(1, 20), label="reps"),
+            seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
+            estimators=tuple(names),
+            weights=data.draw(st.sampled_from(["true-params", "plug-in"])),
+        )
+        together = _results_or_error(frame, params, config)
+        for j, name in enumerate(names):
+            alone = _results_or_error(frame, params, replace(config, estimators=(name,)))
+            if isinstance(together, str):
+                assert alone == together, name
+            else:
+                assert alone == [together[j]], name
+
+    def test_an_undefined_optimum_costs_its_estimator_alone(self):
+        # on x = y = 1..5 the t_m optimum is degenerate (A*B - C^2 < 0 by
+        # rounding): t_m fails every replicate, and M_y keeps all of them
+        frame = PopulationFrame(x=np.arange(1.0, 6.0), y=np.arange(1.0, 6.0))
+        params = compute_params(frame, 3)
+        config = SimulationConfig(n=3, reps=50, estimators=("M_y", "t_m"))
+        m_y, t_m = run_simulation(frame, config, params).results
+        assert (m_y.reps_used, m_y.failures) == (50, 0)
+        assert math.isfinite(m_y.empirical_mse) and math.isfinite(m_y.analytic_mse)
+        assert (t_m.reps_used, t_m.failures, t_m.analytic_bias) == (0, 50, None)
+        for value in (t_m.empirical_bias, t_m.empirical_mse, t_m.mc_se_mse,
+                      t_m.analytic_mse, t_m.ratio_empirical_to_analytic):
+            assert math.isnan(value)
+        with pytest.raises(MedauxError, match=r"^A\*B - C\^2 = .* is not positive"):
+            resolve_weights(preset("t_m"), params)
 
 
 class TestCallCounts:

@@ -105,7 +105,7 @@ def test_knob_inventory():
     assert signatures == {
         "table_rows": ["params", "ids"],
         "dominance_checks": ["params", "tmq_scalars"],
-        "analytic_figures": ["params", "names", "resolved"],
+        "analytic_figures": ["params", "specs"],
         "run_simulation": ["frame", "config", "params", "jobs"],
     }
 
@@ -157,6 +157,13 @@ def test_analytic_figures_have_one_route():
     sites = [path.name for path in sorted(src.glob("*.py")) for name in _calls(path)
              if name == "min_mse_ss4"]
     assert sites == ["mse.py"]
+
+
+def test_the_engine_resolves_weights_in_its_blocks_alone():
+    # run_simulation resolves nothing up front: each block resolves its specs
+    # through optimal_weights on the array backend
+    calls = _calls(pathlib.Path(montecarlo.__file__))
+    assert "resolve_weights" not in calls and "optimal_weights" in calls
 
 
 # ---------------------------------------------------------------------------
