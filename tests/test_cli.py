@@ -636,6 +636,26 @@ class TestSimulateCommand:
         assert (code, err) == (0, "")
         assert out.splitlines()[1:] == ["M_y,0.85,0.00,0.64,100.00", "t_m,nan,,nan,nan"]
 
+    def test_zero_sample_median_of_x_costs_m_d4_its_replicates(self, capsys, tmp_path):
+        # x = 0, 0, 1, 2, 3, 4: a sample of both zeros has mx_hat = 0, where
+        # M_d4's ratio factor Mx / mx_hat is undefined; M_y needs no x
+        pop = tmp_path / "zero-x.csv"
+        pop.write_text(
+            "x,y\n" + "\n".join(f"{x},{y}" for y, x in enumerate([0, 0, 1, 2, 3, 4], 1)),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys, "simulate", "--input", str(pop), "--n", "2", "--reps", "50",
+            "--seed", "1", "--estimators", "M_d4,M_y", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        detail = {d["estimator"]: d for d in report["detail"]}
+        assert (detail["M_d4"]["failures"], detail["M_y"]["failures"]) == (2, 0)
+        assert [r["empirical_mse"] for r in report["rows"]] == [
+            0.19372229129120602, 1.275,
+        ]
+
 
 class TestCompareCommand:
     def test_pop1_all_pass(self, capsys):
@@ -859,6 +879,28 @@ GOLDEN = Path(__file__).parent / "golden"
                 ],
             )
             for n in ("6", "1")
+        ),
+        *(
+            (
+                f"simulate-md4-{weights}.json",
+                [
+                    "simulate", "--synthetic",
+                    "N=2000,mu_x=7,sigma_x=0.5,mu_y=7,sigma_y=0.5,rho=0.8,seed=1",
+                    "--n", "100", "--reps", "300", "--seed", "7",
+                    "--estimators", "M_d4,M_d2,M_d", "--weights", weights,
+                    "--format", "json",
+                ],
+            )
+            for weights in ("true-params", "plug-in")
+        ),
+        (
+            # M_d4 loses 9 replicates to a zero sample median of x
+            "simulate-tied-md4.json",
+            [
+                "simulate", "--input", str(GOLDEN / "tied-population.csv"),
+                "--n", "6", "--reps", "200", "--seed", "3", "--weights", "plug-in",
+                "--estimators", "M_d4,M_d2", "--format", "json",
+            ],
         ),
         (
             "simulate-tied-config.json",
