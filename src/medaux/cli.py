@@ -36,6 +36,7 @@ from .parameters import MedianParams, load_params
 
 COLUMNS = ("estimator", "analytic_mse", "analytic_bias", "empirical_mse", "pre")
 FORMATS = ("csv", "json", "md")
+_SCIENTIFIC_FROM = 1e15  # finite values from here up print in scientific notation
 _BUILTIN_PARAMS = {
     "popi": "popI.json",
     "pop1": "popI.json",
@@ -57,7 +58,8 @@ def _fmt_cell(value, precision: int) -> str:
             return "nan"
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
-        text = f"{value:.{precision}f}"
+        kind = "e" if abs(value) >= _SCIENTIFIC_FROM else "f"
+        text = f"{value:.{precision}{kind}}"
         # a value that rounds to zero prints without a sign
         return text[1:] if text.startswith("-") and float(text) == 0 else text
     return str(value)
@@ -126,7 +128,8 @@ def _estimator_list(value) -> tuple[str, ...]:
     return names
 
 
-def _parse_synthetic(text: str) -> SyntheticSpec:
+def _parse_synthetic(text: str):
+    """The :class:`medaux.montecarlo.SyntheticSpec` that ``text`` describes."""
     from .montecarlo import SyntheticSpec
 
     kwargs: dict[str, float] = {}
@@ -161,7 +164,14 @@ def _parse_synthetic(text: str) -> SyntheticSpec:
 # ---------------------------------------------------------------------------
 
 
+def _scientific(value: float, precision: int) -> str:
+    mantissa, _, exponent = f"{value:.{precision}e}".partition("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
+
+
 def _trim(value: float, precision: int) -> str:
+    if math.isfinite(value) and abs(value) >= _SCIENTIFIC_FROM:
+        return _scientific(value, precision)
     s = f"{value:.{precision}f}".rstrip("0").rstrip(".")
     return "0" if s in ("", "-", "-0") else s
 
@@ -184,11 +194,10 @@ def cmd_params(args) -> int:
         sys.stdout.write(json.dumps(as_dict, indent=2) + "\n")
     else:
         for key, value in as_dict.items():
-            label = short_names.get(key, key)
-            if isinstance(value, int):
-                sys.stdout.write(f"{label} = {value}\n")
-            else:
-                sys.stdout.write(f"{label} = {_trim(value, args.precision)}\n")
+            text = str(value) if isinstance(value, int) else _trim(value, args.precision)
+            if text == "0" and value != 0:  # a nonzero value never reads 0
+                text = _scientific(value, args.precision)
+            sys.stdout.write(f"{short_names.get(key, key)} = {text}\n")
     return 0
 
 

@@ -16,8 +16,7 @@ known population median of the auxiliary variable.  Families:
 ``shrink_diff_tied``   d1 * my_hat + (1 - d1) * (Mx - mx_hat)
 ``shrink_diff``        d1 * my_hat + d2 * (Mx - mx_hat)
 ``shrink_convex``      d1 * my_hat + d2 * mx_hat + (1 - d1 - d2) * Mx
-``shrink_diff_scaled`` [d1 * my_hat + d2 * (Mx - mx_hat)]
-                       * ((phi * Mx + delta) / (phi * mx_hat + delta)) ** beta
+``shrink_diff_scaled`` [d1 * my_hat + d2 * (Mx - mx_hat)] * Mx / mx_hat
 ``ratio_exp``          w1 * my_hat * (Mx / mx_hat) ** alpha
                        * exp(eta * (Mx - mx_hat) / (eta * (Mx + mx_hat) + 2 * lam))
                        + w2 * mx_hat + (1 - w1 - w2) * Mx
@@ -31,7 +30,8 @@ tables, e.g. ``t_mq7`` or ``M_d3``.  A preset is a family with some scalars
 pinned: ``M_y``, ``M_r`` and ``M_p`` are ``power_ratio`` at alpha = 0, 1 and
 -1; ``M_d`` is ``shrink_diff`` at d1 = 1; ``t_m1``, ``t_m2`` and ``t_m4`` are
 ``ratio_exp`` at (w1, w2) = (1, 0); ``t_m5``...``t_m7`` and the ``t_mq*``
-presets are ``ratio_exp`` at w2 = 0 with w1 free.
+presets are ``ratio_exp`` at w2 = 0 with w1 free; ``M_d4`` is
+``shrink_diff_scaled`` with d1 and d2 free.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ _FAMILY_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     SHRINK_DIFF_TIED: (("d1",), ()),
     SHRINK_DIFF: (("d1", "d2"), ()),
     SHRINK_CONVEX: (("d1", "d2"), ()),
-    SHRINK_DIFF_SCALED: (("d1", "d2"), ("phi", "delta", "beta")),
+    SHRINK_DIFF_SCALED: (("d1", "d2"), ()),
     RATIO_EXP: (("w1", "w2"), ("alpha", "eta", "lam")),
 }
 
@@ -105,7 +105,10 @@ FAMILIES = frozenset(_FAMILY_FIELDS)
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """One estimator: a family tag plus its scalars. ``None`` means free."""
+    """One estimator: a family tag plus its scalars. ``None`` means free.
+
+    A scalar the family does not read must stay ``None``: it raises
+    :class:`DomainError` otherwise."""
 
     family: str
     label: str = ""
@@ -120,15 +123,13 @@ class EstimatorSpec:
     w: float | None = None
     d1: float | None = None
     d2: float | None = None
-    phi: float | None = None
-    delta: float | None = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise DomainError(f"unknown estimator family {self.family!r}")
         if not self.label:
             object.__setattr__(self, "label", self.family)
-        _, structural = _FAMILY_FIELDS[self.family]
+        weights, structural = _FAMILY_FIELDS[self.family]
         for name in structural:
             if getattr(self, name) is None:
                 raise DomainError(
@@ -137,6 +138,8 @@ class EstimatorSpec:
         for name in _SCALAR_FIELDS:
             value = getattr(self, name)
             if value is not None:
+                if name not in weights and name not in structural:
+                    raise DomainError(f"{self.family} does not read {name!r}")
                 value = float(value)
                 if not math.isfinite(value):
                     raise DomainError(f"scalar {name!r} must be finite")
@@ -272,12 +275,7 @@ def point_value(ops, s, my, mx, Mx, extras):
     if fam == SHRINK_CONVEX:
         return s.d1 * my + s.d2 * mx + (1.0 - s.d1 - s.d2) * Mx
     if fam == SHRINK_DIFF_SCALED:
-        den = s.phi * mx + s.delta
-        ops.fail_if(den == 0.0, SingularityError, "phi*mx_hat + delta is zero")
-        base = (s.phi * Mx + s.delta) / den
-        ops.fail_if((base < 0) & (s.beta % 1.0 != 0.0), DomainError,
-                    "negative scaling base with non-integer exponent")
-        return (s.d1 * my + s.d2 * (Mx - mx)) * ops.pow(base, s.beta)
+        return (s.d1 * my + s.d2 * (Mx - mx)) * _ratio_power(ops, Mx, mx, 1.0)
     if fam == RATIO_EXP:
         base = (
             my
@@ -338,17 +336,9 @@ def coeffs_of(spec: EstimatorSpec, params: MedianParams) -> ExpansionCoeffs:
             (spec.d1 - 1.0) * b, spec.d1 * My, spec.d2 * Mx, 0.0, 0.0
         )
     if fam == SHRINK_DIFF_SCALED:
-        den = spec.phi * Mx + spec.delta
-        if den == 0.0:
-            raise SingularityError("phi*Mx + delta is zero")
-        g = spec.phi * Mx / den
-        u = spec.beta * g
+        c = spec.d1 * My
         return ExpansionCoeffs(
-            (spec.d1 - 1.0) * My,
-            spec.d1 * My,
-            -(spec.d2 * Mx + spec.d1 * My * u),
-            spec.d2 * Mx * u + spec.d1 * My * spec.beta * (spec.beta + 1.0) / 2.0 * g**2,
-            -spec.d1 * My * u,
+            (spec.d1 - 1.0) * My, c, -(spec.d2 * Mx + c), spec.d2 * Mx + c, -c
         )
     if fam == RATIO_EXP:
         w1, w2, alpha = spec.w1, spec.w2, spec.alpha
@@ -482,14 +472,11 @@ def optimal_weights(ops, spec: EstimatorSpec, params) -> dict:
         ops.fail_if(vx == 0.0, SingularityError, _VX_ZERO)
         found = dict(d1=d1, d2=-d1 * cyx / vx)
     elif fam == SHRINK_DIFF_SCALED:
-        den = spec.phi * Mx + spec.delta
-        ops.fail_if(den == 0.0, SingularityError, "phi*Mx + delta is zero")
-        u = spec.beta * spec.phi * Mx / den
         My2 = ops.pow(My, 2)
         ops.fail_if(My2 + vres == 0.0, SingularityError, _D1_ZERO, "My^2 + V_res")
         d1 = My2 / (My2 + vres)
         s = d1 * My * params.rho_c * params.cv_y / params.cv_x
-        found = dict(d1=d1, d2=(s - d1 * My * u) / Mx)
+        found = dict(d1=d1, d2=(s - d1 * My) / Mx)
     elif fam == RATIO_EXP:
         check_squares(ops, params, ("median_y", "median_x", "cv_y", "cv_x"))
         a = spec.alpha + k_const(spec.eta, spec.lam, Mx, ops=ops)
@@ -541,7 +528,7 @@ _PRESETS: dict[str, tuple[str, dict[str, float | str]]] = {
     "M_d1": (SHRINK_DIFF_TIED, {}),
     "M_d2": (SHRINK_DIFF, {}),
     "M_d3": (SHRINK_CONVEX, {}),
-    "M_d4": (SHRINK_DIFF_SCALED, dict(phi=1.0, delta=0.0, beta=1.0)),
+    "M_d4": (SHRINK_DIFF_SCALED, {}),
     # two-weight class and the generated single-weight subsets
     "t_m": (RATIO_EXP, dict(alpha=0.0, eta=0.0, lam=1.0)),
     "t_m1": (RATIO_EXP, dict(w1=1.0, w2=0.0, alpha=0.0, eta=0.0, lam=1.0)),

@@ -11,10 +11,10 @@ exactly the difference of two table values, and ``simulate`` reports the
 values ``table`` does.
 
 The one paper formula kept is :func:`min_mse_ss4`, the scaled shrinkage
-minimum as published, with a first-power scaling factor.  It keeps a
-second-order term of that factor that the first-order calculus drops, so
-:func:`analytic_figures` gives ``M_d4`` that formula, with no bias, instead
-of the catalogue value.
+minimum as published.  It keeps a second-order term of the factor
+``Mx / mx_hat`` that the first-order calculus drops.  :func:`analytic_figures`
+gives it, with no bias, instead of the catalogue value to ``M_d4`` under any
+label: every ``shrink_diff_scaled`` spec with d1 and d2 free.
 
 The paper's other closed forms (the difference, shrinkage and two-weight
 minima, e.g. ``b^2 * V_res / (b^2 + V_res)`` for the two-weight class with
@@ -33,7 +33,9 @@ from .errors import DomainError, InfiniteEfficiencyWarning
 from .estimators import (
     EstimatorSpec,
     RATIO_EXP,
+    SHRINK_DIFF_SCALED,
     coeffs_of,
+    free_scalars,
     preset,
     resolve_weights,
 )
@@ -53,7 +55,6 @@ __all__ = [
 ]
 
 _TIE_REL = 1e-12  # relative size below which a value is rounding residue of 0
-_SCALED_SHRINKAGE = preset("M_d4")  # its figures are the published formula
 
 
 @dataclass(frozen=True)
@@ -118,14 +119,14 @@ def analytic_figures(
 
     Each spec is resolved at ``params`` (:func:`resolve_weights`), and its
     figures are the first-order MSE and bias from its expansion
-    coefficients, with the error moments computed once.  The ``M_d4``
-    preset is the one exception: its MSE is :func:`min_mse_ss4` and its
-    bias is None.
+    coefficients, with the error moments computed once.  The one exception
+    is ``M_d4`` under any label, a ``shrink_diff_scaled`` spec with d1 and
+    d2 free: its MSE is :func:`min_mse_ss4` and its bias is None.
     """
     moments = error_moments(params)
     figures: list[tuple[float, float | None]] = []
     for spec in specs:
-        if spec == _SCALED_SHRINKAGE:
+        if spec.family == SHRINK_DIFF_SCALED and free_scalars(spec) == ("d1", "d2"):
             figures.append((min_mse_ss4(params), None))
         else:
             coeffs = coeffs_of(resolve_weights(spec, params), params)
@@ -166,7 +167,7 @@ def dominance_checks(
         tmq_scalars = (params.k_c, 0.0, 1.0)
     alpha, eta, lam = tmq_scalars
     tmq = EstimatorSpec(family=RATIO_EXP, label="t_mq", w2=0.0, alpha=alpha, eta=eta, lam=lam)
-    specs = [preset("M_d"), preset("t_m"), tmq, preset("M_d2"), _SCALED_SHRINKAGE]
+    specs = [preset("M_d"), preset("t_m"), tmq, preset("M_d2"), preset("M_d4")]
     figures = analytic_figures(params, specs)
     minimum = {s.label: mse for s, (mse, _) in zip(specs, figures)}
 

@@ -96,18 +96,14 @@ class TestElementwiseHelpers:
 
 
 def _family_specs(params: MedianParams) -> list[EstimatorSpec]:
-    """Every preset plus non-integer exponents and free scaled shrinkage."""
+    """Every preset plus non-integer exponents and relabelled or pinned
+    scaled shrinkage."""
     return [preset(name, params) for name in PRESET_NAMES] + [
         EstimatorSpec(family="power_ratio", label="alpha_0.37", alpha=0.37),
         EstimatorSpec(family="dual_power", label="v_-1.3", v=-1.3),
         EstimatorSpec(family="shifted_product", label="shift_5", shift=5.0),
-        EstimatorSpec(
-            family="shrink_diff_scaled", label="ss_free", phi=0.7, delta=-3.0, beta=1.5
-        ),
-        EstimatorSpec(
-            family="shrink_diff_scaled", label="ss_pinned",
-            phi=1.0, delta=2.0, beta=-0.5, d1=0.9, d2=0.2,
-        ),
+        EstimatorSpec(family="shrink_diff_scaled", label="ss_free"),
+        EstimatorSpec(family="shrink_diff_scaled", label="ss_pinned", d1=0.9, d2=0.2),
         EstimatorSpec(family="ratio_exp", label="re_free", alpha=0.5, eta=2.0, lam=-1.0),
     ]
 

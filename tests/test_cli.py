@@ -136,6 +136,17 @@ class TestParamsCommand:
         assert (code, err) == (0, "")
         assert "fx_at_median = 0.09067\n" in out
 
+    def test_huge_and_tiny_values_print_in_scientific(self, capsys, tmp_path):
+        # from 1e15 up, and where a positive value would print as 0
+        pop = tmp_path / "huge.csv"
+        pop.write_text(HUGE_Y_CSV, encoding="utf-8")
+        code, out, err = run_cli(capsys, "params", "--input", str(pop), "--n", "4")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        for line in ("median_y = 6e+160", "fy_at_median = 9.02222e-162",
+                     "fx_at_median = 0.09067", "R = 1e-160", "b = 6e+160"):
+            assert line in lines
+
     def test_n_with_builtin_params_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["params", "--params", "popI", "--n", "5"])
@@ -625,6 +636,16 @@ class TestSimulateCommand:
         )
         assert (code, out) == (1, "")
         assert err == "error: c_e0 = 6e+160 is too large: its square overflows\n"
+
+    def test_values_from_1e15_print_in_scientific(self, capsys, tmp_path):
+        pop = tmp_path / "huge.csv"
+        pop.write_text(HUGE_Y_CSV, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "simulate", "--input", str(pop), "--n", "4", "--reps", "20",
+            "--estimators", "M_y,M_r",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2] == "M_r,nan,,4.68e+289,nan"
 
     def test_undefined_optimum_costs_its_estimator_alone(self, capsys, tmp_path):
         pop = tmp_path / "tied.csv"

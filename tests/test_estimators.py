@@ -82,11 +82,9 @@ class TestEvaluate:
 
     def test_scaled_shrinkage_denominator_singularity(self):
         known = _known()
-        spec = EstimatorSpec(
-            family="shrink_diff_scaled", d1=1.0, d2=0.0, phi=1.0, delta=-5.0, beta=1.0
-        )
-        stats = SampleStats(median_y=1.0, median_x=5.0)
-        with pytest.raises(SingularityError):
+        spec = EstimatorSpec(family="shrink_diff_scaled", d1=1.0, d2=0.0)
+        stats = SampleStats(median_y=1.0, median_x=0.0)
+        with pytest.raises(SingularityError, match="sample median of x is zero"):
             evaluate(spec, stats, known)
 
     def test_shifted_product_shift_at_known_median(self):
@@ -290,6 +288,17 @@ class TestPresets:
 
     def test_every_family_has_a_preset(self, pop1):
         assert {preset(name, pop1).family for name in PRESET_NAMES} == FAMILIES
+
+    def test_every_preset_builds(self, pop1, pop2):
+        for p in (pop1, pop2):
+            assert [preset(name, p).label for name in PRESET_NAMES] == list(PRESET_NAMES)
+
+    @pytest.mark.parametrize(
+        "family, scalar", [("shrink_diff_scaled", "beta"), ("power_ratio", "w")]
+    )
+    def test_unread_scalar_rejected(self, family, scalar):
+        with pytest.raises(DomainError, match=f"{family} does not read '{scalar}'"):
+            EstimatorSpec(family=family, **{scalar: 1.5})
 
     def test_searched_ratio_presets_have_free_weight(self, pop1):
         for name in ("t_m5", "t_m6", "t_m7"):

@@ -34,7 +34,7 @@ from medaux import (
     table_rows,
 )
 from medaux import preset
-from medaux.mse import TABLE_ALL_IDS
+from medaux.mse import TABLE_ALL_IDS, analytic_figures
 
 from conftest import draw_params
 from oracles import (
@@ -561,6 +561,21 @@ class TestTableRows:
         row = table_rows(pop1, ["M_d4"])[0]
         assert row.analytic_mse == min_mse_ss4(pop1)
         assert row.analytic_bias is None
+
+    def test_free_scaled_shrinkage_gets_the_paper_formula_under_any_label(
+        self, pop1, pop2
+    ):
+        spec = EstimatorSpec(family="shrink_diff_scaled", label="ss")
+        for p in (pop1, pop2):
+            assert analytic_figures(p, [spec]) == [(min_mse_ss4(p), None)]
+
+    def test_pinned_scaled_shrinkage_gets_its_coefficient_figures(self, pop1):
+        # the label does not matter: with d1 and d2 pinned this is not M_d4
+        spec = EstimatorSpec(family="shrink_diff_scaled", label="M_d4", d1=0.9, d2=0.2)
+        coeffs, moments = coeffs_of(spec, pop1), error_moments(pop1)
+        assert analytic_figures(pop1, [spec]) == [
+            (mse_from_coeffs(coeffs, moments), bias_from_coeffs(coeffs, moments))
+        ]
 
     def test_resolved_bias_columns(self, pop1):
         rows = {r.estimator: r for r in table_rows(pop1, ["M_d2", "M_d3", "t_mq7"])}

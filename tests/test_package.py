@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import inspect
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import typing
+from dataclasses import fields
 
 import pytest
 
@@ -108,6 +111,46 @@ def test_knob_inventory():
         "analytic_figures": ["params", "specs"],
         "run_simulation": ["frame", "config", "params", "jobs"],
     }
+    assert [f.name for f in fields(estimators.EstimatorSpec)] == [
+        "family", "label", "w1", "w2", "alpha", "eta", "lam", "shift", "beta", "v",
+        "w", "d1", "d2",
+    ]
+    # family -> (weights, structural scalars)
+    family_fields = estimators._FAMILY_FIELDS
+    assert family_fields == {
+        "shifted_product": (("shift",), ()),
+        "shifted_ratio": (("shift",), ()),
+        "power_ratio": (("alpha",), ()),
+        "damped_ratio": (("beta",), ()),
+        "dual_power": (("v",), ()),
+        "mix_product": (("w",), ()),
+        "mix_ratio": (("w",), ()),
+        "regression": ((), ()),
+        "shrink_diff_tied": (("d1",), ()),
+        "shrink_diff": (("d1", "d2"), ()),
+        "shrink_convex": (("d1", "d2"), ()),
+        "shrink_diff_scaled": (("d1", "d2"), ()),
+        "ratio_exp": (("w1", "w2"), ("alpha", "eta", "lam")),
+    }
+    # some family reads every scalar field: none is dead
+    read = {name for pair in family_fields.values() for group in pair for name in group}
+    assert read == {f.name for f in fields(estimators.EstimatorSpec)} - {"family", "label"}
+
+
+def test_every_annotation_resolves():
+    """Each function and class defined in the package names only bound types:
+    ``typing.get_type_hints`` raises ``NameError`` on an unbound one."""
+    for path in sorted(pathlib.Path(medaux.__file__).parent.glob("*.py")):
+        module = importlib.import_module(
+            "medaux" if path.stem == "__init__" else f"medaux.{path.stem}"
+        )
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if isinstance(obj, type) else ()
+            for target in (obj, *(getattr(m, "__func__", m) for m in members)):
+                if inspect.isfunction(target) or isinstance(target, type):
+                    typing.get_type_hints(target)
 
 
 def _raised_warned_or_caught(tree: ast.AST) -> set[str]:
