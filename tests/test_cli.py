@@ -901,6 +901,14 @@ GOLDEN = Path(__file__).parent / "golden"
             )
             for n in ("6", "1")
         ),
+        (
+            "simulate-tied-config.json",
+            [
+                "simulate", "--input", str(GOLDEN / "tied-population.csv"),
+                "--config", str(GOLDEN / "tied-config.json"), "--reps", "120",
+                "--format", "json",
+            ],
+        ),
         *(
             (
                 f"simulate-md4-{weights}.json",
@@ -921,14 +929,6 @@ GOLDEN = Path(__file__).parent / "golden"
                 "simulate", "--input", str(GOLDEN / "tied-population.csv"),
                 "--n", "6", "--reps", "200", "--seed", "3", "--weights", "plug-in",
                 "--estimators", "M_d4,M_d2", "--format", "json",
-            ],
-        ),
-        (
-            "simulate-tied-config.json",
-            [
-                "simulate", "--input", str(GOLDEN / "tied-population.csv"),
-                "--config", str(GOLDEN / "tied-config.json"), "--reps", "120",
-                "--format", "json",
             ],
         ),
     ],
