@@ -122,9 +122,11 @@ Source = Union[str, bytes, os.PathLike, IO]
 
 
 def _read_text(source: Source) -> str:
+    """The text of a path, bytes or stream, less one leading byte-order mark
+    (spreadsheet programs write one at the start of "CSV UTF-8" files)."""
     if isinstance(source, bytes):
         try:
-            return source.decode("utf-8")
+            return source.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     if isinstance(source, (str, os.PathLike)):
@@ -133,7 +135,7 @@ def _read_text(source: Source) -> str:
     data = source.read()
     if isinstance(data, bytes):
         return _read_text(data)
-    return data
+    return data.removeprefix("\ufeff")
 
 
 _PARAM_KEYS = tuple(f.name for f in fields(MedianParams) if f.init)

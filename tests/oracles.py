@@ -29,12 +29,20 @@ shrinkage estimator ``d1*my_hat + d2*mx_hat + (1 - d1 - d2)*Mx``.
 The scaled shrinkage minimum is published with a scaling exponent ``delta``;
 :func:`min_mse_ss4_at` keeps that general form, and the package's
 ``min_mse_ss4`` is its value at delta = 1.
+
+:func:`srswor_median_mse` is an exact oracle of another kind: the
+finite-population MSE of the sample median under SRSWOR, from the law of
+the sample's order statistics, against which the Monte Carlo engine is
+checked.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from medaux import DegenerateOptimumError, DomainError, MedianParams
 
@@ -209,3 +217,43 @@ def min_mse_tmq(
         return 0.0
     b2, W, A, _, _ = _form(params, alpha, eta, lam)
     return b2 * W / A
+
+
+def _log_choose(a: np.ndarray, b: int) -> np.ndarray:
+    """log C(a, b) for each integer a >= 0 of the array: -inf where a < b."""
+    out = np.full(a.shape, -np.inf)
+    ok = a >= b
+    out[ok] = [math.lgamma(v + 1) - math.lgamma(b + 1) - math.lgamma(v - b + 1) for v in a[ok]]
+    return out
+
+
+def srswor_median_mse(values, n: int, target: float) -> float:
+    """Exact E[(m_hat - target)^2] of the sample median of an SRSWOR of size n.
+
+    With v_1 <= ... <= v_N the sorted population, the sample's j-th order
+    statistic is v_i with probability C(i-1, j-1) C(N-i, n-j) / C(N, n)
+    (David and Nagaraja, *Order Statistics*, 3rd ed., 2003, on sampling a
+    finite population).  For odd n the median is the order statistic
+    m = (n+1)/2.  For even n it is the mean of the m-th and (m+1)-th, m =
+    n/2, which are v_a and v_b (a < b) with probability
+    C(a-1, m-1) C(N-b, n-m-1) / C(N, n): no unit between a and b is
+    drawn.  The sums run over positions in the sorted frame, so tied
+    values need no special case.  O(N^2) terms for even n.
+    """
+    v = np.sort(np.asarray(values, dtype=float))
+    N = v.size
+    if not 0 < n <= N:
+        raise DomainError(f"need 0 < n <= N, got n={n}, N={N}")
+    pos = np.arange(1, N + 1)  # 1-based positions
+    log_total = math.lgamma(N + 1) - math.lgamma(n + 1) - math.lgamma(N - n + 1)
+    m = (n + 1) // 2
+    below = _log_choose(pos - 1, m - 1)
+    if n % 2:
+        prob = np.exp(below + _log_choose(N - pos, n - m) - log_total)
+        return float(np.sum(prob * (v - target) ** 2))
+    above = _log_choose(N - pos, n - m - 1)
+    total = 0.0
+    for a in range(N - 1):  # v_a is the m-th order statistic, v_b (b > a) the next
+        prob = np.exp(below[a] + above[a + 1 :] - log_total)
+        total += float(np.sum(prob * ((v[a] + v[a + 1 :]) / 2.0 - target) ** 2))
+    return total

@@ -847,6 +847,39 @@ class TestParamsFileRoundTrip:
         assert _analytic_columns(table) == _analytic_columns(simulated)
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as spreadsheet programs write at the start of
+    "CSV UTF-8" files, is read past: the output equals that of the file
+    without it."""
+
+    @staticmethod
+    def _with_bom(path: Path) -> str:
+        marked = path.with_name("bom-" + path.name)
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return str(marked)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["params", "--n", "10", "--format", "json"],
+            ["simulate", "--n", "10", "--reps", "30", "--seed", "4", "--format", "json"],
+        ],
+    )
+    def test_population_csv(self, capsys, pop_csv, argv):
+        expected = run_cli(capsys, *argv, "--input", pop_csv)
+        assert expected[0] == 0
+        marked = self._with_bom(Path(pop_csv))
+        assert run_cli(capsys, *argv, "--input", marked) == expected
+
+    @pytest.mark.parametrize("argv", [["table", "--format", "json"], ["compare"]])
+    def test_params_file(self, capsys, tmp_path, argv):
+        written = _written_params(capsys, tmp_path, "--params", "popI")
+        expected = run_cli(capsys, *argv, "--params", str(written))
+        assert expected[0] == 0
+        marked = self._with_bom(written)
+        assert run_cli(capsys, *argv, "--params", marked) == expected
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import warnings
@@ -38,6 +39,7 @@ from medaux import (
 )
 from medaux import montecarlo
 from medaux.montecarlo import _replicate_rng, _swap_rows, _swap_targets
+from oracles import srswor_median_mse
 
 
 def _small_frame(N: int = 40, seed: int = 1) -> PopulationFrame:
@@ -113,6 +115,93 @@ class TestBlockSampling:
         block = _swap_rows(_swap_targets(5, range(4, 9), 12, 12), 12)
         for row in block:
             assert sorted(row.tolist()) == list(range(12))
+
+
+
+class TestSwapTargetsPinned:
+    """The block draw computes numpy's ``integers(arange(n), N)`` on Philox
+    itself, so a numpy release that changes Philox or ``integers`` fails
+    here by name instead of forking the random stream."""
+
+    # N = 2: one draw per row; 2000: the engine's scale; 4e9 and 2**32 + 1:
+    # spans beyond 2**31, where numpy rejects words often, and beyond 2**32,
+    # where it draws 64-bit words; n = N: the last draw has width 0 and
+    # uses no word
+    CASES = ((2, 1), (2, 2), (2000, 1), (2000, 100), (2000, 2000),
+             (4 * 10**9, 1), (4 * 10**9, 50), (2**32, 40), (2**32 + 1, 20))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_rows_equal_numpy_draws(self, seed):
+        exact = montecarlo._swap_targets_exact
+        rejected = []  # rows that numpy draws again where a word is rejected
+
+        def spy(seed, ks, n, N):
+            if N <= 2**32:
+                rejected.extend(ks)
+            return exact(seed, ks, n, N)
+
+        with mock.patch.object(montecarlo, "_swap_targets_exact", spy):
+            for N, n in self.CASES:
+                for start in (0, 2**64 - 12):  # the last keys wrap in the key bump
+                    ks = range(start, start + 12)
+                    got = _swap_targets(seed, ks, n, N)
+                    assert got.dtype == np.int64 and got.shape == (12, n)
+                    for r, k in enumerate(ks):
+                        want = _replicate_rng(seed, k).integers(low=np.arange(n), high=N)
+                        assert np.array_equal(got[r], want), (seed, N, n, k)
+        assert rejected
+
+
+def _subset_rank(rows: np.ndarray, N: int) -> np.ndarray:
+    """The index of each row's unordered subset among all n-subsets of N."""
+    ranks = {c: i for i, c in enumerate(itertools.combinations(range(N), rows.shape[1]))}
+    return np.array([ranks[tuple(sorted(row))] for row in rows.tolist()])
+
+
+class TestSamplingLaw:
+    def test_block_kernel_draws_every_subset_equally_often(self):
+        # 495 cells of the C(12, 4) subsets, 40 expected draws each.  Under
+        # uniform SRSWOR the statistic is chi-square with 494 degrees of
+        # freedom; by the Wilson-Hilferty cube-root normal approximation,
+        # accurate to a few percent in the tail at this df, each bound below
+        # is crossed with probability 1e-6 (z = 4.753).  The lower bound
+        # fails a draw that is too even to be random, such as a cycle.
+        N, n, cells, per_cell = 12, 4, math.comb(12, 4), 40
+        rows = _swap_rows(_swap_targets(20240817, range(cells * per_cell), n, N), N)
+        counts = np.bincount(_subset_rank(rows, N), minlength=cells)
+        stat = float(np.sum((counts - per_cell) ** 2) / per_cell)
+        df = cells - 1
+        c = 2.0 / (9.0 * df)
+        lower, upper = (df * (1.0 - c + z * math.sqrt(c)) ** 3 for z in (-4.753, 4.753))
+        assert lower < stat < upper, (lower, stat, upper)
+
+    @pytest.mark.parametrize("N, n", [(7, 3), (8, 4), (9, 1), (6, 6), (10, 2), (8, 5)])
+    def test_exact_median_mse_equals_enumeration(self, N, n):
+        values = np.random.default_rng(N * 10 + n).integers(0, 4, N).astype(float)  # ties
+        target = float(np.median(values))
+        errors = [
+            (np.median(values[list(c)]) - target) ** 2
+            for c in itertools.combinations(range(N), n)
+        ]
+        assert srswor_median_mse(values, n, target) == pytest.approx(np.mean(errors), rel=1e-12)
+
+    def test_sample_median_mse_matches_exact_srswor_value(self):
+        # criterion 6's population, seed and replicate count; M_y's column
+        # does not depend on the other estimators, so it runs alone.  The
+        # exact value is 4232.0, the run gives 4218.2 +- 44.6 (z = -0.31).
+        # At 4 standard errors (6e-5 of correct runs fall outside by chance)
+        # the band is 4.2% of the MSE: narrower than the 6.9% by which
+        # criterion 6's first-order value (4522.8) misses the exact one, so
+        # it sees engine errors that criterion 6's 15% band cannot.
+        spec = SyntheticSpec(
+            N=2000, mu_x=6.9, sigma_x=0.5, mu_y=7.0, sigma_y=0.5, rho=0.8, seed=20240817
+        )
+        frame = make_synthetic(spec)
+        config = SimulationConfig(n=100, reps=20_000, seed=31, estimators=("M_y",))
+        row = run_simulation(frame, config, compute_params(frame, 100)).results[0]
+        exact = srswor_median_mse(frame.y, 100, finite_median(frame.y))
+        assert row.reps_used == 20_000
+        assert abs(row.empirical_mse - exact) < 4.0 * row.mc_se_mse, (row, exact)
 
 
 class TestRunSimulation:

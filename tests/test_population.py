@@ -74,6 +74,13 @@ class TestLoadPopulation:
         with pytest.raises(ParseError):
             load_population(b"\xff\xfe\x00bad")
 
+    def test_leading_byte_order_mark_is_dropped(self):
+        # one mark, from bytes or from a text stream; a second one is data
+        for source in (b"\xef\xbb\xbfx,y\n1,2\n3,4", io.StringIO("\ufeffx,y\n1,2\n3,4")):
+            assert load_population(source).x.tolist() == [1.0, 3.0]
+        with pytest.raises(ParseError):
+            load_population(io.StringIO("\ufeff\ufeffx,y\n1,2\n3,4"))
+
     def test_path_input(self, tmp_path):
         p = tmp_path / "pop.csv"
         p.write_text("x,y\n1,2\n3,4\n", encoding="utf-8")
