@@ -287,6 +287,7 @@ def cmd_simulate(args) -> int:
         for r in results
     ]
     extra = {
+        "stream": montecarlo.STREAM_VERSION,
         "config": asdict(config),
         "params": report.params.as_dict(),
         # the columns of a row are not repeated in its detail
@@ -418,6 +419,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2  # unreachable, keeps type checkers quiet
     except (MedauxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy refuses an impossible allocation at once
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (ZeroDivisionError, OverflowError) as exc:
         # parameters that pass validation can still overflow or underflow later

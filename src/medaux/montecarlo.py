@@ -1,24 +1,24 @@
-"""SRSWOR replication engine with reproducible counter-based substreams.
+"""SRSWOR replication engine with a reproducible counter-based stream.
 
-Replicate k draws its randomness from a Philox generator keyed by
-``(seed, k)``: one ``integers(arange(n), N)`` draw gives the targets of a
-partial Fisher-Yates shuffle, so the sample of a replicate depends only on
-the seed and the replicate index.  Replicates run in blocks.  A block's
-targets are computed at once, bit for bit numpy's: Philox4x64-10 enciphers
-every key's counters on arrays, and Lemire's multiply-shift maps the 32-bit
-words to targets; the rare row where numpy would reject a word (and every
-row when N > 2**32) is drawn by its own rekeyed generator instead.  The
-block then shuffles, takes the sample medians, p11 and kernel densities for
-the whole block as (K, n) arrays.  Each estimator is then resolved (from
-the true parameters or each sample's plug-in vector) and evaluated once per
-block on (K,) arrays, by the formulas that the scalar ``resolve_weights``
-and ``evaluate`` run, with an array backend (see :mod:`medaux.arith`).
-Every per-row result equals the one-replicate computation, so reports
-depend neither on the block size nor on ``jobs``.  A replicate that fails
-for one estimator (a failed precondition, an undefined optimum, or an
-arithmetic error such as an overflow on extreme plug-in estimates) costs
-that estimator alone; one whose sample median overflows costs every
-estimator that replicate.
+Replicate k reads a fixed run of n 64-bit words from one Philox stream
+keyed by the seed (see :func:`_replicate_stream`), and multiply-shift maps
+word i to the i-th target of a partial Fisher-Yates shuffle, so the sample
+of a replicate depends only on the seed and the replicate index.  This is
+stream version 2 (``STREAM_VERSION``), which ``simulate --format json``
+reports; reports of version 1, which drew each replicate with numpy's
+``integers`` from a Philox keyed by ``(seed, k)``, do not reproduce.
+Replicates run in blocks.  A block's words come from one ``random_raw``
+call; the block then shuffles, takes the sample medians, p11 and kernel
+densities for the whole block as (K, n) arrays.  Each estimator is then
+resolved (from the true parameters or each sample's plug-in vector) and
+evaluated once per block on (K,) arrays, by the formulas that the scalar
+``resolve_weights`` and ``evaluate`` run, with an array backend (see
+:mod:`medaux.arith`).  Every per-row result equals the one-replicate
+computation, so reports depend neither on the block size nor on ``jobs``.
+A replicate that fails for one estimator (a failed precondition, an
+undefined optimum, or an arithmetic error such as an overflow on extreme
+plug-in estimates) costs that estimator alone; one whose sample median
+overflows costs every estimator that replicate.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
     "make_synthetic",
 ]
 
+STREAM_VERSION = 2  # the random stream of _replicate_stream; reports echo it
 _WEIGHT_POLICIES = ("true-params", "plug-in")
 _SYNTHETIC_STREAM_TAG = 0xFFFFFFFFFFFFFFFF  # keeps the frame stream off replicate keys
 _BLOCK_UNITS = 16_384  # sampled units per block of replicates; results do not depend on it
@@ -133,109 +134,48 @@ class SimulationReport:
     population_median_y: float
 
 
-def _replicate_rng(seed: int, k: int) -> np.random.Generator:
-    """The generator of replicate k: its first draw sets the sample."""
-    key = np.array([seed, k], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _replicate_stream(seed: int, k: int, n: int) -> np.random.Philox:
+    """The bit generator of replicate k at sample size n, stream version 2.
+
+    Every replicate of a run reads one Philox4x64-10 (Salmon et al., SC'11)
+    keyed by ``(seed, 0)``.  Replicate k owns its m = ceil(n/4) counters
+    from ``k*m`` on, four 64-bit words each, and reads the first n of its
+    4m words, so the replicates of a block are consecutive runs of one
+    ``random_raw`` call.
+    """
+    key = np.array([seed, 0], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=k * -(-n // 4))
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-# Philox4x64 multipliers of lanes 0 and 2, split into 32-bit halves, and
-# the Weyl increments of the two key words
-_PHILOX_M = np.array(
-    [0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64
-).reshape(2, 1, 1)
-_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
-_PHILOX_W = np.array(
-    [0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64
-).reshape(2, 1, 1)
 
 
-def _philox_words(seed: int, ks: np.ndarray, blocks: int) -> np.ndarray:
-    """(K, 8*blocks) uint32: the first 32-bit outputs of Philox key (seed, k).
+def _targets(words: np.ndarray, N: int) -> np.ndarray:
+    """Swap targets ``i + (w*(N - i) >> 64)`` of the uint64 words w along
+    the last axis, i from 0.
 
-    Philox4x64-10 (Salmon et al., SC'11) as numpy computes it: block j
-    enciphers the counter (j+1, 0, 0, 0), because numpy increments the
-    counter before its first block, in ten rounds with the key bumped
-    before rounds 2 to 10.  Each 64-bit output gives two 32-bit words, low
-    half first, which is the order ``next_uint32`` hands them out in.
-
-    Lanes 0 and 2, the multiplied ones, are held in one (2, K, blocks)
-    array and lanes 1 and 3 in another, so a round is one 64x64->128
-    multiply; numpy has none, so the high word is assembled from 32-bit
-    halves.
+    This is Lemire's multiply-shift (ACM TOMACS 2019) without rejection:
+    the high word of the 128-bit product, assembled exactly from 32-bit
+    halves, for every N below 2**63.  Each value of element i has
+    probability off from 1/(N - i) by less than (N - i)/2**64 relative.
     """
-    K = ks.size
-    key = np.empty((2, K, 1), dtype=np.uint64)
-    key[0], key[1] = seed, ks[:, None]
-    mul = np.zeros((2, K, blocks), dtype=np.uint64)  # lanes 0 and 2
-    mul[0] = np.arange(1, blocks + 1, dtype=np.uint64)
-    xor = np.zeros_like(mul)  # lanes 1 and 3
-    for rnd in range(10):
-        if rnd:
-            key += _PHILOX_W
-        x_lo, x_hi = mul & _LOW32, mul >> _SHIFT32
-        lo_lo = _PHILOX_M_LO * x_lo
-        t = _PHILOX_M_HI * x_lo + (lo_lo >> _SHIFT32)
-        u = _PHILOX_M_LO * x_hi + (t & _LOW32)
-        hi = _PHILOX_M_HI * x_hi + (t >> _SHIFT32) + (u >> _SHIFT32)
-        lo = mul * _PHILOX_M
-        # lane 0 <- hi(lane 2) ^ lane 1 ^ key 0; lane 2 <- hi(lane 0) ^ lane 3 ^ key 1;
-        # lane 1 <- lo(lane 2); lane 3 <- lo(lane 0)
-        mul = hi[::-1] ^ xor ^ key
-        xor = lo[::-1]
-    raw = np.stack([mul[0], xor[0], mul[1], xor[1]], axis=2).astype("<u8", copy=False)
-    return raw.view("<u4").reshape(K, 8 * blocks)
-
-
-def _swap_targets_exact(seed: int, ks, n: int, N: int) -> np.ndarray:
-    """Row r: ``integers(arange(n), N)`` of replicate ``ks[r]``, drawn by numpy.
-
-    One Philox is rekeyed per replicate by assigning its state (key
-    ``(seed, k)``, counter 0, buffer empty): exactly the state that
-    ``_replicate_rng(seed, k)`` starts from, without constructing a Philox
-    per replicate (its constructor also gathers OS entropy it never uses).
-    """
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    key = state["state"]["key"]
-    low = np.arange(n)
-    out = np.empty((len(ks), n), dtype=np.int64)
-    for r, k in enumerate(ks):
-        key[1] = k
-        bitgen.state = state
-        out[r] = gen.integers(low=low, high=N)
-    return out
+    low = np.arange(words.shape[-1], dtype=np.uint64)
+    span = np.uint64(N) - low
+    s_lo, s_hi = span & _LOW32, span >> _SHIFT32
+    w_lo, w_hi = words & _LOW32, words >> _SHIFT32
+    t = w_hi * s_lo + ((w_lo * s_lo) >> _SHIFT32)
+    u = w_lo * s_hi + (t & _LOW32)
+    hi = w_hi * s_hi + (t >> _SHIFT32) + (u >> _SHIFT32)
+    return (low + hi).astype(np.int64)
 
 
 def _swap_targets(seed: int, ks: range, n: int, N: int) -> np.ndarray:
-    """Row r: the draw ``integers(arange(n), N)`` of replicate ``ks[r]``.
-
-    The draws of a whole block are computed at once, bit for bit numpy's.
-    For spans up to 2**32 numpy draws element i with Lemire's
-    multiply-shift method (ACM TOMACS 2019) from one 32-bit Philox word:
-    with span = N - i, the target is ``i + (w*span >> 32)``, unless
-    ``w*span mod 2**32 < 2**32 mod span``, where numpy rejects the word and
-    draws again.  Without rejections element i takes word i, so every row
-    is read off :func:`_philox_words`.  A row with a rejection, and every
-    row when N > 2**32 (numpy then draws 64-bit words), takes the exact
-    path: its own rekeyed generator and ``integers``.
-    """
-    if N > 1 << 32:
-        return _swap_targets_exact(seed, ks, n, N)
-    k = np.uint64(ks.start) + np.arange(len(ks), dtype=np.uint64)
-    words = _philox_words(seed, k, -(-n // 8))[:, :n].astype(np.uint64)
-    low = np.arange(n, dtype=np.uint64)
-    span = np.uint64(N) - low
-    scaled = words * span
-    threshold = (np.uint64(1 << 32) - span) % span
-    out = (low + (scaled >> _SHIFT32)).astype(np.int64)
-    redo = np.flatnonzero(((scaled & _LOW32) < threshold).any(axis=1))
-    if redo.size:
-        out[redo] = _swap_targets_exact(seed, [ks[r] for r in redo], n, N)
-    return out
+    """Row r: the n swap targets of replicate ``ks[r]``, all rows from one
+    ``random_raw`` call on :func:`_replicate_stream`."""
+    m4 = 4 * -(-n // 4)
+    words = _replicate_stream(seed, ks.start, n).random_raw(len(ks) * m4)
+    return _targets(words.reshape(len(ks), m4)[:, :n], N)
 
 
 def _swap_rows(js: np.ndarray, N: int) -> np.ndarray:
@@ -270,14 +210,15 @@ def _swap_rows(js: np.ndarray, N: int) -> np.ndarray:
 def srswor(frame: PopulationFrame, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n distinct unit indices by partial Fisher-Yates shuffling.
 
-    The swap targets come from one vectorised ``integers`` draw, and the
-    swaps are the one-row case of the block kernel that ``run_simulation``
-    uses, so a replicate's sample is the same either way.
+    The swap targets map the next n raw words of ``rng``'s bit generator
+    as the block kernel of ``run_simulation`` maps them, and the swaps are
+    its one-row case, so ``Generator(_replicate_stream(seed, k, n))`` gives
+    replicate k's sample.
     """
     N = frame.N
     if not 0 < n <= N:
         raise DomainError(f"need 0 < n <= N, got n={n}, N={N}")
-    js = rng.integers(low=np.arange(n), high=N)
+    js = _targets(rng.bit_generator.random_raw(n), N)
     return _swap_rows(js[None, :], N)[0]
 
 
@@ -545,9 +486,10 @@ def make_synthetic(spec: SyntheticSpec) -> PopulationFrame:
     rng = np.random.Generator(np.random.Philox(key=key))
     z1 = rng.standard_normal(spec.N)
     z2 = rng.standard_normal(spec.N)
-    x = np.exp(spec.mu_x + spec.sigma_x * z1)
-    y = np.exp(
-        spec.mu_y
-        + spec.sigma_y * (spec.rho * z1 + math.sqrt(1.0 - spec.rho**2) * z2)
-    )
+    with np.errstate(over="ignore"):  # an overflow is inf, which the frame refuses
+        x = np.exp(spec.mu_x + spec.sigma_x * z1)
+        y = np.exp(
+            spec.mu_y
+            + spec.sigma_y * (spec.rho * z1 + math.sqrt(1.0 - spec.rho**2) * z2)
+        )
     return PopulationFrame(x=x, y=y)

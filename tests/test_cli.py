@@ -496,6 +496,36 @@ class TestSimulateCommand:
         assert out == ""
         assert err == "error: seed must fit in an unsigned 64-bit integer\n"
 
+    def test_overflowing_synthetic_values_are_one_error_line(self, capsys):
+        # exp(1000) overflows: the frame check reports it, with no warning
+        code, out, err = run_cli(
+            capsys, "simulate", "--synthetic", "N=200,mu_x=1000", "--n", "10",
+            "--reps", "5",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: population values must be finite\n"
+
+    def test_impossible_allocation_is_one_error_line(self, capsys):
+        # 1e13 units need 72.8 TiB per column, which numpy refuses at once
+        code, out, err = run_cli(
+            capsys, "simulate", "--synthetic", "N=10000000000000", "--n", "2",
+            "--reps", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+    def test_stream_version_is_reported_not_configured(self, capsys, tmp_path, pop_csv):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--input", pop_csv, "--n", "5", "--reps", "2",
+            "--format", "json",
+        )
+        doc = json.loads(out)
+        assert (code, doc["stream"]) == (0, 2) and "stream" not in doc["config"]
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"n": 5, "reps": 2, "stream": 2}), encoding="utf-8")
+        code, _, err = run_cli(capsys, "simulate", "--input", pop_csv, "--config", str(cfg))
+        assert code == 1 and "unknown keys stream" in err
+
     def test_plug_in_zero_sample_median(self, capsys, tmp_path):
         # 45% of y at 0: many samples have y median 0, so plug-in params
         # fail for M_d; M_y needs none and keeps every replicate
@@ -609,7 +639,7 @@ class TestSimulateCommand:
         )
         assert (code, err) == (0, "")
         m_y, m_d4 = out.splitlines()[1:]
-        assert m_y == "M_y,4.84,0.00,3.29,100.00"
+        assert m_y == "M_y,4.84,0.00,2.83,100.00"
         assert m_d4.startswith("M_d4,nan,,") and m_d4.endswith(",nan")
         written = _written_params(capsys, tmp_path, "--input", str(pop), "--n", "4")
         code, out, err = run_cli(capsys, "table", "--params", str(written))
@@ -645,7 +675,7 @@ class TestSimulateCommand:
             "--estimators", "M_y,M_r",
         )
         assert (code, err) == (0, "")
-        assert out.splitlines()[2] == "M_r,nan,,4.68e+289,nan"
+        assert out.splitlines()[2] == "M_r,nan,,2.34e+289,nan"
 
     def test_undefined_optimum_costs_its_estimator_alone(self, capsys, tmp_path):
         pop = tmp_path / "tied.csv"
@@ -655,7 +685,7 @@ class TestSimulateCommand:
             "--estimators", "M_y,t_m",
         )
         assert (code, err) == (0, "")
-        assert out.splitlines()[1:] == ["M_y,0.85,0.00,0.64,100.00", "t_m,nan,,nan,nan"]
+        assert out.splitlines()[1:] == ["M_y,0.85,0.00,0.54,100.00", "t_m,nan,,nan,nan"]
 
     def test_zero_sample_median_of_x_costs_m_d4_its_replicates(self, capsys, tmp_path):
         # x = 0, 0, 1, 2, 3, 4: a sample of both zeros has mx_hat = 0, where
@@ -672,9 +702,9 @@ class TestSimulateCommand:
         assert (code, err) == (0, "")
         report = json.loads(out)
         detail = {d["estimator"]: d for d in report["detail"]}
-        assert (detail["M_d4"]["failures"], detail["M_y"]["failures"]) == (2, 0)
+        assert (detail["M_d4"]["failures"], detail["M_y"]["failures"]) == (1, 0)
         assert [r["empirical_mse"] for r in report["rows"]] == [
-            0.19372229129120602, 1.275,
+            0.15200123111309388, 1.07,
         ]
 
 

@@ -38,7 +38,7 @@ from medaux import (
     table_rows,
 )
 from medaux import montecarlo
-from medaux.montecarlo import _replicate_rng, _swap_rows, _swap_targets
+from medaux.montecarlo import _replicate_stream, _swap_rows, _swap_targets, _targets
 from oracles import srswor_median_mse
 
 
@@ -49,16 +49,21 @@ def _small_frame(N: int = 40, seed: int = 1) -> PopulationFrame:
     return PopulationFrame(x=x, y=y)
 
 
+def _replicate_gen(seed: int, k: int, n: int) -> np.random.Generator:
+    """The generator whose ``srswor(frame, n, ...)`` is replicate k's sample."""
+    return np.random.Generator(_replicate_stream(seed, k, n))
+
+
 class TestSrswor:
     def test_census_selects_everyone(self):
         frame = _small_frame(N=12)
-        idx = srswor(frame, 12, _replicate_rng(5, 0))
+        idx = srswor(frame, 12, _replicate_gen(5, 0, 12))
         assert sorted(idx.tolist()) == list(range(12))
 
     def test_indices_distinct_and_in_range(self):
         frame = _small_frame(N=30)
         for k in range(50):
-            idx = srswor(frame, 7, _replicate_rng(9, k))
+            idx = srswor(frame, 7, _replicate_gen(9, k, 7))
             assert len(set(idx.tolist())) == 7
             assert idx.min() >= 0 and idx.max() < 30
 
@@ -67,20 +72,20 @@ class TestSrswor:
         frame = PopulationFrame(x=np.array([1.0, 2.0]), y=np.array([1.0, 2.0]))
         hits = 0
         for k in range(10_000):
-            idx = srswor(frame, 1, _replicate_rng(123, k))
+            idx = srswor(frame, 1, _replicate_gen(123, k, 1))
             hits += int(idx[0] == 0)
         assert 4800 <= hits <= 5200
 
     def test_deterministic_in_seed(self):
         frame = _small_frame(N=25)
-        a = srswor(frame, 10, _replicate_rng(77, 3))
-        b = srswor(frame, 10, _replicate_rng(77, 3))
+        a = srswor(frame, 10, _replicate_gen(77, 3, 10))
+        b = srswor(frame, 10, _replicate_gen(77, 3, 10))
         assert np.array_equal(a, b)
 
     def test_oversized_sample_rejected(self):
         frame = _small_frame(N=10)
         with pytest.raises(DomainError):
-            srswor(frame, 11, _replicate_rng(0, 0))
+            srswor(frame, 11, _replicate_gen(0, 0, 11))
 
 
 def _scalar_fisher_yates(js: np.ndarray, N: int) -> np.ndarray:
@@ -91,24 +96,37 @@ def _scalar_fisher_yates(js: np.ndarray, N: int) -> np.ndarray:
     return pool[: js.size]
 
 
+def _stream_words(seed: int, k: int, n: int) -> list[int]:
+    """Replicate k's n words, from the stream's definition: key (seed, 0),
+    m = ceil(n/4) Philox counters per replicate, the first n of their 4m
+    words."""
+    m = -(-n // 4)
+    key = np.array([seed, 0], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=k * m).random_raw(n).tolist()
+
+
+def _reference_targets(words, N: int) -> list[int]:
+    """Target i = i + floor(w_i * (N - i) / 2**64), in Python integers."""
+    return [i + (w * (N - i) >> 64) for i, w in enumerate(words)]
+
+
 class TestBlockSampling:
     def test_srswor_equals_scalar_swap_loop(self):
         for N, n in ((2, 1), (2, 2), (7, 7), (50, 13), (2000, 100)):
             frame = PopulationFrame(x=np.arange(1.0, N + 1), y=np.arange(1.0, N + 1))
             for k in range(20):
-                js = _replicate_rng(3, k).integers(low=np.arange(n), high=N)
+                js = np.array(_reference_targets(_stream_words(3, k, n), N))
                 expected = _scalar_fisher_yates(js, N)
-                assert np.array_equal(srswor(frame, n, _replicate_rng(3, k)), expected)
+                assert np.array_equal(srswor(frame, n, _replicate_gen(3, k, n)), expected)
 
     def test_block_equals_scalar_srswor_at_large_population(self):
         N, n = 200_000, 100
         frame = PopulationFrame(x=np.arange(1.0, N + 1), y=np.arange(1.0, N + 1))
         block = _swap_rows(_swap_targets(17, range(3), n, N), N)
         for k in range(3):
-            expected = srswor(frame, n, _replicate_rng(17, k))
+            expected = srswor(frame, n, _replicate_gen(17, k, n))
             assert np.array_equal(block[k], expected)
-            rng = _replicate_rng(17, k)
-            js = rng.integers(low=np.arange(n), high=N)
+            js = np.array(_reference_targets(_stream_words(17, k, n), N))
             assert np.array_equal(block[k], _scalar_fisher_yates(js, N))
 
     def test_block_census_selects_everyone(self):
@@ -117,39 +135,57 @@ class TestBlockSampling:
             assert sorted(row.tolist()) == list(range(12))
 
 
+class TestStreamPinned:
+    """Stream version 2: the swap targets of replicate k are a fixed function
+    of numpy's Philox, so a numpy release that changes Philox, or an edit to
+    the stream, fails here by name instead of forking the random stream."""
 
-class TestSwapTargetsPinned:
-    """The block draw computes numpy's ``integers(arange(n), N)`` on Philox
-    itself, so a numpy release that changes Philox or ``integers`` fails
-    here by name instead of forking the random stream."""
+    # 2**32 - 1 to 2**32 + 1: the span's high half turns on; 2**62: the
+    # largest power of two a span may reach
+    NS = (2, 3, 2000, 2**31 + 11, 2**32 - 1, 2**32, 2**32 + 1, 4 * 10**9,
+          2**40 + 7, 2**62)
+    WORDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 2**32, 2**64 - 1)
 
-    # N = 2: one draw per row; 2000: the engine's scale; 4e9 and 2**32 + 1:
-    # spans beyond 2**31, where numpy rejects words often, and beyond 2**32,
-    # where it draws 64-bit words; n = N: the last draw has width 0 and
-    # uses no word
-    CASES = ((2, 1), (2, 2), (2000, 1), (2000, 100), (2000, 2000),
-             (4 * 10**9, 1), (4 * 10**9, 50), (2**32, 40), (2**32 + 1, 20))
+    def test_numpy_philox_gives_the_random123_known_answer(self):
+        # Philox4x64-10 with key 0 and counter all ones (Salmon et al., SC'11)
+        words = np.random.Philox(key=[0, 0], counter=2**256 - 1).random_raw(4)
+        assert [f"{w:016x}" for w in words.tolist()] == [
+            "16554d9eca36314c", "db20fe9d672d0fdc", "d7e772cee186176b", "7e68b68aec7ba23b",
+        ]
+
+    def test_stream_helper_is_the_stream_definition(self):
+        for seed, k, n in ((0, 0, 1), (2**64 - 1, 5, 7), (9, 2**64 + 3, 100)):
+            assert _replicate_stream(seed, k, n).random_raw(n).tolist() == _stream_words(
+                seed, k, n
+            )
+
+    @pytest.mark.parametrize("N", NS)
+    def test_targets_equal_integer_reference(self, N):
+        # row w: the word w at each of the first positions, whose spans
+        # are N, N - 1, ...
+        rows = [[w] * min(N, 4) for w in self.WORDS]
+        want = [_reference_targets(row, N) for row in rows]
+        got = _targets(np.array(rows, dtype=np.uint64), N)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert all(i <= j < N for row in want for i, j in enumerate(row))
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-    def test_rows_equal_numpy_draws(self, seed):
-        exact = montecarlo._swap_targets_exact
-        rejected = []  # rows that numpy draws again where a word is rejected
+    def test_rows_equal_integer_reference_from_raw_words(self, seed):
+        for N in self.NS:
+            for n in sorted({1, 3, min(N, 2000)}):
+                ks = range(7, 19)
+                got = _swap_targets(seed, ks, n, N)
+                assert got.dtype == np.int64 and got.shape == (12, n)
+                for r, k in enumerate(ks):
+                    want = _reference_targets(_stream_words(seed, k, n), N)
+                    assert got[r].tolist() == want, (seed, N, n, k)
 
-        def spy(seed, ks, n, N):
-            if N <= 2**32:
-                rejected.extend(ks)
-            return exact(seed, ks, n, N)
-
-        with mock.patch.object(montecarlo, "_swap_targets_exact", spy):
-            for N, n in self.CASES:
-                for start in (0, 2**64 - 12):  # the last keys wrap in the key bump
-                    ks = range(start, start + 12)
-                    got = _swap_targets(seed, ks, n, N)
-                    assert got.dtype == np.int64 and got.shape == (12, n)
-                    for r, k in enumerate(ks):
-                        want = _replicate_rng(seed, k).integers(low=np.arange(n), high=N)
-                        assert np.array_equal(got[r], want), (seed, N, n, k)
-        assert rejected
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
+    def test_blocks_split_anywhere_give_the_same_rows(self, n):
+        whole = _swap_targets(11, range(3, 23), n, 2000)
+        for cuts in ((3, 4, 23), (3, 10, 11, 23), (3, 8, 16, 17, 22, 23)):
+            parts = [_swap_targets(11, range(a, b), n, 2000) for a, b in itertools.pairwise(cuts)]
+            assert np.array_equal(np.concatenate(parts), whole), cuts
 
 
 def _subset_rank(rows: np.ndarray, N: int) -> np.ndarray:
@@ -202,6 +238,47 @@ class TestSamplingLaw:
         exact = srswor_median_mse(frame.y, 100, finite_median(frame.y))
         assert row.reps_used == 20_000
         assert abs(row.empirical_mse - exact) < 4.0 * row.mc_se_mse, (row, exact)
+
+    @pytest.mark.parametrize("weights", ["true-params", "plug-in"])
+    def test_every_estimator_matches_its_exact_srswor_law(self, weights):
+        # all C(12, 4) = 495 samples of a frame of distinct values give each
+        # preset's exact failure probability f and, over the samples where it
+        # does not fail, the law of its error e.  Given the replicates used,
+        # the empirical bias and MSE are means of that many independent e and
+        # e^2, so each lies within z standard errors sqrt(var/used) of the
+        # exact value, and the failures within z sqrt(reps f (1 - f)) of
+        # reps f, f = 0 or 1 giving none or all.  At z = 5 a correct engine
+        # crosses one of these 3 * 34 normal bands with probability below
+        # 1e-4; the worst of them reads |z| = 1.8 on this run.
+        rng = np.random.default_rng(12)
+        x = np.round(rng.lognormal(3.0, 0.5, 12), 2)
+        frame = PopulationFrame(x=x, y=np.round(x * rng.lognormal(0.0, 0.3, 12), 2))
+        assert len(set(frame.x)) == len(set(frame.y)) == 12
+        n, reps, z = 4, 4000, 5.0
+        params = compute_params(frame, n)
+        specs = _simulation_specs(PRESET_NAMES, params)
+        law = np.array([
+            _sample_row(frame, list(c), weights, params, specs)
+            for c in itertools.combinations(range(frame.N), n)
+        ])
+        config = SimulationConfig(
+            n=n, reps=reps, seed=0, estimators=PRESET_NAMES, weights=weights
+        )
+        report = run_simulation(frame, config, params)
+        target = finite_median(frame.y)
+        for col, r in zip(law.T, report.results, strict=True):
+            ok = np.isfinite(col)
+            f = 1.0 - ok.mean()
+            band = z * math.sqrt(reps * f * (1.0 - f))
+            assert abs(r.failures - reps * f) <= band, (r.estimator, f, r.failures)
+            if not ok.any():
+                continue
+            e = col[ok] - target
+            for got, exact in ((r.empirical_bias, e), (r.empirical_mse, e * e)):
+                se = math.sqrt(exact.var() / r.reps_used)
+                assert abs(got - exact.mean()) <= z * se + 1e-12 * abs(exact.mean()), (
+                    r.estimator, got, exact.mean(), se
+                )
 
 
 class TestRunSimulation:
@@ -342,7 +419,7 @@ class TestRunSimulation:
         )
         report = run_simulation(frame, config, params)
         used = {r.estimator: r.reps_used for r in report.results}
-        assert used == {"M_y": 2000, "M_lr": 2000, "M_d": 955, "t_m": 955}
+        assert used == {"M_y": 2000, "M_lr": 2000, "M_d": 1018, "t_m": 1018}
         specs = _simulation_specs(config.estimators, params)
         got = montecarlo._replicate_estimates(frame, config, params, specs)
         expected = [_reference_row(frame, config, params, specs, k) for k in range(2000)]
@@ -447,31 +524,36 @@ def _simulation_specs(names, params):
 
 def _reference_row(frame, config, params, specs, k):
     """Replicate k from public one-sample calls: the oracle for the blocks."""
-    plug_in = config.weights == "plug-in"
-    per_sample = [plug_in and bool(free_scalars(s)) for s in specs]
-    idx = srswor(frame, config.n, _replicate_rng(config.seed, k))
+    idx = srswor(frame, config.n, _replicate_gen(config.seed, k, config.n))
+    return _sample_row(frame, idx, config.weights, params, specs)
+
+
+def _sample_row(frame, idx, weights, params, specs):
+    """The estimates of sample ``idx`` by the scalar ``resolve_weights`` and
+    ``evaluate``, NaN where one fails."""
     xs, ys = frame.x[idx], frame.y[idx]
     my, mx = finite_median(ys), finite_median(xs)
     stats = SampleStats(median_y=my, median_x=mx)
     hat = None
     try:
-        p11 = float(np.count_nonzero((xs <= mx) & (ys <= my))) / config.n
+        p11 = float(np.count_nonzero((xs <= mx) & (ys <= my))) / len(idx)
         fy = density_at(ys, my, KernelDensity())
         fx = density_at(xs, mx, KernelDensity())
         stats = SampleStats(
             median_y=my, median_x=mx, p11=p11, fy_at_median=fy, fx_at_median=fx
         )
-        if any(per_sample):
+        if weights == "plug-in":
             rho = max(-1.0, min(1.0, 4.0 * p11 - 1.0))
             hat = MedianParams(params.N, params.n, my, mx, fy, fx, rho)
     except MedauxError:
         pass
     row = []
-    for spec, own in zip(specs, per_sample):
+    for spec in specs:
+        source = hat if weights == "plug-in" and free_scalars(spec) else params
         value = math.nan
-        if hat is not None or not own:
+        if source is not None:
             try:
-                value = evaluate(resolve_weights(spec, hat if own else params), stats, params)
+                value = evaluate(resolve_weights(spec, source), stats, params)
             except (MedauxError, ArithmeticError):
                 pass
         row.append(value)
