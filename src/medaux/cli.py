@@ -153,6 +153,7 @@ def _parse_synthetic(text: str):
                 raise MedauxError(
                     f"synthetic spec entry {part!r} must be an integer"
                 ) from None
+    _reject_unknown_keys("synthetic spec", kwargs, SyntheticSpec)
     try:
         return SyntheticSpec(**kwargs)  # type: ignore[arg-type]
     except TypeError as exc:
@@ -242,14 +243,19 @@ def _read_config(path: str) -> dict:
             raise MedauxError(f"config file {path}: not valid JSON ({exc})") from None
     if not isinstance(file_cfg, dict):
         raise MedauxError(f"config file {path}: expected a JSON object")
-    known = [f.name for f in fields(SimulationConfig)]
-    unknown = sorted(set(file_cfg) - set(known))
+    _reject_unknown_keys(f"config file {path}", file_cfg, SimulationConfig)
+    return file_cfg
+
+
+def _reject_unknown_keys(source: str, given: dict, cls) -> None:
+    """Fail naming the keys of ``given`` that are not fields of ``cls``."""
+    known = [f.name for f in fields(cls)]
+    unknown = sorted(set(given) - set(known))
     if unknown:
         raise MedauxError(
-            f"config file {path}: unknown keys {', '.join(unknown)}; "
+            f"{source}: unknown keys {', '.join(unknown)}; "
             f"valid keys: {', '.join(known)}"
         )
-    return file_cfg
 
 
 def cmd_simulate(args) -> int:

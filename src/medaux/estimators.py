@@ -23,8 +23,10 @@ known population median of the auxiliary variable.  Families:
 =====================  ======================================================
 
 Weight-like scalars may be left ``None`` ("free") and resolved against
-population parameters with :func:`resolve_weights`, which plugs in the value
-minimising the first-order MSE and holds the pinned scalars fixed.
+population parameters with :func:`resolve_weights`, which plugs in the values
+minimising the first-order MSE and holds the pinned scalars fixed: a map of
+the slope k_c, or the solution of the normal equations of the family's own
+expansion coefficients, 0 where zero weights leave no first-order error.
 :func:`preset` builds the named estimators used throughout the comparison
 tables, e.g. ``t_mq7`` or ``M_d3``.  A preset is a family with some scalars
 pinned: ``M_y``, ``M_r`` and ``M_p`` are ``power_ratio`` at alpha = 0, 1 and
@@ -36,9 +38,9 @@ presets are ``ratio_exp`` at w2 = 0 with w1 free; ``M_d4`` is
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 from .errors import (
     DegenerateOptimumError,
@@ -175,7 +177,7 @@ class SampleStats:
 def free_scalars(spec: EstimatorSpec) -> tuple[str, ...]:
     """Names of the spec's weight fields still left free."""
     weights, _ = _FAMILY_FIELDS[spec.family]
-    return tuple(name for name in weights if getattr(spec, name) is None)
+    return tuple([name for name in weights if getattr(spec, name) is None])
 
 
 def _require_resolved(spec: EstimatorSpec) -> None:
@@ -289,69 +291,63 @@ def point_value(ops, s, my, mx, Mx, extras):
 
 def coeffs_of(spec: EstimatorSpec, params: MedianParams) -> ExpansionCoeffs:
     """First-order expansion coefficients of ``spec`` at ``params``."""
-    My, Mx, b = params.median_y, params.median_x, params.median_gap
-    fam = spec.family
     _require_resolved(spec)
+    return ExpansionCoeffs(*coeff_values(FLOATS, spec, params))
 
+
+def coeff_values(ops, s, params) -> tuple:
+    """``(c0, c_e0, c_e1, c_e1sq, c_e0e1)`` of :func:`coeffs_of` for the
+    resolved scalars ``s`` (an :class:`EstimatorSpec` or any object with its
+    attributes), computed by ``ops``."""
+    My, Mx, b = params.median_y, params.median_x, params.median_gap
+    fam = s.family
+    # the weight families come first: each weight solve reads them 2 or 3 times
+    if fam == RATIO_EXP:
+        w1, w2, alpha = s.w1, s.w2, s.alpha
+        k = k_const(s.eta, s.lam, Mx, ops=ops)
+        a = alpha + k  # total first-order ratio slope
+        d2nd = 1.5 * k * k + alpha * k + alpha * (alpha + 1.0) / 2.0  # of e1^2
+        c = w1 * My
+        return (w1 - 1.0) * (My - Mx), c, -c * a + w2 * Mx, c * d2nd, -c * a
+    if fam == SHRINK_DIFF_SCALED:
+        c = s.d1 * My
+        return (s.d1 - 1.0) * My, c, -(s.d2 * Mx + c), s.d2 * Mx + c, -c
+    if fam == SHRINK_CONVEX:
+        return (s.d1 - 1.0) * b, s.d1 * My, s.d2 * Mx, 0.0, 0.0
+    if fam == SHRINK_DIFF:
+        return (s.d1 - 1.0) * My, s.d1 * My, -s.d2 * Mx, 0.0, 0.0
+    if fam == SHRINK_DIFF_TIED:
+        return (s.d1 - 1.0) * My, s.d1 * My, -(1.0 - s.d1) * Mx, 0.0, 0.0
     if fam == SHIFTED_PRODUCT:
-        if spec.shift == Mx:
-            raise SingularityError("shift equals the known auxiliary median")
-        theta = Mx / (spec.shift - Mx)
-        return ExpansionCoeffs(0.0, My, -theta * My, 0.0, -theta * My)
+        ops.fail_if(s.shift == Mx, SingularityError,
+                    "shift equals the known auxiliary median")
+        theta = Mx / (s.shift - Mx)
+        return 0.0, My, -theta * My, 0.0, -theta * My
     if fam == SHIFTED_RATIO:
-        if spec.shift + Mx == 0.0:
-            raise SingularityError("shift + auxiliary median is zero")
-        theta = Mx / (spec.shift + Mx)
-        return ExpansionCoeffs(0.0, My, -theta * My, theta**2 * My, -theta * My)
+        ops.fail_if(s.shift + Mx == 0.0, SingularityError,
+                    "shift + auxiliary median is zero")
+        theta = Mx / (s.shift + Mx)
+        return 0.0, My, -theta * My, ops.pow(theta, 2) * My, -theta * My
     if fam == POWER_RATIO:
-        a = spec.alpha
-        return ExpansionCoeffs(0.0, My, -a * My, a * (a + 1.0) / 2.0 * My, -a * My)
+        a = s.alpha
+        return 0.0, My, -a * My, a * (a + 1.0) / 2.0 * My, -a * My
     if fam == DAMPED_RATIO:
-        check_squares(FLOATS, spec, ("beta",))
-        bt = spec.beta
-        return ExpansionCoeffs(0.0, My, -bt * My, bt**2 * My, -bt * My)
+        check_squares(ops, s, ("beta",))
+        bt = s.beta
+        return 0.0, My, -bt * My, ops.pow(bt, 2) * My, -bt * My
     if fam == DUAL_POWER:
-        v = spec.v
-        return ExpansionCoeffs(0.0, My, v * My, -v * (v + 1.0) / 2.0 * My, v * My)
+        v = s.v
+        return 0.0, My, v * My, -v * (v + 1.0) / 2.0 * My, v * My
     if fam == MIX_PRODUCT:
-        c = (1.0 - spec.w) * My
-        return ExpansionCoeffs(0.0, My, c, 0.0, c)
+        c = (1.0 - s.w) * My
+        return 0.0, My, c, 0.0, c
     if fam == MIX_RATIO:
-        c = (1.0 - spec.w) * My
-        return ExpansionCoeffs(0.0, My, -c, c, -c)
+        c = (1.0 - s.w) * My
+        return 0.0, My, -c, c, -c
     if fam == REGRESSION:
         # slope at its population limit, the optimal difference coefficient
         d_opt = params.rho_c * My * params.cv_y / (Mx * params.cv_x)
-        return ExpansionCoeffs(0.0, My, -d_opt * Mx, 0.0, 0.0)
-    if fam == SHRINK_DIFF_TIED:
-        return ExpansionCoeffs(
-            (spec.d1 - 1.0) * My, spec.d1 * My, -(1.0 - spec.d1) * Mx, 0.0, 0.0
-        )
-    if fam == SHRINK_DIFF:
-        return ExpansionCoeffs(
-            (spec.d1 - 1.0) * My, spec.d1 * My, -spec.d2 * Mx, 0.0, 0.0
-        )
-    if fam == SHRINK_CONVEX:
-        return ExpansionCoeffs(
-            (spec.d1 - 1.0) * b, spec.d1 * My, spec.d2 * Mx, 0.0, 0.0
-        )
-    if fam == SHRINK_DIFF_SCALED:
-        c = spec.d1 * My
-        return ExpansionCoeffs(
-            (spec.d1 - 1.0) * My, c, -(spec.d2 * Mx + c), spec.d2 * Mx + c, -c
-        )
-    if fam == RATIO_EXP:
-        w1, w2, alpha = spec.w1, spec.w2, spec.alpha
-        k = k_const(spec.eta, spec.lam, Mx)
-        a = alpha + k  # total first-order ratio slope
-        d2nd = 1.5 * k * k + alpha * k + alpha * (alpha + 1.0) / 2.0  # of e1^2
-        return ExpansionCoeffs(
-            (w1 - 1.0) * (My - Mx),
-            w1 * My,
-            -w1 * My * a + w2 * Mx,
-            w1 * My * d2nd,
-            -w1 * My * a,
-        )
+        return 0.0, My, -d_opt * Mx, 0.0, 0.0
 
     raise DomainError(f"unknown estimator family {fam!r}")
 
@@ -360,54 +356,41 @@ def coeffs_of(spec: EstimatorSpec, params: MedianParams) -> ExpansionCoeffs:
 # Optimal weight resolution
 # ---------------------------------------------------------------------------
 
-
-def _second_moments(ops, params) -> tuple:
-    """(V_y, V_x, C_yx, V_res): absolute-scale variances, covariance and the
-    residual variance V_y*(1 - rho_c^2)."""
-    var_e0, var_e1, cov_e0e1 = moment_values(ops, params)
-    check_moments(ops, var_e0, var_e1, cov_e0e1)
-    check_squares(ops, params, ("median_y", "median_x"))
-    My, Mx = params.median_y, params.median_x
-    vy = ops.pow(My, 2) * var_e0
-    vx = ops.pow(Mx, 2) * var_e1
-    cyx = My * Mx * cov_e0e1
-    return vy, vx, cyx, vy * (1.0 - ops.pow(params.rho_c, 2))
-
-
-# V_x = Mx^2 * gamma * cv_x^2 and the d1 denominators are > 0 in exact
-# arithmetic, but they can underflow
-_VX_ZERO = "optimal d2 undefined: V_x = Mx^2*var(e1) underflows to zero"
-_D1_ZERO = "optimal d1 undefined: {} underflows to zero"
-
-# family -> the one free scalar that has an optimum when the other is pinned
-_CONDITIONAL_OPTIMA = {RATIO_EXP: ("w1",), SHRINK_DIFF: ("d2",)}
+# family -> the optimum of its one scalar from the slope k_c and Mx; these
+# read k_c alone, so they resolve also where a squared cv overflows
+_SLOPE_OPTIMA = {
+    POWER_RATIO: lambda kc, Mx: kc,
+    DAMPED_RATIO: lambda kc, Mx: kc,
+    DUAL_POWER: lambda kc, Mx: -kc,
+    MIX_PRODUCT: lambda kc, Mx: 1.0 + kc,
+    MIX_RATIO: lambda kc, Mx: 1.0 - kc,
+    SHIFTED_PRODUCT: lambda kc, Mx: Mx * (1.0 + 1.0 / kc),
+    SHIFTED_RATIO: lambda kc, Mx: Mx * (1.0 - kc) / kc,
+}
 
 
 def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
-    """Fill every free scalar with its first-order MSE minimiser.
+    """Fill every free scalar with its first-order MSE minimiser; pinned
+    scalars are never changed.
 
-    Each family's optimum is the closed-form minimiser of the MSE implied by
-    its own expansion coefficients, so the resolved spec is internally
-    consistent with :func:`coeffs_of` and :func:`medaux.expansion.mse_from_coeffs`.
-    For ``ratio_exp`` it is the quadratic form in the weights
-
-        mse(w1, w2) = (1 - 2 w1) b^2 + w1^2 A + w2^2 B + 2 w1 w2 C,
-
-    with b = My - Mx, A = b^2 + W(a) where W(a) is the MSE of
-    my_hat * (Mx / mx_hat) ** a at the total slope a = alpha + k, B = V_x and
-    C = My * Mx * (cov(e0, e1) - a * var(e1)).
-    Pinned scalars are never changed: a two-weight spec with one weight
-    pinned gets the conditional optimum of the other where one is defined
-    (w1 of ``ratio_exp``, d2 of ``shrink_diff``) and raises
-    :class:`DomainError` otherwise.
+    The one scalar of ``shifted_*``, ``power_ratio``, ``damped_ratio``,
+    ``dual_power`` and ``mix_*`` is a map of the concordance slope k_c.  For
+    the shrinkage families and ``ratio_exp``, v = (c0, c_e0, c_e1) of
+    :func:`coeffs_of` is affine in the free weights t, v = v0 + J t, and the
+    first-order MSE is v' M v with M = diag(1, Sigma), Sigma the covariance
+    of (e0, e1).  The weights solve the normal equations J'MJ t = -J'M v0,
+    so any subset of them may be free.  Where v0 = 0 the zero weights leave
+    no first-order error, a minimum of that sum of squares, unique or not:
+    the weights are then 0.  Otherwise a determinant of J'MJ that is not
+    positive raises :class:`DegenerateOptimumError`.
     """
     found = optimal_weights(FLOATS, spec, params)
     if not found:
         return spec
-    # the weights are checked finite floats, so the copy keeps the spec's
+    # the weights are checked finite floats, so the new spec keeps the
     # invariants without validating its other scalars again
-    resolved = copy.copy(spec)
-    vars(resolved).update((name, float(value)) for name, value in found.items())
+    resolved = object.__new__(EstimatorSpec)
+    vars(resolved).update(vars(spec), **found)
     return resolved
 
 
@@ -417,93 +400,59 @@ def optimal_weights(ops, spec: EstimatorSpec, params) -> dict:
     fields).  A weight that is not finite fails as the spec's own check does.
     A spec with no free scalars gets none.
     """
-    missing = free_scalars(spec)
-    if not missing:
+    free = free_scalars(spec)
+    if not free:
         return {}
     fam = spec.family
-    weights, _ = _FAMILY_FIELDS[fam]
-    if len(missing) < len(weights) and _CONDITIONAL_OPTIMA.get(fam) != missing:
-        raise DomainError(
-            f"estimator {spec.label!r} pins some of {weights} but has no "
-            f"optimum for {missing} alone"
-        )
-    My, Mx = params.median_y, params.median_x
-    kc = params.k_c
-    if fam in (SHRINK_DIFF_TIED, SHRINK_DIFF, SHRINK_CONVEX, SHRINK_DIFF_SCALED):
-        # only these optima read the second moments; the others read k_c
-        # alone, so they resolve also where a squared cv overflows
-        vy, vx, cyx, vres = _second_moments(ops, params)
-    b = params.median_gap
-
-    if fam == POWER_RATIO:
-        found = dict(alpha=kc)
-    elif fam == DAMPED_RATIO:
-        found = dict(beta=kc)
-    elif fam == DUAL_POWER:
-        found = dict(v=-kc)
-    elif fam == MIX_PRODUCT:
-        found = dict(w=1.0 + kc)
-    elif fam == MIX_RATIO:
-        found = dict(w=1.0 - kc)
-    elif fam in (SHIFTED_PRODUCT, SHIFTED_RATIO):
-        ops.fail_if(kc == 0.0, SingularityError,
-                    "optimal shift undefined when k_c is zero")
-        if fam == SHIFTED_PRODUCT:
-            found = dict(shift=Mx * (1.0 + 1.0 / kc))
-        else:
-            found = dict(shift=Mx * (1.0 - kc) / kc)
-    elif fam == SHRINK_DIFF_TIED:
-        My2 = ops.pow(My, 2)
-        den = My2 + vy + vx + 2.0 * cyx
-        ops.fail_if(den == 0.0, SingularityError, _D1_ZERO, "My^2 + V_y + V_x + 2*C_yx")
-        found = dict(d1=(My2 + vx + cyx) / den)
-    elif fam == SHRINK_DIFF:
-        d1 = spec.d1
-        if d1 is None:
-            My2 = ops.pow(My, 2)
-            ops.fail_if(My2 + vres == 0.0, SingularityError, _D1_ZERO, "My^2 + V_res")
-            d1 = My2 / (My2 + vres)
-        ops.fail_if(vx == 0.0, SingularityError, _VX_ZERO)
-        found = dict(d1=d1, d2=d1 * cyx / vx)
-    elif fam == SHRINK_CONVEX:
-        # b = 0 with |rho_c| = 1 leaves 0/0; the limit is weight 0, MSE 0
-        b2 = ops.pow(b, 2)
-        d1 = ratio_or(ops, b2, b2 + vres, 0.0)
-        ops.fail_if(vx == 0.0, SingularityError, _VX_ZERO)
-        found = dict(d1=d1, d2=-d1 * cyx / vx)
-    elif fam == SHRINK_DIFF_SCALED:
-        My2 = ops.pow(My, 2)
-        ops.fail_if(My2 + vres == 0.0, SingularityError, _D1_ZERO, "My^2 + V_res")
-        d1 = My2 / (My2 + vres)
-        s = d1 * My * params.rho_c * params.cv_y / params.cv_x
-        found = dict(d1=d1, d2=(s - d1 * My) / Mx)
-    elif fam == RATIO_EXP:
-        check_squares(ops, params, ("median_y", "median_x", "cv_y", "cv_x"))
-        a = spec.alpha + k_const(spec.eta, spec.lam, Mx, ops=ops)
-        cy, cx, rho = params.cv_y, params.cv_x, params.rho_c
-        b2 = ops.pow(b, 2)
-        W = params.gamma * ops.pow(My, 2) * (
-            ops.pow(cy, 2) + a * a * ops.pow(cx, 2) - 2.0 * a * rho * cy * cx
-        )
-        A = b2 + W
-        B = params.gamma * ops.pow(Mx, 2) * ops.pow(cx, 2)
-        C = params.gamma * My * Mx * cx * (rho * cy - a * cx)
-        if spec.w2 is not None:
-            # A is 0 only at b = 0, |rho_c| = 1 and a = k_c: the limit is
-            # weight 0, MSE 0
-            found = dict(w1=ratio_or(ops, b2 - spec.w2 * C, A, 0.0))
-        else:
-            det = A * B - C * C
-            ops.fail_if(det <= 0.0, DegenerateOptimumError,
-                        "A*B - C^2 = {!r} is not positive; weight optimum undefined",
-                        det)
-            found = dict(w1=b2 * B / det, w2=-b2 * C / det)
+    if fam in _SLOPE_OPTIMA:
+        kc = params.k_c
+        if fam in (SHIFTED_PRODUCT, SHIFTED_RATIO):
+            ops.fail_if(kc == 0.0, SingularityError,
+                        "optimal shift undefined when k_c is zero")
+        found = {free[0]: _SLOPE_OPTIMA[fam](kc, params.median_x)}
     else:
-        raise DomainError(f"family {fam!r} has no free scalars to resolve")
+        found = _normal_equations(ops, spec, free, params)
     for name, value in found.items():
         ops.require(ops.isfinite(value), DomainError,
                     "scalar {!r} must be finite", name)
     return found
+
+
+def _normal_equations(ops, spec, free, params) -> dict:
+    """The ``free`` weights of :func:`resolve_weights`, with v0 and J read off
+    :func:`coeff_values` at 0 and at each unit step, by Cramer's rule."""
+    var_e0, var_e1, cov = moment_values(ops, params)
+    check_moments(ops, var_e0, var_e1, cov)
+    check_squares(ops, params, ("median_y", "median_x"))
+    point = SimpleNamespace(**{**vars(spec), **dict.fromkeys(free, 0.0)})
+    at = vars(point)
+    c0, c1, c2, _, _ = coeff_values(ops, point, params)
+    cols, rhs = [], []  # (J_j, M J_j) and -J_j' M v0 of each free weight
+    for name in free:
+        at[name] = 1.0
+        u0, u1, u2, _, _ = coeff_values(ops, point, params)
+        at[name] = 0.0
+        u0, u1, u2 = u0 - c0, u1 - c1, u2 - c2
+        m1, m2 = var_e0 * u1 + cov * u2, cov * u1 + var_e1 * u2
+        cols.append((u0, u1, u2, m1, m2))
+        rhs.append(-(u0 * c0 + m1 * c1 + m2 * c2))
+
+    def gram(a, b):  # J_a' M J_b
+        return a[0] * b[0] + a[3] * b[1] + a[4] * b[2]
+
+    if len(cols) == 1:
+        det, nums = gram(cols[0], cols[0]), rhs
+    else:
+        a, b = cols
+        g11, g12, g22 = gram(a, a), gram(a, b), gram(b, b)
+        det = g11 * g22 - g12 * g12
+        nums = [rhs[0] * g22 - rhs[1] * g12, rhs[1] * g11 - rhs[0] * g12]
+    has_error = (c0 != 0.0) | (c1 != 0.0) | (c2 != 0.0)
+    ops.fail_if(has_error & (det <= 0.0), DegenerateOptimumError,
+                "optimal {} undefined: normal-equation determinant {!r} is "
+                "not positive", ", ".join(free), det)
+    den = ops.select(has_error, det, 0.0)  # 0 gives the zero weights
+    return {name: ratio_or(ops, num, den, 0.0) for name, num in zip(free, nums)}
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,9 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.N < 2:
             raise DomainError(f"population size must be at least 2, got {self.N}")
+        for name in ("mu_x", "sigma_x", "mu_y", "sigma_y"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma_x <= 0 or self.sigma_y <= 0:
             raise DomainError("log-scale standard deviations must be positive")
         if not -1.0 < self.rho < 1.0:

@@ -38,8 +38,15 @@ STEEP_CSV = "x,y\n" + "\n".join(
 # y = 1e160 * x, x = 1..11: at n = 4 the square of median_y = 6e160 overflows
 HUGE_Y_CSV = "x,y\n" + "\n".join(f"{x},{1e160 * x!r}" for x in range(1, 12))
 
-# x = y = 1..5: at n = 3 the t_m optimum is degenerate (A*B - C^2 < 0 by rounding)
+# x = y = 1..5: at n = 3 the gap is 0 and rho_c = 1, so the normal equations
+# of t_m and M_d3 are singular and both get weights 0
 TIED_CSV = "x,y\n" + "\n".join(f"{v},{v}" for v in range(1, 6))
+
+# x = 1..8 with y swapped in pairs of ranks: at n = 4 rho_c = 0, so k_c = 0 and
+# the M_1 and M_2 shifts have no optimum
+ZERO_KC_CSV = "x,y\n" + "\n".join(
+    f"{x},{y}" for x, y in zip(range(1, 9), (1, 2, 5, 6, 3, 4, 7, 8))
+)
 
 
 def run_cli(capsys, *argv):
@@ -285,12 +292,12 @@ class TestTableCommand:
         "values, message",
         [
             ({"median_y": 0.5, "fx_at_median": 1e300},
-             "optimal d2 undefined: V_x = Mx^2*var(e1) underflows to zero"),
+             "optimal d2 undefined: normal-equation determinant 0.0 is not positive"),
             ({"median_y": 1, "fx_at_median": 1e-300, "rho_c": -1},
              "cv_x = 4.9726504226752854e+296 is too large: its square overflows"),
             # a median near 1e-300 squares to 0; one of 1e160 squares past the range
             ({"median_y": 1e-300, "fy_at_median": 1e300},
-             "optimal d1 undefined: My^2 + V_res underflows to zero"),
+             "optimal d1, d2 undefined: normal-equation determinant 0.0 is not positive"),
             ({"median_x": 1e160}, "median_x = 1e+160 is too large: its square overflows"),
         ],
     )
@@ -496,6 +503,28 @@ class TestSimulateCommand:
         assert out == ""
         assert err == "error: seed must fit in an unsigned 64-bit integer\n"
 
+    @pytest.mark.parametrize(
+        "entry, field, value",
+        [("mu_x=-inf", "mu_x", "-inf"), ("mu_y=nan", "mu_y", "nan"),
+         ("sigma_x=inf", "sigma_x", "inf"), ("sigma_y=nan", "sigma_y", "nan")],
+    )
+    def test_non_finite_synthetic_value_is_named(self, capsys, entry, field, value):
+        code, out, err = run_cli(
+            capsys, "simulate", "--synthetic", f"N=50,{entry}", "--n", "2", "--reps", "2",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {field} must be finite, got {value}\n"
+
+    def test_unknown_synthetic_key_lists_the_valid_keys(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--synthetic", "N=50,bogus=1", "--n", "2", "--reps", "2",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: synthetic spec: unknown keys bogus; "
+            "valid keys: N, mu_x, sigma_x, mu_y, sigma_y, rho, seed\n"
+        )
+
     def test_overflowing_synthetic_values_are_one_error_line(self, capsys):
         # exp(1000) overflows: the frame check reports it, with no warning
         code, out, err = run_cli(
@@ -678,14 +707,42 @@ class TestSimulateCommand:
         assert out.splitlines()[2] == "M_r,nan,,2.34e+289,nan"
 
     def test_undefined_optimum_costs_its_estimator_alone(self, capsys, tmp_path):
-        pop = tmp_path / "tied.csv"
-        pop.write_text(TIED_CSV, encoding="utf-8")
+        pop = tmp_path / "zero-kc.csv"
+        pop.write_text(ZERO_KC_CSV, encoding="utf-8")
         code, out, err = run_cli(
-            capsys, "simulate", "--input", str(pop), "--n", "3", "--reps", "50",
-            "--estimators", "M_y,t_m",
+            capsys, "simulate", "--input", str(pop), "--n", "4", "--reps", "50",
+            "--estimators", "M_y,M_1,M_2", "--format", "json",
         )
         assert (code, err) == (0, "")
-        assert out.splitlines()[1:] == ["M_y,0.85,0.00,0.54,100.00", "t_m,nan,,nan,nan"]
+        report = json.loads(out)
+        assert report["params"]["rho_c"] == 0.0
+        counts = {d["estimator"]: (d["reps_used"], d["failures"]) for d in report["detail"]}
+        assert counts == {"M_y": (50, 0), "M_1": (0, 50), "M_2": (0, 50)}
+        rows = {r["estimator"]: r for r in report["rows"]}
+        assert math.isfinite(rows["M_y"]["empirical_mse"])
+        assert math.isnan(rows["M_1"]["analytic_mse"])
+
+    def test_singular_two_weight_optimum_matches_convex_shrinkage(self, capsys, tmp_path):
+        # t_m and M_d3 are the same first-order estimator; at b = 0 with
+        # rho_c = 1 both get weights 0, MSE 0 and every replicate
+        pop = tmp_path / "tied.csv"
+        pop.write_text(TIED_CSV, encoding="utf-8")
+        written = _written_params(capsys, tmp_path, "--input", str(pop), "--n", "3")
+        code, out, err = run_cli(
+            capsys, "table", "--params", str(written), "--estimators", "t_m,M_d3",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "warning: zero MSE: relative efficiency is unbounded\n")
+        t_m, m_d3 = json.loads(out)["rows"]
+        assert {**t_m, "estimator": "M_d3"} == m_d3
+        assert t_m["analytic_mse"] == 0.0
+        code, out, _ = run_cli(
+            capsys, "simulate", "--input", str(pop), "--n", "3", "--reps", "50",
+            "--estimators", "t_m,M_d3", "--format", "json",
+        )
+        assert code == 0
+        counts = [(d["reps_used"], d["failures"]) for d in json.loads(out)["detail"]]
+        assert counts == [(50, 0), (50, 0)]
 
     def test_zero_sample_median_of_x_costs_m_d4_its_replicates(self, capsys, tmp_path):
         # x = 0, 0, 1, 2, 3, 4: a sample of both zeros has mx_hat = 0, where
@@ -704,7 +761,7 @@ class TestSimulateCommand:
         detail = {d["estimator"]: d for d in report["detail"]}
         assert (detail["M_d4"]["failures"], detail["M_y"]["failures"]) == (1, 0)
         assert [r["empirical_mse"] for r in report["rows"]] == [
-            0.15200123111309388, 1.07,
+            0.15200123111309372, 1.07,
         ]
 
 

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medaux import (
     PRESET_NAMES,
@@ -24,7 +26,7 @@ from medaux import (
     preset,
     resolve_weights,
 )
-from medaux.estimators import FAMILIES
+from medaux.estimators import _FAMILY_FIELDS, _SLOPE_OPTIMA, FAMILIES
 
 from conftest import draw_params
 from oracles import min_mse_difference, min_mse_ss2, min_mse_ss3, min_mse_tmq
@@ -34,6 +36,28 @@ def _known(median_x: float = 100.0) -> MedianParams:
     return MedianParams(
         1000, 100, 120.0, median_x, 1 / (120 * 1.1), 1 / (median_x * 0.9), 0.4
     )
+
+
+# the families whose weights solve the normal equations of their coefficients
+NORMAL_EQUATION_FAMILIES = sorted(
+    family for family, (weights, _) in _FAMILY_FIELDS.items()
+    if weights and family not in _SLOPE_OPTIMA
+)
+TWO_WEIGHT_FAMILIES = sorted(
+    family for family, (weights, _) in _FAMILY_FIELDS.items() if len(weights) == 2
+)
+_unit = st.floats(-2.0, 2.0)
+# eta >= 0 and lam > 0 keep both exponential denominators away from zero
+_STRUCTURAL = {"alpha": _unit, "eta": st.floats(0.0, 3.0), "lam": st.floats(0.01, 5.0)}
+
+
+@st.composite
+def _scalars(draw, family: str) -> dict:
+    """Every weight and structural scalar of ``family``, drawn at random."""
+    weights, structural = _FAMILY_FIELDS[family]
+    scalars = {name: draw(_unit) for name in weights}
+    scalars.update({name: draw(_STRUCTURAL[name]) for name in structural})
+    return scalars
 
 
 def _random_stats(rng: np.random.Generator) -> SampleStats:
@@ -259,6 +283,39 @@ class TestCoeffs:
                 assert abs(exact - predicted) <= 1e-8 * pop1.median_y
 
 
+@pytest.mark.parametrize("family", NORMAL_EQUATION_FAMILIES)
+@settings(deadline=None, max_examples=50)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_coefficients_are_affine_in_the_free_weights(family, data, seed):
+    """The normal equations read (c0, c_e0, c_e1) off at 0 and at unit
+    steps, so their second and mixed differences in the free weights, the
+    pinned ones held, must vanish up to rounding."""
+    params = draw_params(np.random.default_rng(seed))
+    scalars = data.draw(_scalars(family), label="scalars")
+    free = data.draw(
+        st.lists(st.sampled_from(_FAMILY_FIELDS[family][0]), min_size=1, unique=True),
+        label="free",
+    )
+    step = data.draw(st.floats(0.1, 2.0), label="step")
+
+    def v(*moved: str) -> np.ndarray:
+        at = dict(scalars)
+        for name in moved:
+            at[name] += step
+        c = coeffs_of(EstimatorSpec(family=family, **at), params)
+        return np.array([c.c0, c.c_e0, c.c_e1])
+
+    base = v()
+    for i, first in enumerate(free):
+        for second in free[i:]:
+            points = (v(first, second), v(first), v(second), base)
+            difference = points[0] - points[1] - points[2] + points[3]
+            scale = max(float(np.abs(p).max()) for p in points)
+            assert np.all(np.abs(difference) <= 1e-12 * scale), (
+                family, first, second, difference,
+            )
+
+
 class TestPresets:
     def test_ratio_preset_fields(self, pop1):
         spec = preset("t_m2", pop1)
@@ -394,13 +451,26 @@ class TestResolveWeights:
         assert spec.w2 == 0.3
         self._assert_local_minimum(spec, "w1", pop1)
 
-    def test_partly_pinned_without_conditional_optimum_rejected(self, pop1):
-        for spec in (
-            EstimatorSpec(family="ratio_exp", w1=0.9, alpha=1.0, eta=0.0, lam=1.0),
-            EstimatorSpec(family="shrink_convex", d2=0.1),
-        ):
-            with pytest.raises(DomainError, match="pins"):
-                resolve_weights(spec, pop1)
+    @pytest.mark.parametrize("pinned", ["first", "second", "neither"])
+    @pytest.mark.parametrize("family", TWO_WEIGHT_FAMILIES)
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_conditional_optima(self, family, pinned, data, seed):
+        params = draw_params(np.random.default_rng(seed))
+        scalars = data.draw(_scalars(family), label="scalars")
+        weights, _ = _FAMILY_FIELDS[family]
+        for index, name in enumerate(weights):
+            if pinned != ("first", "second")[index]:
+                scalars[name] = None
+        spec = EstimatorSpec(family=family, **scalars)
+        resolved = resolve_weights(spec, params)
+        free = free_scalars(spec)
+        assert len(free) == (2 if pinned == "neither" else 1)
+        for name in weights:
+            if name not in free:
+                assert getattr(resolved, name) == scalars[name]
+        for name in free:
+            self._assert_local_minimum(resolved, name, params)
 
     def test_resolved_weights_minimise_catalogue_mse(self, pop1, pop2):
         """Moving any resolved free scalar by 1e-4 relative never lowers the

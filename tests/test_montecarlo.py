@@ -685,20 +685,25 @@ class TestEstimatorIndependence:
                 assert alone == [together[j]], name
 
     def test_an_undefined_optimum_costs_its_estimator_alone(self):
-        # on x = y = 1..5 the t_m optimum is degenerate (A*B - C^2 < 0 by
-        # rounding): t_m fails every replicate, and M_y keeps all of them
-        frame = PopulationFrame(x=np.arange(1.0, 6.0), y=np.arange(1.0, 6.0))
-        params = compute_params(frame, 3)
-        config = SimulationConfig(n=3, reps=50, estimators=("M_y", "t_m"))
-        m_y, t_m = run_simulation(frame, config, params).results
+        # y swaps x = 1..8 in pairs of ranks, so at n = 4 rho_c = 0 and k_c = 0:
+        # the M_1 and M_2 shifts have no optimum and fail every replicate,
+        # and M_y keeps all of them
+        frame = PopulationFrame(
+            x=np.arange(1.0, 9.0), y=np.array([1.0, 2, 5, 6, 3, 4, 7, 8])
+        )
+        params = compute_params(frame, 4)
+        assert params.k_c == 0.0
+        config = SimulationConfig(n=4, reps=50, estimators=("M_y", "M_1", "M_2"))
+        m_y, *shifted = run_simulation(frame, config, params).results
         assert (m_y.reps_used, m_y.failures) == (50, 0)
         assert math.isfinite(m_y.empirical_mse) and math.isfinite(m_y.analytic_mse)
-        assert (t_m.reps_used, t_m.failures, t_m.analytic_bias) == (0, 50, None)
-        for value in (t_m.empirical_bias, t_m.empirical_mse, t_m.mc_se_mse,
-                      t_m.analytic_mse, t_m.ratio_empirical_to_analytic):
-            assert math.isnan(value)
-        with pytest.raises(MedauxError, match=r"^A\*B - C\^2 = .* is not positive"):
-            resolve_weights(preset("t_m"), params)
+        for result in shifted:
+            assert (result.reps_used, result.failures, result.analytic_bias) == (0, 50, None)
+            for value in (result.empirical_bias, result.empirical_mse, result.mc_se_mse,
+                          result.analytic_mse, result.ratio_empirical_to_analytic):
+                assert math.isnan(value)
+            with pytest.raises(MedauxError, match="^optimal shift undefined when k_c is zero$"):
+                resolve_weights(preset(result.estimator), params)
 
 
 class TestCallCounts:

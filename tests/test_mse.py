@@ -20,12 +20,12 @@ from medaux import (
     InfiniteEfficiencyWarning,
     MedauxError,
     MedianParams,
-    SingularityError,
     UnknownEstimatorError,
     bias_from_coeffs,
     coeffs_of,
     dominance_checks,
     error_moments,
+    free_scalars,
     min_mse_ss4,
     mse_from_coeffs,
     pre,
@@ -181,12 +181,13 @@ class TestQuadraticWeights:
             assert best >= closed - 1e-6 * max(abs(closed), 1e-12)
 
     def test_degenerate_optimum_detected(self):
-        # zero gap plus perfect concordance collapses A*B - C^2 to zero
+        # zero gap plus perfect concordance collapses A*B - C^2 to zero; the
+        # zero weights then have no first-order error, a minimum of the MSE
         p = MedianParams(100, 10, 50.0, 50.0, 0.01, 0.01, 1.0)
         with pytest.raises(DegenerateOptimumError):
             quadratic_weights(p, alpha=p.k_c, eta=0.0, lam=1.0)
-        with pytest.raises(DegenerateOptimumError):
-            resolve_weights(preset("t_m", p), p)
+        spec = resolve_weights(preset("t_m", p), p)
+        assert (spec.w1, spec.w2) == (0.0, 0.0)
 
 
 class TestTwoWeightClassMinimum:
@@ -458,9 +459,9 @@ class TestTableRows:
     @pytest.mark.parametrize(
         "values, error, message",
         [
-            # var(e1) underflows to 0, and the d2 optima divide by V_x
-            ({"median_y": 0.5, "fx_at_median": 1e300}, SingularityError,
-             "optimal d2 undefined: V_x = Mx^2*var(e1) underflows to zero"),
+            # var(e1) underflows to 0, so the normal equations in d2 are singular
+            ({"median_y": 0.5, "fx_at_median": 1e300}, DegenerateOptimumError,
+             "optimal {} undefined: normal-equation determinant 0.0 is not positive"),
             ({"median_y": 1, "fx_at_median": 1e-300, "rho_c": -1}, DomainError,
              "cv_x = 4.9726504226752854e+296 is too large: its square overflows"),
         ],
@@ -472,7 +473,9 @@ class TestTableRows:
         params = replace(pop1, **values)
         with pytest.raises(error) as info:
             table_rows(params, ids) if ids else dominance_checks(params)
-        assert str(info.value) == message
+        # the dominance checks resolve M_d first
+        free = free_scalars(preset(ids[0] if ids else "M_d"))
+        assert str(info.value) == message.format(", ".join(free))
 
     @pytest.mark.parametrize(
         "values, ids, message",
@@ -500,8 +503,8 @@ class TestTableRows:
             ({"median_y": 1e160}, lambda p: resolve_weights(preset("t_m"), p),
              DomainError, "median_y = 1e+160 is too large: its square overflows"),
             ({"median_y": 1e-300, "fy_at_median": 1e300},
-             lambda p: resolve_weights(preset("M_d4"), p),
-             SingularityError, "optimal d1 undefined: My^2 + V_res underflows to zero"),
+             lambda p: resolve_weights(preset("M_d4"), p), DegenerateOptimumError,
+             "optimal d1, d2 undefined: normal-equation determinant 0.0 is not positive"),
             ({"median_y": 1e160}, sample_median_mse,
              DomainError, "median_y = 1e+160 is too large: its square overflows"),
         ],
