@@ -8,8 +8,8 @@ estimator point values are each written once, against a small backend
   precondition;
 * ``select(cond, a, b)`` picks ``a`` where ``cond`` holds, else ``b``; both
   are computed, so neither may divide by zero (see :func:`ratio_or`);
-* ``pow``, ``exp`` and ``sqrt`` are Python's ``**``, ``math.exp`` and
-  ``math.sqrt``; ``isfinite`` is ``math.isfinite``.
+* ``pow`` and ``exp`` are Python's ``**`` and ``math.exp``; ``isfinite``
+  is ``math.isfinite``.
 
 Everything else is a plain operator, so the same code runs on floats and on
 arrays.  :data:`FLOATS` is the float backend: a failed precondition raises
@@ -29,7 +29,6 @@ import operator
 class _Floats:
     pow = staticmethod(operator.pow)
     exp = staticmethod(math.exp)
-    sqrt = staticmethod(math.sqrt)
     isfinite = staticmethod(math.isfinite)
 
     @staticmethod

@@ -51,7 +51,6 @@ from .errors import (
 from .arith import FLOATS, ratio_or
 from .expansion import (
     ExpansionCoeffs,
-    check_moments,
     check_squares,
     k_const,
     moment_values,
@@ -422,7 +421,6 @@ def _normal_equations(ops, spec, free, params) -> dict:
     """The ``free`` weights of :func:`resolve_weights`, with v0 and J read off
     :func:`coeff_values` at 0 and at each unit step, by Cramer's rule."""
     var_e0, var_e1, cov = moment_values(ops, params)
-    check_moments(ops, var_e0, var_e1, cov)
     check_squares(ops, params, ("median_y", "median_x"))
     point = SimpleNamespace(**{**vars(spec), **dict.fromkeys(free, 0.0)})
     at = vars(point)

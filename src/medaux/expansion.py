@@ -67,24 +67,22 @@ class ExpansionCoeffs:
 
 @dataclass(frozen=True)
 class ErrorMoments:
-    """Second moments of the relative errors (e0, e1)."""
+    """Second moments of the relative errors (e0, e1), checked when built."""
 
     var_e0: float
     var_e1: float
     cov_e0e1: float
 
     def __post_init__(self) -> None:
-        check_moments(FLOATS, self.var_e0, self.var_e1, self.cov_e0e1)
-
-
-def check_moments(ops, var_e0, var_e1, cov_e0e1) -> None:
-    """The :class:`ErrorMoments` checks, by ``ops``."""
-    ops.fail_if((var_e0 < 0) | (var_e1 < 0), DomainError,
-                "variances must be nonnegative")
-    bound = ops.sqrt(var_e0 * var_e1)
-    size = abs(cov_e0e1)
-    ops.fail_if(size > bound * (1 + 1e-12) + 1e-300, DomainError,
-                "|cov|={!r} exceeds sqrt(var*var)={!r}", size, bound)
+        for name in ("var_e0", "var_e1", "cov_e0e1"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.var_e0 < 0 or self.var_e1 < 0:
+            raise DomainError("variances must be nonnegative")
+        bound = math.sqrt(self.var_e0) * math.sqrt(self.var_e1)  # v0 * v1 can underflow
+        if abs(self.cov_e0e1) > bound * (1 + 1e-12) + 1e-300:
+            raise DomainError(f"|cov|={abs(self.cov_e0e1)!r} exceeds "
+                              f"sqrt(var_e0)*sqrt(var_e1)={bound!r}")
 
 
 _SQRT_MAX = math.sqrt(sys.float_info.max)  # x**2 overflows exactly for x above it
@@ -115,15 +113,19 @@ def k_const(eta: float, lam: float, median_x: float, *, ops=FLOATS) -> float:
 
 
 def error_moments(params: MedianParams) -> ErrorMoments:
-    """First-order moments of (e0, e1) implied by the population parameters."""
-    return ErrorMoments(*moment_values(FLOATS, params))
+    """First-order moments of (e0, e1) implied by the population parameters,
+    not checked again: the finite positive cvs and |rho_c| <= 1 of a
+    :class:`MedianParams` bound |cov| by the variances, so a re-check could
+    fire only through underflow, and then on a valid vector."""
+    moments = object.__new__(ErrorMoments)
+    vars(moments).update(zip(("var_e0", "var_e1", "cov_e0e1"), moment_values(FLOATS, params)))
+    return moments
 
 
 def moment_values(ops, params) -> tuple:
     """(var_e0, var_e1, cov_e0e1) of :func:`error_moments`, by ``ops``.
 
-    A cv whose square overflows fails with :class:`DomainError`; the
-    :class:`ErrorMoments` checks are not applied.
+    A cv whose square overflows fails with :class:`DomainError`.
     """
     check_squares(ops, params, ("cv_y", "cv_x"))
     g = params.gamma

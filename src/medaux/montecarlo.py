@@ -236,7 +236,6 @@ class _Rows:
     """
 
     isfinite = staticmethod(np.isfinite)
-    sqrt = staticmethod(np.sqrt)
 
     def __init__(self, bad: np.ndarray):
         self.bad = bad.copy()

@@ -18,6 +18,7 @@ from medaux import (
     MedauxError,
     MedianParams,
     SampleStats,
+    error_moments,
     evaluate,
     free_scalars,
     preset,
@@ -254,3 +255,19 @@ def test_k_c_optima_keep_their_plug_in_rows():
         stats = SampleStats(10.0, 8.0, 0.4, 0.1, float(fx[r]))
         expected = [evaluate(resolve_weights(s, hat), stats, known) for s in specs]
         assert _bits(got[r]).tolist() == _bits(expected).tolist()
+
+
+def test_underflowing_plug_in_variance_keeps_its_row():
+    # row 1's plug-in fy = 1e160 gives cv_y = 1e-161, and var_e0 underflows to 0
+    # while cov(e0, e1) does not; the solve still gives the row its weights
+    known = MedianParams(1000, 50, 10.0, 8.0, 0.1, 0.1, 0.5)
+    specs = (preset("M_d", known), preset("t_m", known), preset("M_y", known))
+    my, mx = np.array([10.0, 10.0]), np.array([8.0, 8.0])
+    p11, fy, fx = np.array([0.4, 0.4]), np.array([0.1, 1e160]), np.array([0.1, 0.1])
+    got = _estimate_columns(known, specs, True, my, mx, (p11, fy, fx))
+    hat = MedianParams(1000, 50, 10.0, 8.0, 1e160, 0.1, 4.0 * 0.4 - 1.0)
+    assert error_moments(hat).var_e0 == 0.0 < error_moments(hat).cov_e0e1
+    stats = SampleStats(10.0, 8.0, 0.4, 1e160, 0.1)
+    expected = [evaluate(resolve_weights(s, hat), stats, known) for s in specs]
+    assert _bits(got[1]).tolist() == _bits(expected).tolist()
+    assert np.isfinite(got[0]).all() and got[1].tolist() == [10.0] * 3

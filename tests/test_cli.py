@@ -312,6 +312,21 @@ class TestTableCommand:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    def test_underflowing_moment_product_gives_its_row(self, capsys, tmp_path):
+        # var_e0 * var_e1 underflows to 0, so the bound sqrt(var_e0 * var_e1)
+        # once refused this valid vector
+        path = tmp_path / "tiny-moments.json"
+        path.write_text(json.dumps({
+            "N": 1000, "n": 100, "median_y": 1.0, "median_x": 1.0,
+            "fy_at_median": 1e85, "fx_at_median": 1e85, "rho_c": 0.5,
+        }), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "table", "--params", str(path), "--estimators", "M_y", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out)["rows"]
+        assert row["analytic_mse"] == 2.25e-173
+
     def test_library_warning_is_one_line(self, capsys, tmp_path):
         params = _coinciding_medians(tmp_path, 0.3)
         code, out, err = run_cli(capsys, "table", "--params", params)

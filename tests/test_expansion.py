@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medaux import (
@@ -101,6 +101,20 @@ class TestErrorMoments:
         with pytest.raises(DomainError):
             ErrorMoments(var_e0=1.0, var_e1=1.0, cov_e0e1=1.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["var_e0", "var_e1", "cov_e0e1"])
+    def test_non_finite_moment_is_domain_error(self, name, value):
+        fields = {"var_e0": 1.0, "var_e1": 1.0, "cov_e0e1": 0.0, name: value}
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got {value!r}$"):
+            ErrorMoments(**fields)
+
+    def test_bound_survives_an_underflowing_variance_product(self):
+        # var_e0 * var_e1 = 1e-340 underflows to 0; the product of the roots is 1e-170
+        m = ErrorMoments(1e-170, 1e-170, 5e-171)
+        assert m.cov_e0e1 == 5e-171
+        with pytest.raises(DomainError, match=r"^\|cov\|=2e-170 exceeds"):
+            ErrorMoments(1e-170, 1e-170, 2e-170)
+
     @pytest.mark.parametrize("name", ["cv_y", "cv_x"])
     def test_cv_whose_square_overflows_is_domain_error(self, name):
         # the largest float whose square is finite, and the next one up
@@ -179,6 +193,29 @@ def test_mse_invariant_under_sign_flip(c, v0, v1, r):
     assert mse_from_coeffs(ExpansionCoeffs(*c), moments) == mse_from_coeffs(
         flipped, moments
     )
+
+
+_magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300)
+@given(
+    N=st.integers(2, 10**9),
+    share=st.floats(0.0, 1.0),
+    primitives=st.tuples(_magnitude, _magnitude, _magnitude, _magnitude),
+    rho_c=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+)
+def test_derived_moments_pass_the_caller_checks(N, share, primitives, rho_c):
+    """error_moments builds its moments without the ErrorMoments checks: they
+    hold by the algebra wherever no variance underflows."""
+    n = min(N - 1, max(1, round(share * N)))
+    try:
+        p = MedianParams(N, n, *primitives, rho_c)
+        values = moment_values(FLOATS, p)
+    except DomainError:  # an invalid vector, or a cv whose square overflows
+        return
+    if min(values[:2]) >= sys.float_info.min:
+        assert ErrorMoments(*values) == error_moments(p)
 
 
 def _quadrature_moments(coeffs: ExpansionCoeffs, moments: ErrorMoments, nodes=16):

@@ -537,6 +537,40 @@ class TestTableRows:
                             pass
         assert valid == 4107
 
+    def test_extreme_parameter_grid_refuses_no_vector_for_its_moments(self):
+        """The error moments of a valid vector obey the covariance bound by the
+        algebra, so no row or check of the grid above fails on that bound."""
+        magnitudes = (1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e160, 1e300)
+        refused = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InfiniteEfficiencyWarning)
+            for primitives in itertools.product(magnitudes, repeat=4):
+                for rho_c in (-1.0, 0.3, 1.0):
+                    try:
+                        p = MedianParams(100, 10, *primitives, rho_c)
+                    except MedauxError:
+                        continue
+                    for check in (table_rows, dominance_checks):
+                        try:
+                            check(p)
+                        except MedauxError as exc:
+                            if str(exc).startswith("|cov|"):
+                                refused.append((check.__name__, primitives, rho_c))
+        assert refused == []
+
+    def test_underflowing_moments_keep_their_rows(self):
+        # var_e0 * var_e1 underflows to 0 here
+        (row,) = table_rows(MedianParams(1000, 100, 1.0, 1.0, 1e85, 1e85, 0.5), ["M_y"])
+        assert row.analytic_mse == 2.25e-173
+        # and var_e0 itself underflows to 0 here
+        p = MedianParams(1000, 100, 1e81, 1.0, 1e81, 1e-150, 0.5)
+        with pytest.warns(InfiniteEfficiencyWarning):
+            (row,) = table_rows(p, ["M_y"])
+        assert (row.estimator, row.analytic_mse) == ("M_y", 0.0)
+        with pytest.raises(DomainError) as info:
+            table_rows(p, ["t_m"])
+        assert str(info.value) == "scalar 'w1' must be finite"
+
     def test_classical_rows_collapse_to_difference_bound(self, pop1):
         for name in ("M_1", "M_2", "M_3", "M_4", "M_5", "M_6", "M_7", "M_lr"):
             row = table_rows(pop1, [name])[0]

@@ -74,6 +74,7 @@ def test_module_level_public_names_are_exported():
         (medaux, "DegeneratePivotWarning"),  # the package never raised it
         (estimators, "RatioExpForm"),  # the ratio_exp optimum computes its form
         (estimators, "ratio_exp_form"),
+        (expansion, "check_moments"),  # derived moments are valid by construction
     ],
 )
 def test_removed_names_stay_removed(owner, name):
