@@ -37,6 +37,7 @@ from .parameters import MedianParams, load_params
 COLUMNS = ("estimator", "analytic_mse", "analytic_bias", "empirical_mse", "pre")
 FORMATS = ("csv", "json", "md")
 _SCIENTIFIC_FROM = 1e15  # finite values from here up print in scientific notation
+_MAX_PRECISION = 1074  # a double has no nonzero decimal digit after the 1074th
 _BUILTIN_PARAMS = {
     "popi": "popI.json",
     "pop1": "popI.json",
@@ -50,19 +51,27 @@ def _default_format() -> str:
     return env if env in FORMATS else "csv"
 
 
-def _fmt_cell(value, precision: int) -> str:
+def _fmt_number(value, precision: int, trim: bool = False) -> str:
+    """``value`` at ``precision`` decimals, scientific from 1e15 up. A table
+    cell keeps its zeros and prints a value that rounds to zero unsigned;
+    trimmed text drops the fractional part's trailing zeros, prints an exact
+    zero as ``0`` and a nonzero value that would read ``0`` as scientific."""
     if value is None:
         return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        kind = "e" if abs(value) >= _SCIENTIFIC_FROM else "f"
-        text = f"{value:.{precision}{kind}}"
-        # a value that rounds to zero prints without a sign
+    if not isinstance(value, float) or not math.isfinite(value):
+        return str(value)
+    kind = "e" if abs(value) >= _SCIENTIFIC_FROM else "f"
+    text = f"{value:.{precision}{kind}}"
+    if not trim:
         return text[1:] if text.startswith("-") and float(text) == 0 else text
-    return str(value)
+    if value == 0:
+        return "0"
+    if float(text) == 0:
+        text = f"{value:.{precision}e}"
+    mantissa, e, exponent = text.partition("e")
+    if "." in mantissa:
+        mantissa = mantissa.rstrip("0").rstrip(".")
+    return mantissa + e + exponent
 
 
 def render_table(
@@ -77,14 +86,14 @@ def render_table(
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(COLUMNS)
         for row in rows:
-            writer.writerow([_fmt_cell(row[c], precision) for c in COLUMNS])
+            writer.writerow([_fmt_number(row[c], precision) for c in COLUMNS])
         return buf.getvalue()
     if fmt == "md":
         lines = ["| " + " | ".join(COLUMNS) + " |"]
         lines.append("|" + "|".join(" --- " for _ in COLUMNS) + "|")
         for row in rows:
             lines.append(
-                "| " + " | ".join(_fmt_cell(row[c], precision) for c in COLUMNS) + " |"
+                "| " + " | ".join(_fmt_number(row[c], precision) for c in COLUMNS) + " |"
             )
         return "\n".join(lines) + "\n"
     raise MedauxError(f"unknown format {fmt!r}")
@@ -165,18 +174,6 @@ def _parse_synthetic(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _scientific(value: float, precision: int) -> str:
-    mantissa, _, exponent = f"{value:.{precision}e}".partition("e")
-    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
-
-
-def _trim(value: float, precision: int) -> str:
-    if math.isfinite(value) and abs(value) >= _SCIENTIFIC_FROM:
-        return _scientific(value, precision)
-    s = f"{value:.{precision}f}".rstrip("0").rstrip(".")
-    return "0" if s in ("", "-", "-0") else s
-
-
 def cmd_params(args) -> int:
     if args.input is not None:
         if args.n is None:
@@ -195,9 +192,7 @@ def cmd_params(args) -> int:
         sys.stdout.write(json.dumps(as_dict, indent=2) + "\n")
     else:
         for key, value in as_dict.items():
-            text = str(value) if isinstance(value, int) else _trim(value, args.precision)
-            if text == "0" and value != 0:  # a nonzero value never reads 0
-                text = _scientific(value, args.precision)
+            text = _fmt_number(value, args.precision, trim=True)
             sys.stdout.write(f"{short_names.get(key, key)} = {text}\n")
     return 0
 
@@ -326,7 +321,7 @@ def cmd_compare(args) -> int:
         note = f" [{check.note}]" if check.note else ""
         sys.stdout.write(
             f"{check.name}: {verdict} "
-            f"(margin {_trim(check.margin, args.precision)}){note}\n"
+            f"(margin {_fmt_number(check.margin, args.precision, trim=True)}){note}\n"
         )
     sys.stdout.write(f"{passed}/{len(checks)} checks passed\n")
     return 0
@@ -397,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tmq-preset",
         help="single-weight ratio_exp preset (w2 pinned to 0, w1 free), e.g. t_mq7",
     )
-    add_common(p_cmp, default_precision=2)
+    p_cmp.add_argument("--precision", type=int, default=2)  # no --format: text only
     p_cmp.set_defaults(handler=cmd_compare)
 
     return parser
@@ -410,12 +405,16 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision < 0:
-        parser.error("--precision must be nonnegative")
+    if not 0 <= args.precision <= _MAX_PRECISION:
+        parser.error(f"--precision must be between 0 and {_MAX_PRECISION}")
     if args.command == "simulate" and args.reps is not None and args.reps < 1:
         parser.error("--reps must be at least 1")
     if args.command == "params" and args.params is not None and args.n is not None:
         parser.error("--n only applies to --input")
+    if args.command == "params" and (args.fy, args.fx) != (None, None) and (
+        args.input is None or args.density != "known"
+    ):
+        parser.error("--fy and --fx only apply to --input with --density known")
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from medaux import PRESET_NAMES, mse
-from medaux.cli import _fmt_cell, main
+from medaux.cli import _fmt_number, main
 
 POP_CSV = "x,y\n" + "\n".join(
     f"{x},{x * 2 + (i % 7)}" for i, x in enumerate(range(10, 70))
@@ -161,6 +161,28 @@ class TestParamsCommand:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == "medaux: error: --n only applies to --input"
 
+    def test_precision_0_keeps_integer_digits(self, capsys, tmp_path):
+        path = tmp_path / "rounding.json"
+        doc = {**POP_I, "median_y": 2070.4, "median_x": 1000.2}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "params", "--params", str(path), "--precision", "0")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert "median_y = 2070" in lines and "median_x = 1000" in lines
+
+    def test_density_values_need_known_density(self, capsys, pop_csv):
+        for argv in (
+            ["--params", "popI", "--fy", "0.1"],
+            ["--params", "popI", "--density", "known", "--fy", "0.1", "--fx", "0.1"],
+            ["--input", pop_csv, "--n", "10", "--fx", "0.1"],
+            ["--input", pop_csv, "--n", "10", "--density", "histogram", "--fy", "0.1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["params", *argv])
+            assert exc.value.code == 2
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert last == "medaux: error: --fy and --fx only apply to --input with --density known"
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "params", "--params", "popI", "--format", "json")
         doc = json.loads(out)
@@ -178,8 +200,24 @@ class TestTableCommand:
         assert names[0] == "M_y" and "t_mq9" in names
 
     def test_zero_after_rounding_prints_unsigned(self):
-        cells = [_fmt_cell(v, 2) for v in (-0.001, -0.0, -0.004999, -0.006, -1.5)]
+        cells = [_fmt_number(v, 2) for v in (-0.001, -0.0, -0.004999, -0.006, -1.5)]
         assert cells == ["0.00", "0.00", "0.00", "-0.01", "-1.50"]
+
+    @pytest.mark.parametrize("precision", ["1075", "2147483648"])
+    def test_precision_out_of_range_is_one_line_usage_error(self, capsys, precision):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--params", "popI", "--precision", precision])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == "medaux: error: --precision must be between 0 and 1074"
+
+    def test_largest_precision_prints_every_digit(self, capsys):
+        code, out, err = run_cli(
+            capsys, "table", "--params", "popI", "--estimators", "M_y", "--precision", "1074"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith("M_y,565443.5")
 
     def test_selected_pair_shares_minimum(self, capsys):
         code, out, _ = run_cli(
@@ -340,6 +378,55 @@ EDGE_VALUES = (
     0, 1, -1, 0.5, 2, 1e-320, -1e-320, 1e-300, 1e300, -1e300,
     math.inf, -math.inf, math.nan,
 )
+
+
+@pytest.mark.parametrize(
+    "value, precision, text",
+    [
+        (2070.4, 0, "2070"),
+        (1000.0, 0, "1000"),
+        (999.5, 0, "1000"),
+        (-0.0, 0, "0"),
+        (17, 0, "17"),
+        (0.0, 1, "0"),
+        (100.04, 1, "100"),
+        (-0.001, 2, "-1e-03"),
+        (7.105427357601002e-15, 2, "7.11e-15"),
+        (math.nan, 2, "nan"),
+        (-math.inf, 2, "-inf"),
+        (1.5e15, 3, "1.5e+15"),
+        (-1234.5, 4, "-1234.5"),
+        (2011 / 2068, 5, "0.97244"),
+        (1e-7, 6, "1e-07"),
+        (12.3456789, 7, "12.3456789"),
+        (2.5, 8, "2.5"),
+    ],
+)
+def test_trimmed_number_text(value, precision, text):
+    assert _fmt_number(value, precision, trim=True) == text
+
+
+@pytest.mark.parametrize("precision", range(9))
+@settings(max_examples=200, deadline=None)
+@given(value=st.floats(allow_nan=False, allow_infinity=False))
+def test_trimmed_number_keeps_every_digit(precision, value):
+    """Trimmed text is the value rounded to ``precision`` decimals, fixed-point
+    below 1e15 unless that reads 0, with the fractional zeros dropped."""
+    text = _fmt_number(value, precision, trim=True)
+    if value == 0:
+        assert text == "0"
+        return
+    fixed = f"{value:.{precision}f}"
+    kind = "e" if abs(value) >= 1e15 or float(fixed) == 0 else "f"
+    rounded = f"{value:.{precision}{kind}}"
+    assert float(text) == float(rounded) != 0
+    mantissa, _, exponent = text.partition("e")
+    assert not ("." in mantissa and mantissa.endswith(("0", ".")))
+    if kind == "f":
+        assert not exponent
+        assert mantissa.split(".")[0] == rounded.split(".")[0]  # integer part whole
+    else:
+        assert "e" + exponent == rounded[rounded.index("e"):]
 
 
 @settings(
@@ -814,16 +901,16 @@ class TestCompareCommand:
                 "tm_vs_difference: PASS (margin 20.48) [degenerate pivot: R = 1]\n"
                 "tmq_vs_difference: PASS (margin 20.48) [degenerate pivot: R = 1]\n"
                 "tm_vs_shrink_diff: PASS (margin 20.41) [degenerate pivot: R = 1]\n"
-                "shrink_scaled_vs_shrink_diff: PASS (margin 0)\n"
+                "shrink_scaled_vs_shrink_diff: PASS (margin 1.59e-04)\n"
                 "tm_vs_shrink_scaled: PASS (margin 20.41) [degenerate pivot: R = 1]\n"
                 "5/5 checks passed\n",
             ),
             (
                 1.0,
-                "tm_vs_difference: INDETERMINATE (margin 0) [degenerate pivot: R = 1]\n"
-                "tmq_vs_difference: INDETERMINATE (margin 0) [degenerate pivot: R = 1]\n"
-                "tm_vs_shrink_diff: INDETERMINATE (margin 0) [degenerate pivot: R = 1]\n"
-                "shrink_scaled_vs_shrink_diff: INDETERMINATE (margin 0)\n"
+                "tm_vs_difference: INDETERMINATE (margin 7.11e-15) [degenerate pivot: R = 1]\n"
+                "tmq_vs_difference: INDETERMINATE (margin 7.11e-15) [degenerate pivot: R = 1]\n"
+                "tm_vs_shrink_diff: INDETERMINATE (margin 7.11e-15) [degenerate pivot: R = 1]\n"
+                "shrink_scaled_vs_shrink_diff: INDETERMINATE (margin 7.11e-15)\n"
                 "tm_vs_shrink_scaled: INDETERMINATE (margin 0) [degenerate pivot: R = 1]\n"
                 "0/5 checks passed\n",
             ),
@@ -834,6 +921,18 @@ class TestCompareCommand:
             capsys, "compare", "--params", _coinciding_medians(tmp_path, rho_c)
         )
         assert (code, out, err) == (0, expected, "")
+
+    def test_integer_margin_keeps_its_zeros(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--params", "popII", "--precision", "0")
+        assert (code, err) == (0, "")
+        assert "shrink_scaled_vs_shrink_diff: PASS (margin 60)" in out.splitlines()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+    def test_format_is_not_an_option(self, fmt):
+        # compare always prints text
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--params", "popI", "--format", fmt])
+        assert exc.value.code == 2
 
     def test_ss4_precondition_is_one_line_error(self, capsys, tmp_path):
         path = tmp_path / "steep.json"

@@ -98,8 +98,7 @@ def test_knob_inventory():
         "simulate": ["-h", "--help", "--input", "--synthetic", "--n", "--reps", "--seed",
                      "--estimators", "--weights", "--jobs", "--config", "--density",
                      "--format", "--precision"],
-        "compare": ["-h", "--help", "--params", "--tmq-preset", "--format",
-                    "--precision"],
+        "compare": ["-h", "--help", "--params", "--tmq-preset", "--precision"],
     }
     signatures = {
         fn.__name__: list(inspect.signature(fn).parameters)
