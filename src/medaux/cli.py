@@ -8,7 +8,6 @@ Subcommands:
 * ``compare``   the five dominance checks with margins
 
 Exit codes: 0 success, 1 data or computation error, 2 usage error.
-The default output format comes from ``MEDAUX_FORMAT`` (csv, json or md).
 
 ``table``, ``compare``, ``params --params`` and usage errors run without
 numpy: the numpy modules (:mod:`medaux.montecarlo` and
@@ -23,7 +22,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import asdict, fields
@@ -44,11 +42,6 @@ _BUILTIN_PARAMS = {
     "popii": "popII.json",
     "pop2": "popII.json",
 }
-
-
-def _default_format() -> str:
-    env = os.environ.get("MEDAUX_FORMAT", "csv").lower()
-    return env if env in FORMATS else "csv"
 
 
 def _fmt_number(value, precision: int, trim: bool = False) -> str:
@@ -113,7 +106,7 @@ def _load_params_arg(value: str) -> MedianParams:
 def _density_methods(args) -> tuple:
     from .population import HistogramDensity, KernelDensity, KnownDensity
 
-    if args.density == "kernel":
+    if args.density in (None, "kernel"):  # params leaves an unset --density at None
         return KernelDensity(), KernelDensity()
     if args.density == "histogram":
         return HistogramDensity(), HistogramDensity()
@@ -122,16 +115,9 @@ def _density_methods(args) -> tuple:
     return KnownDensity(args.fy), KnownDensity(args.fx)
 
 
-def _estimator_list(value) -> tuple[str, ...]:
-    """Estimator names from a comma-separated string or a list of strings."""
-    if isinstance(value, str):
-        names = tuple(s.strip() for s in value.split(",") if s.strip())
-    elif isinstance(value, list) and all(isinstance(s, str) for s in value):
-        names = tuple(value)
-    else:
-        raise MedauxError(
-            f"estimators must be a string or a list of strings, got {value!r}"
-        )
+def _estimator_list(value: str) -> tuple[str, ...]:
+    """Estimator names from a comma-separated string."""
+    names = tuple(s.strip() for s in value.split(",") if s.strip())
     if not names:
         raise MedauxError("need at least one estimator")
     return names
@@ -162,7 +148,13 @@ def _parse_synthetic(text: str):
                 raise MedauxError(
                     f"synthetic spec entry {part!r} must be an integer"
                 ) from None
-    _reject_unknown_keys("synthetic spec", kwargs, SyntheticSpec)
+    known = [f.name for f in fields(SyntheticSpec)]
+    unknown = sorted(set(kwargs) - set(known))
+    if unknown:
+        raise MedauxError(
+            f"synthetic spec: unknown keys {', '.join(unknown)}; "
+            f"valid keys: {', '.join(known)}"
+        )
     try:
         return SyntheticSpec(**kwargs)  # type: ignore[arg-type]
     except TypeError as exc:
@@ -216,59 +208,17 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _int_setting(key: str, value) -> int:
-    """An integer simulate setting; refuses values int() would truncate."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise MedauxError(f"{key} must be an integer, got {value!r}")
-
-
-def _read_config(path: str) -> dict:
-    from .montecarlo import SimulationConfig
-
-    with open(path, encoding="utf-8") as fh:
-        try:
-            file_cfg = json.load(fh)
-        except ValueError as exc:
-            raise MedauxError(f"config file {path}: not valid JSON ({exc})") from None
-    if not isinstance(file_cfg, dict):
-        raise MedauxError(f"config file {path}: expected a JSON object")
-    _reject_unknown_keys(f"config file {path}", file_cfg, SimulationConfig)
-    return file_cfg
-
-
-def _reject_unknown_keys(source: str, given: dict, cls) -> None:
-    """Fail naming the keys of ``given`` that are not fields of ``cls``."""
-    known = [f.name for f in fields(cls)]
-    unknown = sorted(set(given) - set(known))
-    if unknown:
-        raise MedauxError(
-            f"{source}: unknown keys {', '.join(unknown)}; "
-            f"valid keys: {', '.join(known)}"
-        )
-
-
 def cmd_simulate(args) -> int:
     from . import montecarlo
     from .population import compute_params, load_population
 
-    settings = _read_config(args.config) if args.config is not None else {}
-    for f in fields(montecarlo.SimulationConfig):  # a flag overrides the config file
-        if getattr(args, f.name) is not None:
-            settings[f.name] = getattr(args, f.name)
-    if settings.get("n") is None or settings.get("reps") is None:
-        raise MedauxError("simulate needs --n and --reps (flags or config file)")
-    if "estimators" in settings:
-        settings["estimators"] = _estimator_list(settings["estimators"])
-    for key in ("n", "reps", "seed"):
-        if key in settings:
-            settings[key] = _int_setting(key, settings[key])
-    config = montecarlo.SimulationConfig(**settings)
+    # an option left out keeps SimulationConfig's default
+    given = {
+        k: getattr(args, k) for k in ("seed", "weights") if getattr(args, k) is not None
+    }
+    if args.estimators is not None:
+        given["estimators"] = _estimator_list(args.estimators)
+    config = montecarlo.SimulationConfig(args.n, args.reps, **given)
 
     if args.input is not None:
         frame = load_population(args.input)
@@ -340,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, default_precision: int) -> None:
-        p.add_argument("--format", choices=FORMATS, default=_default_format())
+        p.add_argument("--format", choices=FORMATS, default="csv")
         p.add_argument("--precision", type=int, default=default_precision)
 
     p_params = sub.add_parser("params", help="extract or load population parameters")
@@ -349,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--params", help="params JSON file or builtin popI/popII")
     p_params.add_argument("--n", type=int, help="sample size (with --input)")
     p_params.add_argument(
-        "--density", choices=("kernel", "histogram", "known"), default="kernel"
+        "--density", choices=("kernel", "histogram", "known"),
+        help="density method with --input (default kernel)",
     )
     p_params.add_argument("--fy", type=float, help="known density of y at its median")
     p_params.add_argument("--fx", type=float, help="known density of x at its median")
@@ -369,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--synthetic",
         help="lognormal spec, e.g. N=2000,mu_x=7,sigma_x=0.5,mu_y=7,sigma_y=0.5,rho=0.8,seed=1",
     )
-    p_sim.add_argument("--n", type=int)
-    p_sim.add_argument("--reps", type=int)
+    p_sim.add_argument("--n", type=int, required=True)
+    p_sim.add_argument("--reps", type=int, required=True)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--estimators")
     p_sim.add_argument("--weights", choices=("true-params", "plug-in"))
@@ -378,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="accepted for compatibility; no effect, replicates run serially",
     )
-    p_sim.add_argument("--config", help="JSON file with SimulationConfig fields")
     p_sim.add_argument(
         "--density", choices=("kernel", "histogram"), default="kernel",
         help="density method for parameter extraction from the frame",
@@ -407,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not 0 <= args.precision <= _MAX_PRECISION:
         parser.error(f"--precision must be between 0 and {_MAX_PRECISION}")
-    if args.command == "simulate" and args.reps is not None and args.reps < 1:
+    if args.command == "simulate" and args.reps < 1:
         parser.error("--reps must be at least 1")
     if args.command == "params" and args.params is not None and args.n is not None:
         parser.error("--n only applies to --input")
@@ -415,6 +365,8 @@ def main(argv: list[str] | None = None) -> int:
         args.input is None or args.density != "known"
     ):
         parser.error("--fy and --fx only apply to --input with --density known")
+    if args.command == "params" and args.params is not None and args.density is not None:
+        parser.error("--density only applies to --input")
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning

@@ -183,6 +183,14 @@ class TestParamsCommand:
             last = capsys.readouterr().err.splitlines()[-1]
             assert last == "medaux: error: --fy and --fx only apply to --input with --density known"
 
+    def test_density_needs_input(self, capsys):
+        for method in ("kernel", "histogram", "known"):
+            with pytest.raises(SystemExit) as exc:
+                main(["params", "--params", "popI", "--density", method])
+            assert exc.value.code == 2
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert last == "medaux: error: --density only applies to --input"
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "params", "--params", "popI", "--format", "json")
         doc = json.loads(out)
@@ -501,89 +509,8 @@ class TestSimulateCommand:
         for line in out.splitlines()[1:]:
             assert line.split(",")[3] == "0.00"
 
-    def test_config_file_supplies_settings(self, capsys, tmp_path, pop_csv):
-        cfg = tmp_path / "sim.json"
-        cfg.write_text(
-            json.dumps({"n": 20, "reps": 10, "seed": 3, "estimators": "M_y,M_d"}),
-            encoding="utf-8",
-        )
-        code, out, _ = run_cli(
-            capsys, "simulate", "--input", pop_csv, "--config", str(cfg),
-            "--format", "json",
-        )
-        doc = json.loads(out)
-        assert code == 0
-        assert doc["config"]["reps"] == 10
-        assert [r["estimator"] for r in doc["rows"]] == ["M_y", "M_d"]
-
-    def test_flags_override_config_file(self, capsys, tmp_path, pop_csv):
-        cfg = tmp_path / "sim.json"
-        cfg.write_text(json.dumps({"n": 20, "reps": 10, "seed": 3}), encoding="utf-8")
-        code, out, _ = run_cli(
-            capsys, "simulate", "--input", pop_csv, "--config", str(cfg),
-            "--reps", "5", "--format", "json",
-        )
-        assert json.loads(out)["config"]["reps"] == 5
-
-    def test_malformed_config_json(self, capsys, tmp_path, pop_csv):
-        cfg = tmp_path / "sim.json"
-        cfg.write_text('{"n": 20, "reps":', encoding="utf-8")
-        code, _, err = run_cli(
-            capsys, "simulate", "--input", pop_csv, "--config", str(cfg)
-        )
-        assert code == 1
-        assert err.startswith("error:") and "not valid JSON" in err
-        assert len(err.splitlines()) == 1
-
-    def test_non_integer_config_value(self, capsys, tmp_path, pop_csv):
-        cfg = tmp_path / "sim.json"
-        cfg.write_text(json.dumps({"n": "abc", "reps": 5}), encoding="utf-8")
-        code, _, err = run_cli(
-            capsys, "simulate", "--input", pop_csv, "--config", str(cfg)
-        )
-        assert code == 1
-        assert err == "error: n must be an integer, got 'abc'\n"
-
-    def test_unknown_config_key(self, capsys, tmp_path, pop_csv):
-        cfg = tmp_path / "sim.json"
-        cfg.write_text(
-            json.dumps({"n": 20, "reps": 5, "replicates": 9}), encoding="utf-8"
-        )
-        code, _, err = run_cli(
-            capsys, "simulate", "--input", pop_csv, "--config", str(cfg)
-        )
-        assert code == 1
-        assert err.startswith("error:") and "unknown keys replicates" in err
-        assert len(err.splitlines()) == 1
-
-    @pytest.mark.parametrize("estimators", [5, [1, 2]], ids=["int", "int-list"])
-    def test_non_string_config_estimators(self, capsys, tmp_path, pop_csv, estimators):
-        cfg = tmp_path / "sim.json"
-        cfg.write_text(
-            json.dumps({"n": 20, "reps": 5, "estimators": estimators}),
-            encoding="utf-8",
-        )
-        code, _, err = run_cli(
-            capsys, "simulate", "--input", pop_csv, "--config", str(cfg)
-        )
-        assert code == 1
-        assert err.startswith("error:") and "list of strings" in err
-        assert len(err.splitlines()) == 1
-
     def test_empty_estimator_list_is_error(self, capsys):
         code, out, err = run_cli(capsys, *self.ARGS, "--estimators", ",")
-        assert code == 1
-        assert out == ""
-        assert err == "error: need at least one estimator\n"
-
-    def test_empty_config_estimators_is_error(self, capsys, tmp_path, pop_csv):
-        cfg = tmp_path / "sim.json"
-        cfg.write_text(
-            json.dumps({"n": 20, "reps": 5, "estimators": []}), encoding="utf-8"
-        )
-        code, out, err = run_cli(
-            capsys, "simulate", "--input", pop_csv, "--config", str(cfg)
-        )
         assert code == 1
         assert out == ""
         assert err == "error: need at least one estimator\n"
@@ -645,17 +572,13 @@ class TestSimulateCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
-    def test_stream_version_is_reported_not_configured(self, capsys, tmp_path, pop_csv):
+    def test_stream_version_is_reported_not_configured(self, capsys, pop_csv):
         code, out, _ = run_cli(
             capsys, "simulate", "--input", pop_csv, "--n", "5", "--reps", "2",
             "--format", "json",
         )
         doc = json.loads(out)
         assert (code, doc["stream"]) == (0, 2) and "stream" not in doc["config"]
-        cfg = tmp_path / "sim.json"
-        cfg.write_text(json.dumps({"n": 5, "reps": 2, "stream": 2}), encoding="utf-8")
-        code, _, err = run_cli(capsys, "simulate", "--input", pop_csv, "--config", str(cfg))
-        assert code == 1 and "unknown keys stream" in err
 
     def test_plug_in_zero_sample_median(self, capsys, tmp_path):
         # 45% of y at 0: many samples have y median 0, so plug-in params
@@ -681,28 +604,27 @@ class TestSimulateCommand:
         detail = json.loads(out)["detail"]
         assert all(d["failures"] == 0 for d in detail)
 
-    @pytest.mark.parametrize("flags", [("--reps", "5"), ("--n", "5")], ids=["no-n", "no-reps"])
-    def test_missing_size_or_reps(self, capsys, pop_csv, flags):
-        code, out, err = run_cli(capsys, "simulate", "--input", pop_csv, *flags)
-        assert (code, out) == (1, "")
-        assert err == "error: simulate needs --n and --reps (flags or config file)\n"
-
     @pytest.mark.parametrize(
-        "key, message",
-        [
-            ("n", "simulate needs --n and --reps (flags or config file)"),
-            ("seed", "seed must be an integer, got None"),
-            ("estimators", "estimators must be a string or a list of strings, got None"),
-        ],
+        "flags, missing", [(("--reps", "5"), "--n"), (("--n", "5"), "--reps")],
+        ids=["no-n", "no-reps"],
     )
-    def test_null_config_value(self, capsys, tmp_path, pop_csv, key, message):
-        cfg = tmp_path / "sim.json"
-        cfg.write_text(json.dumps({"n": 5, "reps": 5, key: None}), encoding="utf-8")
-        code, out, err = run_cli(
-            capsys, "simulate", "--input", pop_csv, "--config", str(cfg)
+    def test_missing_size_or_reps(self, capsys, pop_csv, flags, missing):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--input", pop_csv, *flags])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == (
+            f"medaux simulate: error: the following arguments are required: {missing}"
         )
-        assert (code, out) == (1, "")
-        assert err == f"error: {message}\n"
+
+    def test_config_is_not_an_option(self, tmp_path, pop_csv):
+        # every setting is a flag: --n, --reps, --seed, --estimators, --weights
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"n": 5, "reps": 2}), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--input", pop_csv, "--n", "5", "--reps", "2",
+                  "--config", str(cfg)])
+        assert exc.value.code == 2
 
     def test_regression_without_densities_at_unit_sample(self, capsys, pop_csv):
         # one observation has no kernel density, so M_lr uses no replicate
@@ -1139,8 +1061,8 @@ GOLDEN = Path(__file__).parent / "golden"
             "simulate-tied-config.json",
             [
                 "simulate", "--input", str(GOLDEN / "tied-population.csv"),
-                "--config", str(GOLDEN / "tied-config.json"), "--reps", "120",
-                "--format", "json",
+                "--n", "6", "--seed", "11", "--estimators", "M_y,M_lr,M_d",
+                "--weights", "plug-in", "--reps", "120", "--format", "json",
             ],
         ),
         *(
@@ -1174,13 +1096,20 @@ def test_golden_output(capsys, golden, argv):
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
-class TestEnvironmentDefaults:
-    def test_format_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("MEDAUX_FORMAT", "md")
-        _, out, _ = run_cli(capsys, "table", "--params", "popI", "--estimators", "M_y")
-        assert out.startswith("| estimator |")
-
-    def test_bad_env_value_falls_back_to_csv(self, capsys, monkeypatch):
-        monkeypatch.setenv("MEDAUX_FORMAT", "xml")
-        _, out, _ = run_cli(capsys, "table", "--params", "popI", "--estimators", "M_y")
-        assert out.startswith("estimator,")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--params", "popI", "--estimators", "M_y"],
+        ["params", "--params", "popI"],
+        ["simulate", "--synthetic", "N=50,seed=1", "--n", "5", "--reps", "3"],
+    ],
+    ids=["table", "params", "simulate"],
+)
+def test_environment_does_not_set_the_format(capsys, monkeypatch, argv):
+    """The same argv prints the same bytes: csv unless --format says otherwise."""
+    monkeypatch.delenv("MEDAUX_FORMAT", raising=False)
+    _, unset, _ = run_cli(capsys, *argv)
+    assert unset == run_cli(capsys, *argv, "--format", "csv")[1]
+    for value in ("md", "json"):  # params prints md as it prints csv
+        monkeypatch.setenv("MEDAUX_FORMAT", value)
+        assert run_cli(capsys, *argv)[1] == unset

@@ -96,7 +96,7 @@ def test_knob_inventory():
                    "--fx", "--format", "--precision"],
         "table": ["-h", "--help", "--params", "--estimators", "--format", "--precision"],
         "simulate": ["-h", "--help", "--input", "--synthetic", "--n", "--reps", "--seed",
-                     "--estimators", "--weights", "--jobs", "--config", "--density",
+                     "--estimators", "--weights", "--jobs", "--density",
                      "--format", "--precision"],
         "compare": ["-h", "--help", "--params", "--tmq-preset", "--precision"],
     }
