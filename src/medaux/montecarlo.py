@@ -9,9 +9,12 @@ reports; reports of version 1, which drew each replicate with numpy's
 ``integers`` from a Philox keyed by ``(seed, k)``, do not reproduce.
 Replicates run in blocks.  A block's words come from one ``random_raw``
 call; the block then shuffles, takes the sample medians, p11 and kernel
-densities for the whole block as (K, n) arrays.  Each estimator is then
-resolved (from the true parameters or each sample's plug-in vector) and
-evaluated once per block on (K,) arrays, by the formulas that the scalar
+densities for the whole block as (K, n) arrays.  Each sample variable is
+sorted once per block; the medians and the quartiles of the kernel
+bandwidths are read from the sorted rows, by the rules of ``np.median``
+and ``np.percentile``.  Each estimator is then resolved (from the true
+parameters or each sample's plug-in vector) and evaluated once per block
+on (K,) arrays, by the formulas that the scalar
 ``resolve_weights`` and ``evaluate`` run, with an array backend (see
 :mod:`medaux.arith`).  Every per-row result equals the one-replicate
 computation, so reports depend neither on the block size nor on ``jobs``.
@@ -41,7 +44,12 @@ from .estimators import (
 )
 from .mse import analytic_figures
 from .parameters import MedianParams, derive_params
-from .population import PopulationFrame, _kernel_density_rows, finite_median
+from .population import (
+    PopulationFrame,
+    _kernel_density_rows,
+    _sorted_median,
+    finite_median,
+)
 
 __all__ = [
     "SimulationConfig",
@@ -302,7 +310,8 @@ def _block_estimates(
     """Estimates of replicates ``ks``, one row each, NaN where one failed.
 
     Samples, medians, p11 and kernel densities are computed on (K, n)
-    arrays, and :func:`_estimate_columns` turns them into the estimates.
+    arrays, the medians and quartiles from one sort of each variable, and
+    :func:`_estimate_columns` turns them into the estimates.
     """
     n = config.n
     plug_in = config.weights == "plug-in"
@@ -312,15 +321,16 @@ def _block_estimates(
     # an overflowing median is inf in its row, which every spec then loses;
     # an overflowing bandwidth gives a NaN density, which the row's plug-in
     # specs lose
+    ys_sorted, xs_sorted = np.sort(ys, axis=1), np.sort(xs, axis=1)
     with np.errstate(all="ignore"):
-        my, mx = np.median(ys, axis=1), np.median(xs, axis=1)
+        my, mx = _sorted_median(ys_sorted), _sorted_median(xs_sorted)
         if n >= 2 and any(  # a kernel density needs two observations
             s.family == REGRESSION or (plug_in and free_scalars(s)) for s in specs
         ):
             below = (xs <= mx[:, None]) & (ys <= my[:, None])
             p11 = np.count_nonzero(below, axis=1) / n
-            fy, _ = _kernel_density_rows(ys, my)
-            fx, _ = _kernel_density_rows(xs, mx)
+            fy, _ = _kernel_density_rows(ys, ys_sorted, my)
+            fx, _ = _kernel_density_rows(xs, xs_sorted, mx)
             extras = (p11, fy, fx)
     return _estimate_columns(params, specs, plug_in, my, mx, extras)
 

@@ -101,21 +101,57 @@ class KnownDensity:
 DensityMethod = Union[KernelDensity, HistogramDensity, KnownDensity]
 
 
+def _sorted_median(sorted_rows: np.ndarray) -> np.ndarray:
+    """Median of each row of a row-sorted (K, n) array, as ``np.median``
+    computes it: the middle entry, or ``np.mean`` of the middle pair, which
+    overflows to inf for a pair near the float limit."""
+    half = sorted_rows.shape[1] // 2
+    if sorted_rows.shape[1] % 2:
+        return sorted_rows[:, half]
+    return np.mean(sorted_rows[:, half - 1 : half + 1], axis=1)
+
+
+def _sorted_quantile(sorted_rows: np.ndarray, q: float) -> np.ndarray:
+    """Quantile q of each row of a row-sorted (K, n) array by numpy's
+    default ``linear`` rule (Hyndman and Fan's type 7), bit for bit.
+
+    The virtual index is (n - 1) * q, and numpy's ``_lerp`` interpolates
+    from the nearer of its two neighbours.  At the last index numpy takes
+    the last entry for both and counts the weight from index -1.
+    """
+    n = sorted_rows.shape[1]
+    index = (n - 1) * q
+    below = math.floor(index)
+    above = below + 1
+    if index >= n - 1:
+        below = above = -1
+    t = index - below
+    a, b = sorted_rows[:, below], sorted_rows[:, above]
+    diff = b - a
+    if t >= 0.5:
+        return b - diff * (1 - t)
+    return a + diff * t
+
+
 def _kernel_density_rows(
-    rows: np.ndarray, points: np.ndarray
+    rows: np.ndarray, sorted_rows: np.ndarray, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian kernel density of each row of ``rows`` at its entry of ``points``.
 
-    ``rows`` is a (K, n) array of finite values with n >= 2.  Returns the
-    densities and the bandwidths; a row whose bandwidth is not finite and
-    positive gets a NaN density.  Every row goes through the same arithmetic
-    as a one-row call, so results do not depend on which rows share a call.
+    ``rows`` is a (K, n) array of finite values with n >= 2, and
+    ``sorted_rows`` the same rows each sorted, from which the quartiles of
+    the bandwidth are read.  The sd and the kernel sum run on ``rows``, whose
+    order sets their last bits.  Returns the densities and the bandwidths; a
+    row whose bandwidth is not finite and positive gets a NaN density.  Every
+    row goes through the same arithmetic as a one-row call, so results do not
+    depend on which rows share a call.
     """
     # sums along contiguous rows add up in the same pairwise order as 1-D sums
     rows = np.ascontiguousarray(rows)
     with np.errstate(all="ignore"):  # values near the float limit overflow, unwarned
         sd = np.std(rows, axis=1, ddof=1)
-        q75, q25 = np.percentile(rows, [75, 25], axis=1)
+        q75 = _sorted_quantile(sorted_rows, 0.75)
+        q25 = _sorted_quantile(sorted_rows, 0.25)
         h = 0.9 * np.minimum(sd, (q75 - q25) / 1.34) * rows.shape[1] ** (-0.2)
         usable = np.isfinite(h) & (h > 0)
         hu = h[usable]
@@ -145,7 +181,9 @@ def density_at(values, point: float, method: DensityMethod) -> float:
     if isinstance(method, KernelDensity):
         if arr.size < 2:
             raise DomainError("kernel density needs at least 2 observations")
-        density, h = _kernel_density_rows(arr[None, :], np.array([point]))
+        density, h = _kernel_density_rows(
+            arr[None, :], np.sort(arr)[None, :], np.array([point])
+        )
         if math.isnan(density[0]):
             raise DegenerateSampleError(
                 f"sample has no spread, bandwidth {float(h[0])!r} is unusable"
@@ -153,7 +191,17 @@ def density_at(values, point: float, method: DensityMethod) -> float:
         return float(density[0])
 
     if isinstance(method, HistogramDensity):
-        counts, edges = np.histogram(arr, bins="fd", density=True)
+        # a range past the float limit breaks numpy's binning with one of
+        # these errors, and a finite but vast one asks for more bins than
+        # numpy can index (ValueError)
+        try:
+            with np.errstate(all="ignore"):
+                counts, edges = np.histogram(arr, bins="fd", density=True)
+        except (ValueError, OverflowError, IndexError) as exc:
+            raise DomainError(
+                "the Freedman-Diaconis histogram of this sample has no usable "
+                f"bins ({exc})"
+            ) from None
         if point < edges[0] or point > edges[-1]:
             return 0.0
         idx = min(int(np.searchsorted(edges, point, side="right")) - 1, counts.size - 1)

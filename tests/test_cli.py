@@ -48,6 +48,15 @@ ZERO_KC_CSV = "x,y\n" + "\n".join(
     f"{x},{y}" for x, y in zip(range(1, 9), (1, 2, 5, 6, 3, 4, 7, 8))
 )
 
+# y holds +-limit: at 1e300 the Freedman-Diaconis rule asks for more histogram
+# bins than numpy can index, and at 1.7e308 the range itself overflows
+WIDE_Y_CSV = {
+    limit: "x,y\n" + "\n".join(
+        f"{x},{y!r}" for x, y in enumerate([1.0, 2.0, 3.0, 4.0, limit, -limit], 1)
+    )
+    for limit in (1e300, 1.7e308)
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -134,6 +143,24 @@ class TestParamsCommand:
         )
         assert (code, err) == (0, "")
         assert "fy_at_median = 0.00758\nfx_at_median = 0.01695\n" in out
+
+    @pytest.mark.parametrize("limit", sorted(WIDE_Y_CSV))
+    @pytest.mark.parametrize(
+        "command", [["params"], ["simulate", "--reps", "2"]], ids=["params", "simulate"]
+    )
+    def test_histogram_of_a_vast_range_is_one_line_error(
+        self, capsys, tmp_path, command, limit
+    ):
+        pop = tmp_path / "wide.csv"
+        pop.write_text(WIDE_Y_CSV[limit], encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, *command, "--input", str(pop), "--n", "3", "--density", "histogram"
+        )
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert err.startswith(
+            "error: the Freedman-Diaconis histogram of this sample has no usable bins ("
+        )
 
     def test_values_near_the_float_limit_print_no_warning(self, capsys, tmp_path):
         # np.std squares the y values and overflows; the densities stand

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ from medaux import (
     preset,
     resolve_weights,
 )
-from medaux.estimators import _FAMILY_FIELDS, _SLOPE_OPTIMA, FAMILIES
+from medaux.arith import FLOATS
+from medaux.estimators import (
+    _FAMILY_FIELDS,
+    _SLOPE_OPTIMA,
+    FAMILIES,
+    point_value,
+)
 
 from conftest import draw_params
 from oracles import min_mse_difference, min_mse_ss2, min_mse_ss3, min_mse_tmq
@@ -314,6 +321,54 @@ def test_coefficients_are_affine_in_the_free_weights(family, data, seed):
             assert np.all(np.abs(difference) <= 1e-12 * scale), (
                 family, first, second, difference,
             )
+
+
+# Rounding bound of the affine property below.  From draw_params, My <= 1e4
+# and Mx = R My <= 1.9e4 with R in [0.1, 1.9] and cv_y, cv_x in [0.3, 4]; the
+# test keeps |my| <= 2.1e4 and mx within Mx/2 of Mx.  So the ratio factors
+# (Mx/mx)^a with |a| <= 2 are at most 4, the exponential adjustment at most
+# e^(1/3) (eta >= 0 and lam > 0 in _STRUCTURAL), the shift and damping
+# factors at most 10, and the regression term
+# d_hat (Mx - mx) at most 1600 * 9.5e3 = 1.52e7 (fx/fy <= 4 cv_y/(R cv_x)
+# <= 533, |4 p11 - 1| <= 3).  Every partial result that carries my, taken at
+# the scale of the output, is then below 2**24, and no family does more than
+# 5 operations on it; the my-free factors are bit-identical at the three
+# points.  Each point is off by at most 5 * 2**-53 * 2**24, and the second
+# difference, weights (1, -2, 1) and exact in Fractions, by 4 times that.
+_AFFINE_TOLERANCE = 20 * 2.0**-29
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(deadline=None, max_examples=50)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_point_value_is_affine_in_the_y_median(family, data, seed):
+    """Every family is a + b * my with a and b free of my, so the second
+    difference of point_value over three equally spaced my is 0 up to
+    rounding (the quadratic part of the expansion has no my term)."""
+    params = draw_params(np.random.default_rng(seed))
+    Mx = params.median_x
+    scalars = data.draw(_scalars(family), label="scalars")
+    if "shift" in scalars:  # |shift| in [2, 4] Mx keeps both shift factors <= 10
+        sign = data.draw(st.sampled_from([-1.0, 1.0]), label="sign")
+        scalars["shift"] = sign * data.draw(st.floats(2.0, 4.0), label="shift") * Mx
+    if "beta" in scalars:  # Mx + beta (mx - Mx) >= Mx / 2
+        scalars["beta"] /= 2.0
+    spec = EstimatorSpec(family=family, **scalars)
+    mx = Mx * data.draw(st.floats(0.5, 1.5), label="mx / Mx")
+    extras = (
+        data.draw(st.floats(0.0, 1.0), label="p11"),
+        params.fy_at_median * data.draw(st.floats(0.5, 2.0), label="fy scale"),
+        params.fx_at_median * data.draw(st.floats(0.5, 2.0), label="fx scale"),
+    )
+    # integers, so the three medians are exactly equally spaced
+    centre = data.draw(st.integers(-20_000, 20_000), label="centre")
+    step = data.draw(st.integers(1, 1_000), label="step")
+    values = [
+        Fraction(point_value(FLOATS, spec, float(my), mx, Mx, extras))
+        for my in (centre - step, centre, centre + step)
+    ]
+    difference = values[0] - 2 * values[1] + values[2]
+    assert abs(difference) <= _AFFINE_TOLERANCE, (spec, float(difference))
 
 
 class TestPresets:

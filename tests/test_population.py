@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medaux import (
@@ -28,7 +28,11 @@ from medaux import (
     load_params,
     load_population,
 )
-from medaux.population import _kernel_density_rows
+from medaux.population import (
+    _kernel_density_rows,
+    _sorted_median,
+    _sorted_quantile,
+)
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -164,13 +168,22 @@ class TestDensityAt:
 
 def _silverman_reference(values: np.ndarray, point: float) -> float:
     """One-sample Gaussian kernel estimate, written out on a 1-D array."""
-    sd = float(np.std(values, ddof=1))
-    q75, q25 = np.percentile(values, [75, 25])
-    h = 0.9 * min(sd, float(q75 - q25) / 1.34) * values.size ** (-0.2)
-    if not (math.isfinite(h) and h > 0):
-        return math.nan
-    z = (point - values) / h
-    return float(np.mean(np.exp(-0.5 * z * z)) / (h * math.sqrt(2.0 * math.pi)))
+    with np.errstate(all="ignore"):  # values near the float limit overflow
+        sd = float(np.std(values, ddof=1))
+        q75, q25 = np.percentile(values, [75, 25])
+        h = 0.9 * min(sd, float(q75 - q25) / 1.34) * values.size ** (-0.2)
+        if not (math.isfinite(h) and h > 0):
+            return math.nan
+        z = (point - values) / h
+        return float(np.mean(np.exp(-0.5 * z * z)) / (h * math.sqrt(2.0 * math.pi)))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _density_rows(rows: np.ndarray, points: np.ndarray):
+    return _kernel_density_rows(rows, np.sort(rows, axis=1), points)
 
 
 def _sample_rows() -> np.ndarray:
@@ -183,11 +196,25 @@ def _sample_rows() -> np.ndarray:
     return rows
 
 
+LIMIT = 1.7e308  # the mean of two of these, and their difference, overflow
+
+# (K, n) blocks of short rows and of rows at the float limit
+_SHORT_AND_HUGE_ROWS = [
+    np.array([[3.0, 5.0], [1.0, 1.0], [-2.0, 7.5], [LIMIT, -LIMIT], [LIMIT, LIMIT]]),
+    np.array([[3.0, 5.0, 4.0], [1.0, 1.0, 2.0], [2.0, 2.0, 2.0], [-LIMIT, 1.0, LIMIT]]),
+    np.array([
+        [LIMIT, -LIMIT, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],  # sd overflows, IQR finite
+        [LIMIT, LIMIT, LIMIT, LIMIT, -LIMIT, -LIMIT, -LIMIT, -LIMIT],  # IQR overflows
+        [LIMIT, LIMIT, LIMIT, LIMIT, LIMIT, LIMIT, LIMIT, 1.0],
+    ]),
+]
+
+
 class TestKernelDensityRows:
     def test_rows_equal_one_sample_estimates(self):
         rows = _sample_rows()
         points = np.median(rows, axis=1)
-        density, _ = _kernel_density_rows(rows, points)
+        density, _ = _density_rows(rows, points)
         for row, point, got in zip(rows, points.tolist(), density.tolist()):
             expected = _silverman_reference(row, point)
             if math.isnan(expected):
@@ -198,8 +225,17 @@ class TestKernelDensityRows:
                 assert got == expected
                 assert density_at(row, point, KernelDensity()) == expected
 
+    @pytest.mark.parametrize("rows", _SHORT_AND_HUGE_ROWS, ids=["n2", "n3", "limit"])
+    def test_short_and_huge_rows_equal_the_reference_bit_for_bit(self, rows):
+        with np.errstate(all="ignore"):
+            points = np.median(rows, axis=1)
+        density, _ = _density_rows(rows, points)
+        expected = [_silverman_reference(r, p) for r, p in zip(rows, points.tolist())]
+        assert _bits(density).tolist() == _bits(expected).tolist()
+        assert np.isfinite(density).any() and np.isnan(density).any()
+
     def test_degenerate_rows_flagged(self):
-        density, h = _kernel_density_rows(_sample_rows(), np.full(60, 5.0))
+        density, h = _density_rows(_sample_rows(), np.full(60, 5.0))
         flagged = np.flatnonzero(np.isnan(density)).tolist()
         assert flagged == list(range(20, 30))
         assert (h[20:30] == 0.0).all() and (h[:20] > 0).all()
@@ -209,10 +245,74 @@ class TestKernelDensityRows:
         points = np.median(rows, axis=1)
         fortran = np.asfortranarray(rows)
         assert np.array_equal(
-            _kernel_density_rows(fortran, points)[0],
-            _kernel_density_rows(rows, points)[0],
+            _density_rows(fortran, points)[0],
+            _density_rows(rows, points)[0],
             equal_nan=True,
         )
+
+
+# row values; -0.0 is left out (see test_signed_zeros_agree_in_value)
+_row_value = st.one_of(
+    st.sampled_from([LIMIT, -LIMIT, 0.0, 1.0]),
+    st.floats(-1e9, 1e9).map(lambda v: v + 0.0),
+)
+
+
+@st.composite
+def _row_blocks(draw) -> np.ndarray:
+    """(K, n) rows, K in 1..8 and n in 1..60, free or on 1 to 3 tied levels."""
+    K, n = draw(st.integers(1, 8)), draw(st.integers(1, 60))
+    values = _row_value
+    if draw(st.booleans()):
+        values = st.sampled_from(draw(st.lists(_row_value, min_size=1, max_size=3)))
+    flat = draw(st.lists(values, min_size=K * n, max_size=K * n))
+    return np.array(flat).reshape(K, n)
+
+
+def _wide_rows() -> np.ndarray:
+    """A block the size of a 2000-unit sample, with ties."""
+    return np.round(np.random.default_rng(5).lognormal(3.0, 0.5, (131, 2000)), 1)
+
+
+class TestSortedRowStatistics:
+    @settings(max_examples=300, deadline=None)
+    @example(rows=_wide_rows())
+    @example(rows=np.array([[LIMIT], [-1.0], [0.0]]))
+    @example(rows=np.array([[LIMIT, LIMIT], [-LIMIT, LIMIT], [1.0, 2.0]]))
+    @given(rows=_row_blocks())
+    def test_equal_numpy_bit_for_bit(self, rows):
+        ordered = np.sort(rows, axis=1)
+        with np.errstate(all="ignore"):
+            median = _sorted_median(ordered)
+            q75, q25 = _sorted_quantile(ordered, 0.75), _sorted_quantile(ordered, 0.25)
+            ref_median = np.median(rows, axis=1)
+            ref_q75, ref_q25 = np.percentile(rows, [75, 25], axis=1)
+        assert np.array_equal(_bits(median), _bits(ref_median))
+        assert np.array_equal(_bits(q75), _bits(ref_q75))
+        assert np.array_equal(_bits(q25), _bits(ref_q25))
+
+    def test_overflow_matches_numpy(self):
+        rows = np.array([[LIMIT, LIMIT], [-LIMIT, -LIMIT], [LIMIT, LIMIT - 1e292]])
+        with np.errstate(all="ignore"):
+            assert _sorted_median(np.sort(rows, axis=1)).tolist() == [
+                math.inf, -math.inf, math.inf
+            ]
+            # the 25% index of 5 values is 1 exactly; numpy still interpolates
+            # towards entry 2, and weight 0 times an infinite difference is NaN
+            row = np.array([[-LIMIT, -LIMIT, LIMIT, LIMIT, LIMIT]])
+            assert math.isnan(_sorted_quantile(row, 0.25)[0])
+            assert math.isnan(np.percentile(row, 25))
+
+    def test_signed_zeros_agree_in_value(self):
+        # which of -0.0 and 0.0 np.median returns depends on where its
+        # partition leaves them, so only the values are compared
+        rows = np.random.default_rng(2).choice([-0.0, 0.0, 1.0, -1.0], size=(200, 7))
+        ordered = np.sort(rows, axis=1)
+        assert np.array_equal(_sorted_median(ordered), np.median(rows, axis=1))
+        for q in (0.25, 0.75):
+            assert np.array_equal(
+                _sorted_quantile(ordered, q), np.percentile(rows, 100 * q, axis=1)
+            )
 
 
 class TestMedianParams:
