@@ -8,13 +8,15 @@ stream version 2 (``STREAM_VERSION``), which ``simulate --format json``
 reports; reports of version 1, which drew each replicate with numpy's
 ``integers`` from a Philox keyed by ``(seed, k)``, do not reproduce.
 Replicates run in blocks.  A block's words come from one ``random_raw``
-call; the block then shuffles, takes the sample medians, p11 and kernel
-densities for the whole block as (K, n) arrays.  Each sample variable is
-sorted once per block; the medians and the quartiles of the kernel
-bandwidths are read from the sorted rows, by the rules of ``np.median``
-and ``np.percentile``.  Each estimator is then resolved (from the true
-parameters or each sample's plug-in vector) and evaluated once per block
-on (K,) arrays, by the formulas that the scalar
+call.  The block then draws its samples with no loop over rows or steps:
+one sort of each row's targets and pointer doubling give what the
+sequential swaps would give (see :func:`_swap_rows`).  It then takes the
+sample medians, p11 and kernel densities for the whole block as (K, n)
+arrays.  Each sample variable is sorted once per block; the medians and
+the quartiles of the kernel bandwidths are read from the sorted rows, by
+the rules of ``np.median`` and ``np.percentile``.  Each estimator is then
+resolved (from the true parameters or each sample's plug-in vector) and
+evaluated once per block on (K,) arrays, by the formulas that the scalar
 ``resolve_weights`` and ``evaluate`` run, with an array backend (see
 :mod:`medaux.arith`).  Every per-row result equals the one-replicate
 computation, so reports depend neither on the block size nor on ``jobs``.
@@ -170,9 +172,22 @@ def _targets(words: np.ndarray, N: int) -> np.ndarray:
     the high word of the 128-bit product, assembled exactly from 32-bit
     halves, for every N below 2**63.  Each value of element i has
     probability off from 1/(N - i) by less than (N - i)/2**64 relative.
+    Below N = 2**32 the span s = N - i has no high half, and the high word
+    is ``(w_hi*s + (w_lo*s >> 32)) >> 32``: w_hi*s is at most (2**32 - 1)**2,
+    so adding a value below 2**32 cannot wrap.
     """
     low = np.arange(words.shape[-1], dtype=np.uint64)
     span = np.uint64(N) - low
+    if N < 2**32:
+        hi = words & _LOW32
+        hi *= span
+        hi >>= _SHIFT32
+        top = words >> _SHIFT32
+        top *= span
+        hi += top
+        hi >>= _SHIFT32
+        hi += low
+        return hi.view(np.int64)
     s_lo, s_hi = span & _LOW32, span >> _SHIFT32
     w_lo, w_hi = words & _LOW32, words >> _SHIFT32
     t = w_hi * s_lo + ((w_lo * s_lo) >> _SHIFT32)
@@ -193,38 +208,58 @@ def _swap_rows(js: np.ndarray, N: int) -> np.ndarray:
     """Partial Fisher-Yates on each row: for i < n swap positions i and
     ``js[r, i]`` of ``arange(N)``, then keep the first n entries.
 
-    Only positions ``0..n-1`` and the row's targets are ever touched.  The
-    flat pool holds one slot per position below n (``r*n + p``) and one per
-    target column (``K*n + r*n + c``); equal targets of a row share the slot
-    of one of their columns, which starts out holding that position.  Step i
-    then swaps for every row at once.  Memory is O(K n) for K rows plus one
-    index array of length N.
+    For any targets with ``i <= js[r, i] < N`` the result follows one rule.
+    ``sample[r, i]`` is ``js[r, i]``, unless an earlier step m of row r
+    targeted the same position; then it is D(r, m) for the last such m.
+    D(r, m), the value position m holds when step m runs, is m unless an
+    earlier step targeted position m; then it is D of the last such step.
+
+    One sort of each row's keys ``(js << b) | i``, with b the bit length
+    of n, puts equal targets side by side in step order.  That gives each
+    repeat its previous step, and the parent link of D: the last step of
+    the run of target m, for m < n.  When that step is m itself, D(m) is
+    never read: no later step can target m, and step m targets no other
+    position.  Pointer doubling
+    (Hillis and Steele, CACM 1986) resolves the links to their roots in at
+    most ceil(log2 n) + 1 rounds, and D of each previous step is scattered
+    into the repeats.  Memory is O(K n) for K rows; nothing has length N.
+    The keys fit in int64 while ``N < 2**(63 - b)``.
     """
     K, n = js.shape
-    cols = np.arange(n)
-    column_of = np.empty(N, dtype=np.intp)
-    owner = np.empty_like(js)  # equal targets of a row read back one shared column
-    for r, row in enumerate(js):
-        column_of[row] = cols
-        owner[r] = column_of[row]
+    b = n.bit_length()
+    keys = np.sort((js << b) | np.arange(n), axis=1)
+    vals = keys >> b
+    steps = keys & ((1 << b) - 1)
+    repeat = vals[:, 1:] == vals[:, :-1]  # entry q + 1 targets what entry q did
+    # the last step of each run of a target m < n links m to that step; a run
+    # that ends at step m itself links m to m, whose D no step reads
+    link = vals < n
+    link[:, :-1] &= ~repeat
     base = np.arange(0, K * n, n)[:, None]
-    first = base + cols
-    target = base + np.where(js < n, js, K * n + owner)
-    pool = np.concatenate([np.tile(cols, K), js.ravel()])
-    for a, b in zip(first.T, target.T):  # rows never share a slot
-        held = pool[a]
-        pool[a] = pool[b]
-        pool[b] = held
-    return pool[first]
+    vals += base  # flat indices r*n + position
+    steps += base
+    root = np.arange(K * n)
+    live = vals[link]
+    root[live] = steps[link]
+    while live.size:  # one pointer-doubling round; a node whose parent is a root leaves
+        held = root[live]
+        up = root[held]
+        root[live] = up
+        live = live[up != held]
+    root.reshape(K, n)[:] -= base
+    out = js.flatten()
+    out[steps[:, 1:][repeat]] = root[steps[:, :-1][repeat]]
+    return out.reshape(K, n)
 
 
 def srswor(frame: PopulationFrame, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n distinct unit indices by partial Fisher-Yates shuffling.
 
     The swap targets map the next n raw words of ``rng``'s bit generator
-    as the block kernel of ``run_simulation`` maps them, and the swaps are
-    its one-row case, so ``Generator(_replicate_stream(seed, k, n))`` gives
-    replicate k's sample.
+    as the block kernel of ``run_simulation`` maps them, and the sample is
+    :func:`_swap_rows` on that one row: the swaps resolved by a sort and
+    pointer doubling, equal to swapping one step at a time.  So
+    ``Generator(_replicate_stream(seed, k, n))`` gives replicate k's sample.
     """
     N = frame.N
     if not 0 < n <= N:

@@ -223,7 +223,7 @@ def finite_median(values) -> float:
         raise DomainError("median of an empty collection is undefined")
     if not np.isfinite(arr).all():
         raise DomainError("median requires finite values")
-    return float(np.median(arr))
+    return float(_sorted_median(np.sort(arr)[None, :])[0])
 
 
 def compute_params(

@@ -27,7 +27,6 @@ from medaux import (
     error_moments,
     evaluate,
     EstimatorSpec,
-    finite_median,
     make_synthetic,
     min_mse_ss4,
     preset,
@@ -272,8 +271,8 @@ def test_criterion_6_monte_carlo_consistency():
         N=2000, mu_x=6.9, sigma_x=0.5, mu_y=7.0, sigma_y=0.5, rho=0.8, seed=20240817
     )
     frame = make_synthetic(spec)
-    my = finite_median(frame.y)
-    mx = finite_median(frame.x)
+    my = float(np.median(frame.y))
+    mx = float(np.median(frame.x))
     p11 = np.count_nonzero((frame.x <= mx) & (frame.y <= my)) / frame.N
 
     def lognormal_pdf(point: float, mu: float, sigma: float) -> float:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medaux import (
@@ -170,14 +170,22 @@ class TestMseFromCoeffs:
 coeff_floats = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
 
 
+def _moments(v0, v1, r):
+    # cov from sqrt(v0) * sqrt(v1), the form of ErrorMoments' bound:
+    # sqrt(v0 * v1) of a subnormal product can exceed it (v0 = 0.75,
+    # v1 = 5e-324 gives 2.22e-162 against 1.92e-162)
+    return ErrorMoments(v0, v1, r * math.sqrt(v0) * math.sqrt(v1))
+
+
 @given(
     c=st.tuples(coeff_floats, coeff_floats, coeff_floats, coeff_floats, coeff_floats),
     v0=st.floats(min_value=0, max_value=10),
     v1=st.floats(min_value=0, max_value=10),
     r=st.floats(min_value=-1, max_value=1),
 )
+@example(c=(0.0,) * 5, v0=0.75, v1=5e-324, r=1.0)
 def test_mse_nonnegative(c, v0, v1, r):
-    moments = ErrorMoments(v0, v1, r * math.sqrt(v0 * v1))
+    moments = _moments(v0, v1, r)
     assert mse_from_coeffs(ExpansionCoeffs(*c), moments) >= -1e-9
 
 
@@ -188,7 +196,7 @@ def test_mse_nonnegative(c, v0, v1, r):
     r=st.floats(min_value=-1, max_value=1),
 )
 def test_mse_invariant_under_sign_flip(c, v0, v1, r):
-    moments = ErrorMoments(v0, v1, r * math.sqrt(v0 * v1))
+    moments = _moments(v0, v1, r)
     flipped = ExpansionCoeffs(-c[0], -c[1], -c[2], c[3], c[4])
     assert mse_from_coeffs(ExpansionCoeffs(*c), moments) == mse_from_coeffs(
         flipped, moments

@@ -129,6 +129,41 @@ class TestBlockSampling:
             js = np.array(_reference_targets(_stream_words(17, k, n), N))
             assert np.array_equal(block[k], _scalar_fisher_yates(js, N))
 
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_block_kernel_equals_scalar_swap_loop_on_any_targets(self, data):
+        # at N <= 60 targets repeat often; a short reach makes runs of equal
+        # targets and chains of positions, each target drawn with i <= j < N
+        N = data.draw(st.integers(1, 60), label="N")
+        n = data.draw(st.integers(1, N), label="n")
+        K = data.draw(st.integers(1, 8), label="K")
+        reach = data.draw(st.sampled_from([1, 2, 4, N]), label="reach")
+        js = np.array(
+            [[data.draw(st.integers(i, min(i + reach, N - 1))) for i in range(n)]
+             for _ in range(K)],
+            dtype=np.int64,
+        )
+        block = _swap_rows(js, N)
+        for row, targets in zip(block, js, strict=True):
+            assert np.array_equal(row, _scalar_fisher_yates(targets, N))
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            lambda i, N: np.minimum(i + 1, N - 1),  # one chain through every position
+            lambda i, N: np.full(i.size, N - 1),  # one target for every step
+            lambda i, N: i,  # the identity: no step moves a unit
+        ],
+        ids=["chain", "all-last", "identity"],
+    )
+    @pytest.mark.parametrize("K, n, N", [(1, 2000, 2000), (3, 2000, 2000), (2, 7, 9)])
+    def test_block_kernel_equals_scalar_swap_loop_on_fixed_rows(self, rule, K, n, N):
+        js = np.tile(rule(np.arange(n), N), (K, 1)).astype(np.int64)
+        block = _swap_rows(js, N)
+        expected = _scalar_fisher_yates(js[0], N)
+        assert block.shape == (K, n)
+        assert all(np.array_equal(row, expected) for row in block)
+
     def test_block_census_selects_everyone(self):
         block = _swap_rows(_swap_targets(5, range(4, 9), 12, 12), 12)
         for row in block:
@@ -532,7 +567,7 @@ def _sample_row(frame, idx, weights, params, specs):
     """The estimates of sample ``idx`` by the scalar ``resolve_weights`` and
     ``evaluate``, NaN where one fails."""
     xs, ys = frame.x[idx], frame.y[idx]
-    my, mx = finite_median(ys), finite_median(xs)
+    my, mx = float(np.median(ys)), float(np.median(xs))
     stats = SampleStats(median_y=my, median_x=mx)
     hat = None
     try:

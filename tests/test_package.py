@@ -242,12 +242,14 @@ def test_analytic_modules_import_no_numpy_module(module):
 
 def _loaded_after(code: str) -> list:
     """Run ``code`` in a fresh interpreter importing this medaux, and return
-    the numpy modules loaded at its end; its stdout is discarded."""
+    the numpy modules (and ``numpy.ma``) loaded at its end; its stdout is
+    discarded."""
     src = pathlib.Path(medaux.__file__).parent.parent
     script = (
         "import json, sys\n"
         f"{code}\n"
-        "loaded = {'numpy', 'medaux.montecarlo', 'medaux.population'} & set(sys.modules)\n"
+        "loaded = {'numpy', 'numpy.ma', 'medaux.montecarlo', 'medaux.population'}\n"
+        "loaded &= set(sys.modules)\n"
         "print(json.dumps(sorted(loaded)))\n"
     )
     proc = subprocess.run(
@@ -295,3 +297,13 @@ def test_analytic_commands_load_no_numpy(argv, code):
 )
 def test_numpy_loads_on_first_use_of_a_numpy_name(code, loaded):
     assert _loaded_after(code) == loaded
+
+
+def test_simulate_loads_no_masked_arrays():
+    # np.median imports numpy.ma on its first call, about 10 ms of start-up
+    # that every simulate run would pay
+    run = (
+        "from medaux.cli import main\n"
+        "assert main(['simulate', '--synthetic', 'N=50', '--n', '5', '--reps', '20']) == 0"
+    )
+    assert _loaded_after(run) == ["medaux.montecarlo", "medaux.population", "numpy"]
