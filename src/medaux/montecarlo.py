@@ -9,15 +9,16 @@ reports; reports of version 1, which drew each replicate with numpy's
 ``integers`` from a Philox keyed by ``(seed, k)``, do not reproduce.
 Replicates run in blocks.  A block's words come from one ``random_raw``
 call.  The block then draws its samples with no loop over rows or steps:
-one sort of each row's targets and pointer doubling give what the
-sequential swaps would give (see :func:`_swap_rows`).  It then takes the
-sample medians, p11 and kernel densities for the whole block as (K, n)
-arrays.  Each sample variable is sorted once per block; the medians and
-the quartiles of the kernel bandwidths are read from the sorted rows, by
-the rules of ``np.median`` and ``np.percentile``.  Each estimator is then
-resolved (from the true parameters or each sample's plug-in vector) and
-evaluated once per block on (K,) arrays, by the formulas that the scalar
-``resolve_weights`` and ``evaluate`` run, with an array backend (see
+one sort of each row's targets, and pointer doubling on the few repeated
+or low targets it finds, give what the sequential swaps would give (see
+:func:`_swap_rows`).  It then takes the sample medians, p11 and kernel
+densities for the whole block as (K, n) arrays.  Each sample variable is
+sorted once per block; the medians and the quartiles of the kernel
+bandwidths are read from the sorted rows, by the rules of ``np.median`` and
+``np.percentile``.  Free weights are resolved once per run from the true
+parameters, or per block from each sample's plug-in vector, and each
+estimator is evaluated once per block on (K,) arrays, by the formulas of
+the scalar ``resolve_weights`` and ``evaluate`` with an array backend (see
 :mod:`medaux.arith`).  Every per-row result equals the one-replicate
 computation, so reports depend neither on the block size nor on ``jobs``.
 A replicate that fails for one estimator (a failed precondition, an
@@ -204,7 +205,7 @@ def _swap_targets(seed: int, ks: range, n: int, N: int) -> np.ndarray:
     return _targets(words.reshape(len(ks), m4)[:, :n], N)
 
 
-def _swap_rows(js: np.ndarray, N: int) -> np.ndarray:
+def _swap_rows(js: np.ndarray) -> np.ndarray:
     """Partial Fisher-Yates on each row: for i < n swap positions i and
     ``js[r, i]`` of ``arange(N)``, then keep the first n entries.
 
@@ -215,40 +216,40 @@ def _swap_rows(js: np.ndarray, N: int) -> np.ndarray:
     earlier step targeted position m; then it is D of the last such step.
 
     One sort of each row's keys ``(js << b) | i``, with b the bit length
-    of n, puts equal targets side by side in step order.  That gives each
-    repeat its previous step, and the parent link of D: the last step of
-    the run of target m, for m < n.  When that step is m itself, D(m) is
-    never read: no later step can target m, and step m targets no other
-    position.  Pointer doubling
-    (Hillis and Steele, CACM 1986) resolves the links to their roots in at
+    of n, puts equal targets side by side in step order.  Two compares on
+    the sorted keys find the few entries that matter, and the rest runs on
+    their sparse indices: each repeat reads D of its previous step, and the
+    last step of each run of a target m < n is m's link (to m itself when
+    that step is m: then D(m) is never read, as no later step can target m).
+    Pointer doubling (Hillis and Steele, CACM 1986) resolves the links in at
     most ceil(log2 n) + 1 rounds, and D of each previous step is scattered
     into the repeats.  Memory is O(K n) for K rows; nothing has length N.
-    The keys fit in int64 while ``N < 2**(63 - b)``.
+    The keys fit in int64 while ``N <= 2**(63 - b)``.
     """
     K, n = js.shape
     b = n.bit_length()
-    keys = np.sort((js << b) | np.arange(n), axis=1)
-    vals = keys >> b
-    steps = keys & ((1 << b) - 1)
-    repeat = vals[:, 1:] == vals[:, :-1]  # entry q + 1 targets what entry q did
-    # the last step of each run of a target m < n links m to that step; a run
-    # that ends at step m itself links m to m, whose D no step reads
-    link = vals < n
-    link[:, :-1] &= ~repeat
-    base = np.arange(0, K * n, n)[:, None]
-    vals += base  # flat indices r*n + position
-    steps += base
+    low = (1 << b) - 1
+    keys = js << b
+    keys |= np.arange(n)
+    keys.sort(axis=1)
+    keys = keys.reshape(-1)  # entry p of row r is flat entry r*n + p
+    same = np.empty(K * n, dtype=bool)  # entry p + 1 repeats the target of p
+    np.less_equal(keys[1:] ^ keys[:-1], low, out=same[:-1])
+    same.reshape(K, n)[:, -1] = False
+    ends = np.flatnonzero((keys < n << b) & ~same)
+    base = ends - ends % n
+    live = base + (keys[ends] >> b)  # flat node r*n + m
     root = np.arange(K * n)
-    live = vals[link]
-    root[live] = steps[link]
+    root[live] = base + (keys[ends] & low)
     while live.size:  # one pointer-doubling round; a node whose parent is a root leaves
         held = root[live]
         up = root[held]
         root[live] = up
         live = live[up != held]
-    root.reshape(K, n)[:] -= base
+    prev = np.flatnonzero(same)
+    base = prev - prev % n
     out = js.flatten()
-    out[steps[:, 1:][repeat]] = root[steps[:, :-1][repeat]]
+    out[base + (keys[prev + 1] & low)] = root[base + (keys[prev] & low)] - base
     return out.reshape(K, n)
 
 
@@ -265,7 +266,7 @@ def srswor(frame: PopulationFrame, n: int, rng: np.random.Generator) -> np.ndarr
     if not 0 < n <= N:
         raise DomainError(f"need 0 < n <= N, got n={n}, N={N}")
     js = _targets(rng.bit_generator.random_raw(n), N)
-    return _swap_rows(js[None, :], N)[0]
+    return _swap_rows(js[None, :])[0]
 
 
 class _Rows:
@@ -349,8 +350,7 @@ def _block_estimates(
     :func:`_estimate_columns` turns them into the estimates.
     """
     n = config.n
-    plug_in = config.weights == "plug-in"
-    idx = _swap_rows(_swap_targets(config.seed, ks, n, frame.N), frame.N)
+    idx = _swap_rows(_swap_targets(config.seed, ks, n, frame.N))
     xs, ys = frame.x[idx], frame.y[idx]
     extras = None
     # an overflowing median is inf in its row, which every spec then loses;
@@ -360,20 +360,20 @@ def _block_estimates(
     with np.errstate(all="ignore"):
         my, mx = _sorted_median(ys_sorted), _sorted_median(xs_sorted)
         if n >= 2 and any(  # a kernel density needs two observations
-            s.family == REGRESSION or (plug_in and free_scalars(s)) for s in specs
+            s is not None and (s.family == REGRESSION or free_scalars(s))
+            for s in specs
         ):
             below = (xs <= mx[:, None]) & (ys <= my[:, None])
             p11 = np.count_nonzero(below, axis=1) / n
             fy, _ = _kernel_density_rows(ys, ys_sorted, my)
             fx, _ = _kernel_density_rows(xs, xs_sorted, mx)
             extras = (p11, fy, fx)
-    return _estimate_columns(params, specs, plug_in, my, mx, extras)
+    return _estimate_columns(params, specs, my, mx, extras)
 
 
 def _estimate_columns(
     params: MedianParams,
-    specs: tuple[EstimatorSpec, ...],
-    plug_in: bool,
+    specs: tuple,
     my: np.ndarray,
     mx: np.ndarray,
     extras: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
@@ -382,9 +382,9 @@ def _estimate_columns(
 
     ``extras`` is ``(p11, fy, fx)`` of each sample, NaN densities where the
     sample has no usable bandwidth, or ``None`` when not computed.  A spec
-    with free scalars is resolved from ``params``, or under the plug-in
-    policy from each row's re-estimated parameter vector.  Each spec is
-    resolved and evaluated once, on (K,) arrays, by the formulas of
+    that still has free scalars is resolved from each row's plug-in vector,
+    and a ``None`` spec is NaN in every row.  Each spec is resolved and
+    evaluated once, on (K,) arrays, by the formulas of
     :func:`resolve_weights` and :func:`evaluate`, so every row equals that
     one-replicate computation.  One rule decides every failure: a spec loses
     a row where resolving or evaluating it there fails a precondition or
@@ -395,29 +395,26 @@ def _estimate_columns(
     """
     K = my.size
     overflowed = ~(np.isfinite(my) & np.isfinite(mx))
-    free = [bool(free_scalars(s)) for s in specs]
+    free = [s is not None and bool(free_scalars(s)) for s in specs]
     out = np.full((K, len(specs)), np.nan)
     # the float code raises where the arrays give inf or NaN silently; the
     # backend marks those rows
     with np.errstate(all="ignore"):
-        source, source_bad = params, overflowed
-        if plug_in:
-            source = None
-            if extras and any(free):
-                p11, fy, fx = extras
-                # design quantities (N, n) stay fixed; the concordance
-                # estimate is clamped into [-1, 1] because inclusive tie
-                # counting can push 4*p11 - 1 above 1
-                rho_hat = np.clip(4.0 * p11 - 1.0, -1.0, 1.0)
-                hat_rows = _Rows(overflowed)
-                source = SimpleNamespace(
-                    **derive_params(hat_rows, params.N, params.n, my, mx, fy, fx, rho_hat)
-                )
-                source_bad = hat_rows.bad
+        source = None
+        if extras and any(free):
+            p11, fy, fx = extras
+            # design quantities (N, n) stay fixed; the concordance estimate
+            # is clamped into [-1, 1] because inclusive tie counting can push
+            # 4*p11 - 1 above 1
+            rho_hat = np.clip(4.0 * p11 - 1.0, -1.0, 1.0)
+            hat_rows = _Rows(overflowed)
+            source = SimpleNamespace(
+                **derive_params(hat_rows, params.N, params.n, my, mx, fy, fx, rho_hat)
+            )
         for j, spec in enumerate(specs):
-            if free[j] and source is None:
+            if spec is None or (free[j] and source is None):
                 continue
-            rows = _Rows(source_bad if free[j] else overflowed)
+            rows = _Rows(hat_rows.bad if free[j] else overflowed)
             try:
                 if free[j]:
                     spec = SimpleNamespace(
@@ -437,6 +434,8 @@ def _replicate_estimates(
     specs: tuple[EstimatorSpec, ...],
 ) -> np.ndarray:
     """(reps, len(specs)) estimates, NaN where an estimator failed."""
+    if config.weights == "true-params":
+        specs = tuple(_resolve_true_params(params, s) for s in specs)
     K = max(1, _BLOCK_UNITS // config.n)
     return np.concatenate(
         [
@@ -448,12 +447,44 @@ def _replicate_estimates(
     )
 
 
+def _resolve_true_params(params: MedianParams, spec) -> SimpleNamespace | None:
+    """The spec with its free weights solved from the true ``params``, or
+    ``None`` where that fails.  It reads no sample, so it runs once per run,
+    by the block backend on one row: the weights have the bits of a per-row
+    solve, and a failure, raised or marked, costs the spec every replicate.
+    """
+    rows = _Rows(np.zeros(1, dtype=bool))
+    try:
+        with np.errstate(all="ignore"):
+            found = optimal_weights(rows, spec, params)
+    except (MedauxError, ArithmeticError):
+        return None
+    return None if rows.bad[0] else SimpleNamespace(**{**vars(spec), **found})
+
+
 def _figures_or_nan(params: MedianParams, spec: EstimatorSpec) -> tuple:
     """The estimator's analytic (MSE, bias), or (NaN, None) where they fail."""
     try:
         return analytic_figures(params, [spec])[0]
     except (MedauxError, ArithmeticError):
         return math.nan, None
+
+
+def _aggregate(col: np.ndarray, target: float) -> tuple[int, float, float, float]:
+    """(used, bias, MSE, standard error of the MSE) of the finite estimates
+    in ``col``: bit for bit ``np.mean`` of the errors and their squares and
+    ``np.std(ddof=1)`` of the squares over sqrt(used), by numpy's two-pass
+    rule.  The standard error is NaN for one estimate, every figure for none.
+    Squares that overflow give inf (and a NaN spread), unwarned.
+    """
+    with np.errstate(all="ignore"):
+        errors = col[np.isfinite(col)] - target
+        used = errors.size
+        sq = errors * errors
+        mse = sq.sum() / used
+        dev = np.square(sq - mse)
+        se = np.sqrt(dev.sum() / max(used - 1, 0)) / math.sqrt(used)
+        return used, float(errors.sum() / used), float(mse), float(se)
 
 
 def run_simulation(
@@ -464,10 +495,10 @@ def run_simulation(
 ) -> SimulationReport:
     """Replicate SRSWOR estimation of the study median.
 
-    Free weights are resolved in each block of replicates: from ``params``
-    under the ``true-params`` policy, and from each sample under
-    ``plug-in``.  The regression estimator always uses its per-sample slope.
-    Replicates where an estimator fails are excluded from that estimator's
+    Free weights are resolved once per run from ``params`` under the
+    ``true-params`` policy, and from each sample under ``plug-in``.  The
+    regression estimator always uses its per-sample slope.  Replicates
+    where an estimator fails are excluded from that estimator's
     aggregates and surfaced as failure counts; one whose true-params
     optimum is undefined fails every replicate, and no other loses one.  The
     analytic columns are :func:`medaux.mse.analytic_figures` of the presets,
@@ -489,26 +520,12 @@ def run_simulation(
     figures = [_figures_or_nan(params, s) for s in specs]
     results = []
     for j, (name, (ana_mse, ana_bias)) in enumerate(zip(config.estimators, figures)):
-        col = estimates[:, j]
-        good = col[np.isfinite(col)]
-        used = int(good.size)
-        failures = config.reps - used
-        if used == 0:
-            emp_bias = emp_mse = se = math.nan
-        else:
-            # finite estimates far from the target may square to inf (and
-            # their spread to NaN); those values are the report's, unwarned
-            with np.errstate(over="ignore", invalid="ignore"):
-                errors = good - target
-                emp_bias = float(np.mean(errors))
-                sq = errors * errors
-                emp_mse = float(np.mean(sq))
-                se = float(np.std(sq, ddof=1) / math.sqrt(used)) if used > 1 else math.nan
+        used, emp_bias, emp_mse, se = _aggregate(estimates[:, j], target)
         results.append(
             EstimatorResult(
                 estimator=name,
                 reps_used=used,
-                failures=failures,
+                failures=config.reps - used,
                 empirical_bias=emp_bias,
                 empirical_mse=emp_mse,
                 mc_se_mse=se,

@@ -88,7 +88,7 @@ class KernelDensity:
 @dataclass(frozen=True)
 class HistogramDensity:
     """Density read off a histogram with numpy's ``"fd"`` (Freedman-Diaconis)
-    bin rule."""
+    bin rule, refused above 1000 bins per observation."""
 
 
 @dataclass(frozen=True)
@@ -191,11 +191,18 @@ def density_at(values, point: float, method: DensityMethod) -> float:
         return float(density[0])
 
     if isinstance(method, HistogramDensity):
-        # a range past the float limit breaks numpy's binning with one of
-        # these errors, and a finite but vast one asks for more bins than
-        # numpy can index (ValueError)
+        # numpy's bin count, ceil(range / (2*IQR*n**(-1/3))) or 1 at zero
+        # IQR, is capped before np.histogram allocates the bins; a range
+        # past the float limit breaks numpy's binning with one of these errors
+        cap = 1000 * arr.size
         try:
             with np.errstate(all="ignore"):
+                q75, q25 = np.percentile(arr, [75, 25])
+                width = 2.0 * (q75 - q25) * arr.size ** (-1.0 / 3.0)
+                bins = np.ceil((arr.max() - arr.min()) / width) if width else 1.0
+                if bins > cap:
+                    raise ValueError(f"its rule asks for {bins:.4g}, above the cap of "
+                                     f"{cap}, 1000 per observation")
                 counts, edges = np.histogram(arr, bins="fd", density=True)
         except (ValueError, OverflowError, IndexError) as exc:
             raise DomainError(

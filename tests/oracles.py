@@ -219,6 +219,29 @@ def min_mse_tmq(
     return b2 * W / A
 
 
+def paper_tmq_value(
+    params: MedianParams,
+    *,
+    alpha: float = 0.0,
+    eta: float = 0.0,
+    lam: float = 1.0,
+    w_params: MedianParams | None = None,
+) -> float:
+    """The paper's printed single-weight value: (1 - w)^2 b^2 + w^2 W(a) at
+    the one shared weight w = b^2 / (b^2 + V_res).
+
+    w is the single-weight optimum at the best slope a = k_c, where W(a) is
+    smallest; the class minimum :func:`min_mse_tmq` takes w at each class's
+    own slope instead, so on the same inputs this value is never below it.
+    W(a) reads ``w_params`` (default ``params``); w does not read cv_x, so a
+    column printed with another fx changes W alone.
+    """
+    b2 = params.median_gap**2
+    w = b2 / (b2 + _vres(params))
+    _, W, _, _, _ = _form(w_params or params, alpha, eta, lam)
+    return (1.0 - w) ** 2 * b2 + w * w * W
+
+
 def _log_choose(a: np.ndarray, b: int) -> np.ndarray:
     """log C(a, b) for each integer a >= 0 of the array: -inf where a < b."""
     out = np.full(a.shape, -np.inf)

@@ -24,7 +24,7 @@ from medaux import (
     preset,
     resolve_weights,
 )
-from medaux.montecarlo import _estimate_columns, _Rows
+from medaux.montecarlo import _estimate_columns, _resolve_true_params, _Rows
 
 # on glibc x86-64, np.square(x) differs from x**2 in the last bit here
 SQUARE_MISMATCHES = (0.7294710334644697, 2.748468390860962, 1.7836106789439197)
@@ -180,8 +180,10 @@ def test_block_column_equals_scalar_calls(weights, data):
         )
     plug_in = weights == "plug-in"
     specs = _family_specs(params)
+    # true-params weights are solved once per run, before the blocks
+    block_specs = specs if plug_in else [_resolve_true_params(params, s) for s in specs]
 
-    got = _estimate_columns(params, tuple(specs), plug_in, my, mx, extras)
+    got = _estimate_columns(params, tuple(block_specs), my, mx, extras)
     for r in range(K):
         row_extras = None
         if extras is not None and not (np.isnan(extras[1][r]) or np.isnan(extras[2][r])):
@@ -202,10 +204,10 @@ def test_zero_exponent_never_reads_the_x_median():
     known = MedianParams(100, 10, 5.0, 4.0, 0.2, 0.3, 0.5)
     assert evaluate(preset("M_y"), SampleStats(7.0, 0.0), known) == 7.0
     my, mx = np.array([7.0, 7.0]), np.array([0.0, 3.0])
-    got = _estimate_columns(known, (preset("M_y"),), False, my, mx, None)
+    got = _estimate_columns(known, (preset("M_y"),), my, mx, None)
     assert got[:, 0].tolist() == [7.0, 7.0]
     extras = (np.array([0.25, 0.5]), np.array([0.2, 0.2]), np.array([0.3, 0.3]))
-    got = _estimate_columns(known, (preset("M_3"),), True, my, mx + 2.0, extras)
+    got = _estimate_columns(known, (preset("M_3"),), my, mx + 2.0, extras)
     assert got[0, 0] == 7.0 and got[1, 0] != 7.0
 
 
@@ -215,7 +217,7 @@ def test_plug_in_overflow_fails_its_row_only():
     specs = (preset("M_d", params), preset("t_m", params), preset("M_y", params))
     my, mx = np.array([10.0, 10.0]), np.array([8.0, 8.0])
     extras = (np.array([0.4, 0.4]), np.array([0.1, 0.1]), np.array([0.1, 1e-300]))
-    got = _estimate_columns(params, specs, True, my, mx, extras)
+    got = _estimate_columns(params, specs, my, mx, extras)
     assert np.isfinite(got[0]).all()
     assert np.isnan(got[1, :2]).all() and got[1, 2] == 10.0
     with pytest.raises(DomainError, match="^cv_x = .* is too large: its square overflows$"):
@@ -248,7 +250,7 @@ def test_k_c_optima_keep_their_plug_in_rows():
     my, mx = np.array([10.0, 10.0]), np.array([8.0, 8.0])
     p11 = np.array([0.4, 0.4])
     fy, fx = np.array([0.1, 0.1]), np.array([0.1, 1e-300])
-    got = _estimate_columns(known, specs, True, my, mx, (p11, fy, fx))
+    got = _estimate_columns(known, specs, my, mx, (p11, fy, fx))
     assert np.isfinite(got).all()
     for r in range(2):
         hat = MedianParams(1000, 50, 10.0, 8.0, 0.1, float(fx[r]), 4.0 * 0.4 - 1.0)
@@ -264,7 +266,7 @@ def test_underflowing_plug_in_variance_keeps_its_row():
     specs = (preset("M_d", known), preset("t_m", known), preset("M_y", known))
     my, mx = np.array([10.0, 10.0]), np.array([8.0, 8.0])
     p11, fy, fx = np.array([0.4, 0.4]), np.array([0.1, 1e160]), np.array([0.1, 0.1])
-    got = _estimate_columns(known, specs, True, my, mx, (p11, fy, fx))
+    got = _estimate_columns(known, specs, my, mx, (p11, fy, fx))
     hat = MedianParams(1000, 50, 10.0, 8.0, 1e160, 0.1, 4.0 * 0.4 - 1.0)
     assert error_moments(hat).var_e0 == 0.0 < error_moments(hat).cov_e0e1
     stats = SampleStats(10.0, 8.0, 0.4, 1e160, 0.1)

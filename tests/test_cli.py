@@ -48,8 +48,8 @@ ZERO_KC_CSV = "x,y\n" + "\n".join(
     f"{x},{y}" for x, y in zip(range(1, 9), (1, 2, 5, 6, 3, 4, 7, 8))
 )
 
-# y holds +-limit: at 1e300 the Freedman-Diaconis rule asks for more histogram
-# bins than numpy can index, and at 1.7e308 the range itself overflows
+# y holds +-limit: at 1e300 the Freedman-Diaconis rule asks for 7.3e299
+# histogram bins, far above the cap, and at 1.7e308 the range itself overflows
 WIDE_Y_CSV = {
     limit: "x,y\n" + "\n".join(
         f"{x},{y!r}" for x, y in enumerate([1.0, 2.0, 3.0, 4.0, limit, -limit], 1)
@@ -160,6 +160,26 @@ class TestParamsCommand:
         assert "Traceback" not in err and err.count("\n") == 1
         assert err.startswith(
             "error: the Freedman-Diaconis histogram of this sample has no usable bins ("
+        )
+
+    @pytest.mark.parametrize(
+        "command", [["params"], ["simulate", "--reps", "2"]], ids=["params", "simulate"]
+    )
+    def test_histogram_over_the_bin_cap_is_one_line_error(self, capsys, tmp_path, command):
+        # y = 1..10 and 1e9: the Freedman-Diaconis rule asks for 222,398,009
+        # bins, far above 1000 per observation
+        pop = tmp_path / "outlier.csv"
+        pop.write_text(
+            "x,y\n" + "\n".join(f"{x},{y!r}" for x, y in enumerate([*range(1, 11), 1e9], 1)),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys, *command, "--input", str(pop), "--n", "3", "--density", "histogram"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the Freedman-Diaconis histogram of this sample has no usable bins "
+            "(its rule asks for 2.224e+08, above the cap of 11000, 1000 per observation)\n"
         )
 
     def test_values_near_the_float_limit_print_no_warning(self, capsys, tmp_path):

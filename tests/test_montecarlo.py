@@ -96,6 +96,15 @@ def _scalar_fisher_yates(js: np.ndarray, N: int) -> np.ndarray:
     return pool[: js.size]
 
 
+def _sparse_swap_loop(js: np.ndarray) -> list[int]:
+    """The swap loop of :func:`_scalar_fisher_yates` on a dict of the moved
+    positions, so N may be far beyond memory."""
+    moved = {}
+    for i, j in enumerate(js.tolist()):
+        moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+    return [moved.get(i, i) for i in range(js.size)]
+
+
 def _stream_words(seed: int, k: int, n: int) -> list[int]:
     """Replicate k's n words, from the stream's definition: key (seed, 0),
     m = ceil(n/4) Philox counters per replicate, the first n of their 4m
@@ -122,7 +131,7 @@ class TestBlockSampling:
     def test_block_equals_scalar_srswor_at_large_population(self):
         N, n = 200_000, 100
         frame = PopulationFrame(x=np.arange(1.0, N + 1), y=np.arange(1.0, N + 1))
-        block = _swap_rows(_swap_targets(17, range(3), n, N), N)
+        block = _swap_rows(_swap_targets(17, range(3), n, N))
         for k in range(3):
             expected = srswor(frame, n, _replicate_gen(17, k, n))
             assert np.array_equal(block[k], expected)
@@ -143,7 +152,7 @@ class TestBlockSampling:
              for _ in range(K)],
             dtype=np.int64,
         )
-        block = _swap_rows(js, N)
+        block = _swap_rows(js)
         for row, targets in zip(block, js, strict=True):
             assert np.array_equal(row, _scalar_fisher_yates(targets, N))
 
@@ -156,18 +165,42 @@ class TestBlockSampling:
         ],
         ids=["chain", "all-last", "identity"],
     )
-    @pytest.mark.parametrize("K, n, N", [(1, 2000, 2000), (3, 2000, 2000), (2, 7, 9)])
+    # n = 1, 2 and N; a chain of n - 1 links takes ceil(log2(n - 1)) + 1
+    # pointer-doubling rounds, the bound ceil(log2 n) + 1 where n is a power of 2
+    @pytest.mark.parametrize(
+        "K, n, N",
+        [(1, 2000, 2000), (3, 2000, 2000), (2, 7, 9), (1, 1, 1), (2, 1, 40), (1, 2, 2),
+         (2, 2, 3), (2, 2, 40), (1, 8, 8), (1, 16, 17), (1, 40, 40), (1, 256, 512),
+         (1, 257, 257), (1, 1024, 1024), (1, 1025, 1025)],
+    )
     def test_block_kernel_equals_scalar_swap_loop_on_fixed_rows(self, rule, K, n, N):
         js = np.tile(rule(np.arange(n), N), (K, 1)).astype(np.int64)
-        block = _swap_rows(js, N)
+        block = _swap_rows(js)
         expected = _scalar_fisher_yates(js[0], N)
         assert block.shape == (K, n)
         assert all(np.array_equal(row, expected) for row in block)
 
     def test_block_census_selects_everyone(self):
-        block = _swap_rows(_swap_targets(5, range(4, 9), 12, 12), 12)
+        block = _swap_rows(_swap_targets(5, range(4, 9), 12, 12))
         for row in block:
             assert sorted(row.tolist()) == list(range(12))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 2000])
+    def test_largest_population_whose_keys_fit(self, n):
+        # the keys (target << b) | step, b = n.bit_length(), stay below 2**63
+        # up to N = 2**(63 - b); targets cluster at the top and repeat
+        b = n.bit_length()
+        N = 2 ** (63 - b)
+        assert ((N - 1) << b) | (n - 1) < 2**63 <= N << b
+        rng = np.random.default_rng(n)
+        rows = [np.full(n, N - 1)]
+        for reach in (1, 3, n):
+            rows.append(
+                np.array([max(i, N - 1 - int(rng.integers(0, reach))) for i in range(n)])
+            )
+        js = np.array(rows, dtype=np.int64)
+        for row, targets in zip(_swap_rows(js), js, strict=True):
+            assert row.tolist() == _sparse_swap_loop(targets)
 
 
 class TestStreamPinned:
@@ -238,7 +271,7 @@ class TestSamplingLaw:
         # is crossed with probability 1e-6 (z = 4.753).  The lower bound
         # fails a draw that is too even to be random, such as a cycle.
         N, n, cells, per_cell = 12, 4, math.comb(12, 4), 40
-        rows = _swap_rows(_swap_targets(20240817, range(cells * per_cell), n, N), N)
+        rows = _swap_rows(_swap_targets(20240817, range(cells * per_cell), n, N))
         counts = np.bincount(_subset_rank(rows, N), minlength=cells)
         stat = float(np.sum((counts - per_cell) ** 2) / per_cell)
         df = cells - 1
@@ -740,6 +773,89 @@ class TestEstimatorIndependence:
             with pytest.raises(MedauxError, match="^optimal shift undefined when k_c is zero$"):
                 resolve_weights(preset(result.estimator), params)
 
+    @pytest.mark.parametrize(
+        "fx, failing", [(None, ("M_1", "M_2")), (1e-160, ("M_d", "t_m"))],
+        ids=["raised", "marked"],
+    )
+    def test_a_failed_true_params_solve_costs_every_block(self, fx, failing):
+        # zero k_c leaves the shift optima undefined, and their solve raises;
+        # a true fx of 1e-160 overflows cv_x**2, and the solve marks its row.
+        # Either way the spec loses every replicate of every block (three
+        # replicates each here), and no other spec loses one
+        frame = PopulationFrame(
+            x=np.arange(1.0, 9.0), y=np.array([1.0, 2, 5, 6, 3, 4, 7, 8])
+        )
+        params = compute_params(frame, 4)
+        if fx is not None:
+            params = replace(params, fx_at_median=fx)
+        names = ("M_y", "M_r", *failing, "M_3")
+        config = SimulationConfig(n=4, reps=50, seed=5, estimators=names)
+        specs = _simulation_specs(names, params)
+        with mock.patch.object(montecarlo, "_BLOCK_UNITS", 3 * 4):
+            got = montecarlo._replicate_estimates(frame, config, params, specs)
+            results = run_simulation(frame, config, params).results
+        expected = [_reference_row(frame, config, params, specs, k) for k in range(50)]
+        np.testing.assert_array_equal(got, np.array(expected))
+        for result in results:
+            lost = result.estimator in failing
+            assert (result.reps_used, result.failures) == ((0, 50) if lost else (50, 0))
+
+
+def _figure_bits(values) -> tuple:
+    """Floats by their bits, NaN as one."""
+    return tuple("nan" if math.isnan(v) else struct.pack("<d", v) for v in values)
+
+
+def _numpy_figures(col: np.ndarray, target: float) -> tuple:
+    """(used, bias, MSE, se) by ``np.mean`` and ``np.std(ddof=1)``."""
+    good = col[np.isfinite(col)]
+    used = good.size
+    if used == 0:
+        return 0, math.nan, math.nan, math.nan
+    with np.errstate(all="ignore"):
+        errors = good - target
+        sq = errors * errors
+        se = float(np.std(sq, ddof=1) / math.sqrt(used)) if used > 1 else math.nan
+        return used, float(np.mean(errors)), float(np.mean(sq)), se
+
+
+class TestAggregation:
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_figures_equal_numpy_mean_and_std_bit_for_bit(self, data):
+        # failed replicates (NaN, and inf from an overflowed median) are left
+        # out; at 1e155 and above some squared errors overflow to inf
+        size = data.draw(st.integers(0, 700), label="size")
+        scale = data.draw(st.sampled_from([1e-300, 1e-5, 1.0, 1e100, 1e155, 1e200]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        col = rng.lognormal(0.0, data.draw(st.sampled_from([0.1, 1.0, 3.0])), size) * scale
+        lost = rng.random(size) < data.draw(st.sampled_from([0.0, 0.1, 0.9, 1.0]))
+        col[lost] = rng.choice([np.nan, np.inf, -np.inf], int(lost.sum()))
+        target = float(rng.lognormal()) * scale
+        used, *figures = montecarlo._aggregate(col, target)
+        want_used, *want = _numpy_figures(col, target)
+        assert used == want_used
+        assert _figure_bits(figures) == _figure_bits(want)
+
+    @pytest.mark.parametrize(
+        "col, target, used, finite",
+        [
+            ([3.0, np.nan], 1.0, 1, (True, True, False)),  # one estimate: se NaN
+            ([np.nan, np.inf, -np.inf], 1.0, 0, (False, False, False)),
+            ([], 1.0, 0, (False, False, False)),
+            ([1e200, -1e200, 2.0], 0.0, 3, (True, False, False)),  # squares overflow
+            ([1e200], 0.0, 1, (True, False, False)),
+        ],
+    )
+    def test_edge_columns(self, col, target, used, finite):
+        col = np.array(col, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_used, *figures = montecarlo._aggregate(col, target)
+        assert got_used == used
+        assert tuple(math.isfinite(v) for v in figures) == finite
+        assert _figure_bits(figures) == _figure_bits(_numpy_figures(col, target)[1:])
+
 
 class TestCallCounts:
     def test_plug_in_run_calls_the_scalar_path_per_estimator(self, monkeypatch):
@@ -782,6 +898,30 @@ class TestCallCounts:
         assert calls["MedianParams"] <= len(names)
         assert calls["point_value"] == blocks * len(names)
         assert calls["optimal_weights"] == len(names) + free * blocks
+
+
+    def test_true_params_weights_are_solved_once_per_run(self, monkeypatch):
+        # one solve per spec (none is free for M_y and M_lr), whatever the
+        # number of blocks
+        calls = Counter()
+        solve = montecarlo.optimal_weights
+
+        def counted(*args):
+            calls["optimal_weights"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(montecarlo, "optimal_weights", counted)
+        frame = _small_frame(N=200, seed=4)
+        params = compute_params(frame, 10)
+        names = ("M_y", "M_d", "t_m", "M_3", "M_lr")
+        counts = []
+        with mock.patch.object(montecarlo, "_BLOCK_UNITS", 4 * 10):
+            for reps in (1, 40):  # one block, then ten
+                calls.clear()
+                config = SimulationConfig(n=10, reps=reps, estimators=names)
+                run_simulation(frame, config, params)
+                counts.append(calls["optimal_weights"])
+        assert counts == [len(names)] * 2
 
 
 class TestMakeSynthetic:

@@ -165,6 +165,43 @@ class TestDensityAt:
     def test_histogram_outside_range_is_zero(self):
         assert density_at([1.0, 2.0, 3.0], 99.0, HistogramDensity()) == 0.0
 
+    @staticmethod
+    def _outlier_sample(bins: float) -> np.ndarray:
+        """1..8 and one outlier above them: numpy's rule gives IQR 4 and
+        width 8 * 9**(-1/3), and the outlier sets the range to ``bins``
+        widths."""
+        width = 2.0 * 4.0 * 9 ** (-1.0 / 3.0)
+        return np.array([*range(1, 9), 1.0 + bins * width])
+
+    @pytest.mark.parametrize("bins", [1.5, 700.5, 8999.5])
+    def test_histogram_below_the_cap_is_numpys_reading(self, bins):
+        # the cap is 1000 bins per observation, 9000 here: the last sample
+        # asks for exactly 9000, and the value is still np.histogram's
+        values = self._outlier_sample(bins)
+        counts, edges = np.histogram(values, bins="fd", density=True)
+        assert counts.size == math.ceil(bins)
+        for point in (1.0, 4.5, 8.0, values[-1], edges[1]):
+            idx = min(int(np.searchsorted(edges, point, side="right")) - 1, counts.size - 1)
+            assert density_at(values, point, HistogramDensity()) == counts[idx]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [*range(1, 11), 1e9],  # 222,398,009 bins, about 3.3 GiB of counts and edges
+            [1.0, 2.0, 3.0, 4.0, 1e10, -1e10],  # 7.3e9 bins
+        ],
+        ids=["3.3GiB", "54GiB"],
+    )
+    def test_histogram_above_the_cap_is_refused_before_binning(self, values, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("np.histogram ran")
+
+        monkeypatch.setattr(np, "histogram", unreachable)
+        with pytest.raises(DomainError, match=r"above the cap of \d+, 1000 per observation"):
+            density_at(values, 2.0, HistogramDensity())
+        with pytest.raises(DomainError, match=r"asks for 9001, above the cap of 9000"):
+            density_at(self._outlier_sample(9000.5), 2.0, HistogramDensity())
+
 
 def _silverman_reference(values: np.ndarray, point: float) -> float:
     """One-sample Gaussian kernel estimate, written out on a 1-D array."""
