@@ -7,20 +7,25 @@ of a replicate depends only on the seed and the replicate index.  This is
 stream version 2 (``STREAM_VERSION``), which ``simulate --format json``
 reports; reports of version 1, which drew each replicate with numpy's
 ``integers`` from a Philox keyed by ``(seed, k)``, do not reproduce.
-Replicates run in blocks.  A block's words come from one ``random_raw``
-call.  The block then draws its samples with no loop over rows or steps:
-one sort of each row's targets, and pointer doubling on the few repeated
-or low targets it finds, give what the sequential swaps would give (see
-:func:`_swap_rows`).  It then takes the sample medians, p11 and kernel
-densities for the whole block as (K, n) arrays.  Each sample variable is
-sorted once per block; the medians and the quartiles of the kernel
-bandwidths are read from the sorted rows, by the rules of ``np.median`` and
-``np.percentile``.  Free weights are resolved once per run from the true
-parameters, or per block from each sample's plug-in vector, and each
-estimator is evaluated once per block on (K,) arrays, by the formulas of
+Replicates run in two stages.  The sampling stage works in blocks of
+``_BLOCK_UNITS // n`` replicates, whose (K, n) arrays stay cache-sized, and
+reads the words of every block in order from one generator, one
+``random_raw`` call per block.  A block draws its samples with no loop over
+rows or steps: one sort of each row's targets, and pointer doubling on the
+few repeated or low targets it finds, give what the sequential swaps would
+give (see :func:`_swap_rows`).  It then takes the sample medians, p11 and
+kernel densities of the whole block on (K, n) arrays and passes on only
+their (K,) columns.  Each sample variable is sorted once per block; the
+medians and the quartiles of the kernel bandwidths are read from the sorted
+rows, by the rules of ``np.median`` and ``np.percentile``.  The estimator
+stage runs once per chunk of up to ``_BLOCK_UNITS`` replicates, so once for
+a run of up to that many.  Free weights are resolved once per run from the
+true parameters, or per chunk from each sample's plug-in vector, and each
+estimator is evaluated once per chunk on (K,) arrays, by the formulas of
 the scalar ``resolve_weights`` and ``evaluate`` with an array backend (see
 :mod:`medaux.arith`).  Every per-row result equals the one-replicate
-computation, so reports depend neither on the block size nor on ``jobs``.
+computation, so reports depend neither on the block or chunk size nor on
+``jobs``.
 A replicate that fails for one estimator (a failed precondition, an
 undefined optimum, or an arithmetic error such as an overflow on extreme
 plug-in estimates) costs that estimator alone; one whose sample median
@@ -67,7 +72,7 @@ __all__ = [
 STREAM_VERSION = 2  # the random stream of _replicate_stream; reports echo it
 _WEIGHT_POLICIES = ("true-params", "plug-in")
 _SYNTHETIC_STREAM_TAG = 0xFFFFFFFFFFFFFFFF  # keeps the frame stream off replicate keys
-_BLOCK_UNITS = 16_384  # sampled units per block of replicates; results do not depend on it
+_BLOCK_UNITS = 16_384  # units per sampling block, replicates per chunk; results ignore it
 
 
 @dataclass(frozen=True)
@@ -155,7 +160,8 @@ def _replicate_stream(seed: int, k: int, n: int) -> np.random.Philox:
     keyed by ``(seed, 0)``.  Replicate k owns its m = ceil(n/4) counters
     from ``k*m`` on, four 64-bit words each, and reads the first n of its
     4m words, so the replicates of a block are consecutive runs of one
-    ``random_raw`` call.
+    ``random_raw`` call, and the blocks of a run consecutive calls on the
+    generator of replicate 0.
     """
     key = np.array([seed, 0], dtype=np.uint64)
     return np.random.Philox(key=key, counter=k * -(-n // 4))
@@ -197,12 +203,14 @@ def _targets(words: np.ndarray, N: int) -> np.ndarray:
     return (low + hi).astype(np.int64)
 
 
-def _swap_targets(seed: int, ks: range, n: int, N: int) -> np.ndarray:
-    """Row r: the n swap targets of replicate ``ks[r]``, all rows from one
-    ``random_raw`` call on :func:`_replicate_stream`."""
+def _swap_targets(stream: np.random.Philox, K: int, n: int, N: int) -> np.ndarray:
+    """Row r: the n swap targets of the r-th of the next K replicates on
+    ``stream`` (see :func:`_replicate_stream`), all from one ``random_raw``
+    call.  Each replicate reads its 4*ceil(n/4) words, whole counters, so
+    blocks read in order from one generator give the rows of one call."""
     m4 = 4 * -(-n // 4)
-    words = _replicate_stream(seed, ks.start, n).random_raw(len(ks) * m4)
-    return _targets(words.reshape(len(ks), m4)[:, :n], N)
+    words = stream.random_raw(K * m4)
+    return _targets(words.reshape(K, m4)[:, :n], N)
 
 
 def _swap_rows(js: np.ndarray) -> np.ndarray:
@@ -336,39 +344,31 @@ class _Rows:
         return out, failed
 
 
-def _block_estimates(
-    frame: PopulationFrame,
-    config: SimulationConfig,
-    params: MedianParams,
-    specs: tuple[EstimatorSpec, ...],
-    ks: range,
-) -> np.ndarray:
-    """Estimates of replicates ``ks``, one row each, NaN where one failed.
+def _sample_columns(
+    frame: PopulationFrame, n: int, stream: np.random.Philox, K: int, extras: bool
+) -> tuple[np.ndarray, ...]:
+    """The sampling stage for the next K replicates on ``stream``: the (K,)
+    columns my and mx of their sample medians, and p11, fy and fx where
+    ``extras`` asks for them.
 
     Samples, medians, p11 and kernel densities are computed on (K, n)
-    arrays, the medians and quartiles from one sort of each variable, and
-    :func:`_estimate_columns` turns them into the estimates.
+    arrays, the medians and the quartiles from one sort of each variable.
     """
-    n = config.n
-    idx = _swap_rows(_swap_targets(config.seed, ks, n, frame.N))
+    idx = _swap_rows(_swap_targets(stream, K, n, frame.N))
     xs, ys = frame.x[idx], frame.y[idx]
-    extras = None
     # an overflowing median is inf in its row, which every spec then loses;
     # an overflowing bandwidth gives a NaN density, which the row's plug-in
     # specs lose
     ys_sorted, xs_sorted = np.sort(ys, axis=1), np.sort(xs, axis=1)
     with np.errstate(all="ignore"):
         my, mx = _sorted_median(ys_sorted), _sorted_median(xs_sorted)
-        if n >= 2 and any(  # a kernel density needs two observations
-            s is not None and (s.family == REGRESSION or free_scalars(s))
-            for s in specs
-        ):
-            below = (xs <= mx[:, None]) & (ys <= my[:, None])
-            p11 = np.count_nonzero(below, axis=1) / n
-            fy, _ = _kernel_density_rows(ys, ys_sorted, my)
-            fx, _ = _kernel_density_rows(xs, xs_sorted, mx)
-            extras = (p11, fy, fx)
-    return _estimate_columns(params, specs, my, mx, extras)
+        if not extras:
+            return my, mx
+        below = (xs <= mx[:, None]) & (ys <= my[:, None])
+        p11 = np.count_nonzero(below, axis=1) / n
+        fy, _ = _kernel_density_rows(ys, ys_sorted, my)
+        fx, _ = _kernel_density_rows(xs, xs_sorted, mx)
+    return my, mx, p11, fy, fx
 
 
 def _estimate_columns(
@@ -378,15 +378,18 @@ def _estimate_columns(
     mx: np.ndarray,
     extras: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
 ) -> np.ndarray:
-    """(K, len(specs)) estimates from the sample medians of K replicates.
+    """The estimator stage: (K, len(specs)) estimates of K replicates from
+    the columns of their sample statistics, K up to a chunk's
+    ``_BLOCK_UNITS``.
 
     ``extras`` is ``(p11, fy, fx)`` of each sample, NaN densities where the
     sample has no usable bandwidth, or ``None`` when not computed.  A spec
     that still has free scalars is resolved from each row's plug-in vector,
     and a ``None`` spec is NaN in every row.  Each spec is resolved and
-    evaluated once, on (K,) arrays, by the formulas of
+    evaluated once for all K rows, on (K,) arrays, by the formulas of
     :func:`resolve_weights` and :func:`evaluate`, so every row equals that
-    one-replicate computation.  One rule decides every failure: a spec loses
+    one-replicate computation, whatever K is and whichever sampling blocks
+    the rows came from.  One rule decides every failure: a spec loses
     a row where resolving or evaluating it there fails a precondition or
     raises a package or arithmetic error, or where it is resolved per sample
     and the row has no valid plug-in vector (no densities, or invalid
@@ -433,18 +436,32 @@ def _replicate_estimates(
     params: MedianParams,
     specs: tuple[EstimatorSpec, ...],
 ) -> np.ndarray:
-    """(reps, len(specs)) estimates, NaN where an estimator failed."""
+    """(reps, len(specs)) estimates, NaN where an estimator failed.
+
+    The run is cut into chunks of at most ``_BLOCK_UNITS`` replicates.  The
+    sampling stage fills a chunk's columns in blocks of ``_BLOCK_UNITS // n``
+    replicates, whose (K, n) arrays stay cache-sized, read in order from one
+    generator; the estimator stage then makes one :func:`_estimate_columns`
+    call on the whole chunk.
+    """
     if config.weights == "true-params":
         specs = tuple(_resolve_true_params(params, s) for s in specs)
-    K = max(1, _BLOCK_UNITS // config.n)
-    return np.concatenate(
-        [
-            _block_estimates(
-                frame, config, params, specs, range(start, min(start + K, config.reps))
-            )
-            for start in range(0, config.reps, K)
-        ]
+    n = config.n
+    extras = n >= 2 and any(  # a kernel density needs two observations
+        s is not None and (s.family == REGRESSION or free_scalars(s)) for s in specs
     )
+    stream = _replicate_stream(config.seed, 0, n)
+    K = max(1, _BLOCK_UNITS // n)
+    chunks = []
+    for start in range(0, config.reps, _BLOCK_UNITS):
+        size = min(_BLOCK_UNITS, config.reps - start)
+        blocks = [
+            _sample_columns(frame, n, stream, min(K, size - a), extras)
+            for a in range(0, size, K)
+        ]
+        my, mx, *rest = map(np.concatenate, zip(*blocks))
+        chunks.append(_estimate_columns(params, specs, my, mx, tuple(rest) or None))
+    return np.concatenate(chunks)
 
 
 def _resolve_true_params(params: MedianParams, spec) -> SimpleNamespace | None:
@@ -504,9 +521,10 @@ def run_simulation(
     analytic columns are :func:`medaux.mse.analytic_figures` of the presets,
     the values ``table`` reports (``M_d4`` with no bias).  Where an
     estimator's figures fail, by the same rule, they are NaN and no bias for
-    that estimator alone.  ``jobs`` is accepted for compatibility and has no
-    effect: blocks of replicates run one after another in the calling
-    thread, and the report never depended on it.
+    that estimator alone.  Replicates are sampled in cache-sized blocks and
+    estimated in chunks of up to ``_BLOCK_UNITS``, one after another in the
+    calling thread (see :func:`_replicate_estimates`).  ``jobs`` is accepted
+    for compatibility and has no effect; the report never depended on it.
     """
     if config.n > frame.N:
         raise DomainError(f"sample size {config.n} exceeds population {frame.N}")

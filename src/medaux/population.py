@@ -103,12 +103,12 @@ DensityMethod = Union[KernelDensity, HistogramDensity, KnownDensity]
 
 def _sorted_median(sorted_rows: np.ndarray) -> np.ndarray:
     """Median of each row of a row-sorted (K, n) array, as ``np.median``
-    computes it: the middle entry, or ``np.mean`` of the middle pair, which
-    overflows to inf for a pair near the float limit."""
+    computes it: the middle entry, or the middle pair's sum halved, which is
+    numpy's mean of two and overflows to inf for a pair near the float limit."""
     half = sorted_rows.shape[1] // 2
     if sorted_rows.shape[1] % 2:
         return sorted_rows[:, half]
-    return np.mean(sorted_rows[:, half - 1 : half + 1], axis=1)
+    return (sorted_rows[:, half - 1] + sorted_rows[:, half]) / 2
 
 
 def _sorted_quantile(sorted_rows: np.ndarray, q: float) -> np.ndarray:
@@ -145,19 +145,40 @@ def _kernel_density_rows(
     row whose bandwidth is not finite and positive gets a NaN density.  Every
     row goes through the same arithmetic as a one-row call, so results do not
     depend on which rows share a call.
+
+    The sd takes the steps of numpy's two-pass ``np.std(ddof=1)`` and the
+    kernel mean those of ``np.mean``, with the same bits, in two (K, n)
+    buffers: the squared deviations, whose buffer then holds the scaled
+    distances z, and the kernel ``exp(z*-0.5*z)``.
     """
     # sums along contiguous rows add up in the same pairwise order as 1-D sums
     rows = np.ascontiguousarray(rows)
+    K, n = rows.shape
     with np.errstate(all="ignore"):  # values near the float limit overflow, unwarned
-        sd = np.std(rows, axis=1, ddof=1)
+        mean = np.add.reduce(rows, axis=1, keepdims=True)
+        mean /= n
+        z = np.subtract(rows, mean)
+        np.square(z, out=z)
+        sd = np.add.reduce(z, axis=1)
+        sd /= n - 1
+        np.sqrt(sd, out=sd)
         q75 = _sorted_quantile(sorted_rows, 0.75)
         q25 = _sorted_quantile(sorted_rows, 0.25)
-        h = 0.9 * np.minimum(sd, (q75 - q25) / 1.34) * rows.shape[1] ** (-0.2)
+        h = 0.9 * np.minimum(sd, (q75 - q25) / 1.34) * n ** (-0.2)
         usable = np.isfinite(h) & (h > 0)
-        hu = h[usable]
-        z = (points[usable, None] - rows[usable]) / hu[:, None]
-        kernel_mean = np.mean(np.exp(-0.5 * z * z), axis=1)
-        density = np.full(rows.shape[0], np.nan)
+        if usable.all():
+            hu, at = h, points
+        else:
+            hu, at, rows = h[usable], points[usable], rows[usable]
+            z = z[: hu.size]
+        np.subtract(at[:, None], rows, out=z)
+        z /= hu[:, None]
+        kernel = np.multiply(z, -0.5)
+        kernel *= z
+        np.exp(kernel, out=kernel)
+        kernel_mean = np.add.reduce(kernel, axis=1)
+        kernel_mean /= n
+        density = np.full(K, np.nan)
         density[usable] = kernel_mean / (hu * math.sqrt(2.0 * math.pi))
     return density, h
 

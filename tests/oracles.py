@@ -33,7 +33,9 @@ The scaled shrinkage minimum is published with a scaling exponent ``delta``;
 :func:`srswor_median_mse` is an exact oracle of another kind: the
 finite-population MSE of the sample median under SRSWOR, from the law of
 the sample's order statistics, against which the Monte Carlo engine is
-checked.
+checked.  :func:`kernel_density_rows` is the kernel density of many samples
+written with numpy's own ``std`` and ``mean``, against which the engine's
+in-place steps are checked bit for bit.
 """
 
 from __future__ import annotations
@@ -280,3 +282,25 @@ def srswor_median_mse(values, n: int, target: float) -> float:
         prob = np.exp(below[a] + above[a + 1 :] - log_total)
         total += float(np.sum(prob * ((v[a] + v[a + 1 :]) / 2.0 - target) ** 2))
     return total
+
+
+def kernel_density_rows(rows: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian kernel densities of the rows of a (K, n) array at ``points``
+    and their Silverman bandwidths, 0.9 * min(sd, IQR / 1.34) * n**(-1/5),
+    by ``np.std(ddof=1)``, ``np.percentile`` and ``np.mean`` on C-ordered
+    rows.  A row whose bandwidth is not finite and positive gets a NaN
+    density.  This is the reference for the in-place steps of
+    ``medaux.population._kernel_density_rows``.
+    """
+    rows = np.ascontiguousarray(rows)
+    with np.errstate(all="ignore"):  # values near the float limit overflow
+        sd = np.std(rows, axis=1, ddof=1)
+        q75, q25 = np.percentile(rows, [75, 25], axis=1)
+        h = 0.9 * np.minimum(sd, (q75 - q25) / 1.34) * rows.shape[1] ** (-0.2)
+        usable = np.isfinite(h) & (h > 0)
+        hu = h[usable]
+        z = (points[usable, None] - rows[usable]) / hu[:, None]
+        kernel_mean = np.mean(np.exp(-0.5 * z * z), axis=1)
+        density = np.full(rows.shape[0], np.nan)
+        density[usable] = kernel_mean / (hu * math.sqrt(2.0 * math.pi))
+    return density, h

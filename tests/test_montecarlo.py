@@ -114,6 +114,12 @@ def _stream_words(seed: int, k: int, n: int) -> list[int]:
     return np.random.Philox(key=key, counter=k * m).random_raw(n).tolist()
 
 
+def _block_targets(seed: int, ks: range, n: int, N: int) -> np.ndarray:
+    """The swap targets of replicates ``ks``, read from a generator built at
+    replicate ``ks.start``."""
+    return _swap_targets(_replicate_stream(seed, ks.start, n), len(ks), n, N)
+
+
 def _reference_targets(words, N: int) -> list[int]:
     """Target i = i + floor(w_i * (N - i) / 2**64), in Python integers."""
     return [i + (w * (N - i) >> 64) for i, w in enumerate(words)]
@@ -131,7 +137,7 @@ class TestBlockSampling:
     def test_block_equals_scalar_srswor_at_large_population(self):
         N, n = 200_000, 100
         frame = PopulationFrame(x=np.arange(1.0, N + 1), y=np.arange(1.0, N + 1))
-        block = _swap_rows(_swap_targets(17, range(3), n, N))
+        block = _swap_rows(_block_targets(17, range(3), n, N))
         for k in range(3):
             expected = srswor(frame, n, _replicate_gen(17, k, n))
             assert np.array_equal(block[k], expected)
@@ -181,7 +187,7 @@ class TestBlockSampling:
         assert all(np.array_equal(row, expected) for row in block)
 
     def test_block_census_selects_everyone(self):
-        block = _swap_rows(_swap_targets(5, range(4, 9), 12, 12))
+        block = _swap_rows(_block_targets(5, range(4, 9), 12, 12))
         for row in block:
             assert sorted(row.tolist()) == list(range(12))
 
@@ -242,18 +248,25 @@ class TestStreamPinned:
         for N in self.NS:
             for n in sorted({1, 3, min(N, 2000)}):
                 ks = range(7, 19)
-                got = _swap_targets(seed, ks, n, N)
+                got = _block_targets(seed, ks, n, N)
                 assert got.dtype == np.int64 and got.shape == (12, n)
                 for r, k in enumerate(ks):
                     want = _reference_targets(_stream_words(seed, k, n), N)
                     assert got[r].tolist() == want, (seed, N, n, k)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 8, 13, 99, 100, 101, 102])
     def test_blocks_split_anywhere_give_the_same_rows(self, n):
-        whole = _swap_targets(11, range(3, 23), n, 2000)
+        # a replicate reads 4*ceil(n/4) words, so blocks from generators
+        # built at their first replicates, and blocks read in order from one
+        # generator, each give the rows of one call
+        whole = _block_targets(11, range(3, 23), n, 2000)
         for cuts in ((3, 4, 23), (3, 10, 11, 23), (3, 8, 16, 17, 22, 23)):
-            parts = [_swap_targets(11, range(a, b), n, 2000) for a, b in itertools.pairwise(cuts)]
+            spans = list(itertools.pairwise(cuts))
+            parts = [_block_targets(11, range(a, b), n, 2000) for a, b in spans]
             assert np.array_equal(np.concatenate(parts), whole), cuts
+            stream = _replicate_stream(11, 3, n)
+            in_order = [_swap_targets(stream, b - a, n, 2000) for a, b in spans]
+            assert np.array_equal(np.concatenate(in_order), whole), cuts
 
 
 def _subset_rank(rows: np.ndarray, N: int) -> np.ndarray:
@@ -271,7 +284,7 @@ class TestSamplingLaw:
         # is crossed with probability 1e-6 (z = 4.753).  The lower bound
         # fails a draw that is too even to be random, such as a cycle.
         N, n, cells, per_cell = 12, 4, math.comb(12, 4), 40
-        rows = _swap_rows(_swap_targets(20240817, range(cells * per_cell), n, N))
+        rows = _swap_rows(_block_targets(20240817, range(cells * per_cell), n, N))
         counts = np.bincount(_subset_rank(rows, N), minlength=cells)
         stat = float(np.sum((counts - per_cell) ** 2) / per_cell)
         df = cells - 1
@@ -651,12 +664,21 @@ class TestBlockedReplicates:
     @settings(deadline=None, max_examples=80)
     @given(data=st.data())
     def test_blocks_equal_per_replicate_reference(self, data):
-        # the block holds K replicates; a small K reaches every block edge
-        # with few replicates
+        # the sampling block holds K replicates; a small K reaches every
+        # block edge with few replicates.  The estimator chunk holds K*n +
+        # cut replicates, n blocks and part of more; a crossing run, at
+        # small n, spans two or three chunks
         N = data.draw(st.integers(2, 300), label="N")
-        n = data.draw(st.integers(1, N), label="n")
+        crossing = data.draw(st.booleans(), label="crossing")
+        n = data.draw(st.integers(1, min(N, 8) if crossing else N), label="n")
         K = data.draw(st.integers(1, 6), label="K")
-        reps = data.draw(st.sampled_from([1, max(1, K - 1), K, K + 1, 2 * K + 3]))
+        units = K * n + data.draw(st.integers(0, n - 1), label="cut")
+        reps = data.draw(
+            st.sampled_from(
+                [units + K + 1, 2 * units + 1] if crossing
+                else [1, max(1, K - 1), K, K + 1, 2 * K + 3]
+            )
+        )
         seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
         weights = data.draw(st.sampled_from(["true-params", "plug-in"]))
         levels = data.draw(st.sampled_from([None, 1, 2, 3]), label="levels")
@@ -666,7 +688,7 @@ class TestBlockedReplicates:
             n=n, reps=reps, seed=seed, estimators=_PROPERTY_ESTIMATORS, weights=weights
         )
         specs = _simulation_specs(_PROPERTY_ESTIMATORS, params)
-        with mock.patch.object(montecarlo, "_BLOCK_UNITS", K * n):
+        with mock.patch.object(montecarlo, "_BLOCK_UNITS", units):
             got = montecarlo._replicate_estimates(frame, config, params, specs)
         expected = [_reference_row(frame, config, params, specs, k) for k in range(reps)]
         np.testing.assert_array_equal(got, np.array(expected))
@@ -861,7 +883,8 @@ class TestCallCounts:
     def test_plug_in_run_calls_the_scalar_path_per_estimator(self, monkeypatch):
         # a deterministic fence on the per-replicate path: the public scalar
         # calls run once per estimator, and the block formulas once per
-        # estimator and block, whatever the replicate count
+        # estimator and chunk of _BLOCK_UNITS replicates, one chunk here
+        # whatever the number of sampling blocks
         import medaux
         from medaux import estimators
 
@@ -891,13 +914,14 @@ class TestCallCounts:
         calls.clear()
         report = run_simulation(frame, config, params)
         assert sum(r.reps_used for r in report.results) > 0.9 * 500 * len(names)
-        blocks = -(-500 // (montecarlo._BLOCK_UNITS // 100))
+        chunks = -(-500 // montecarlo._BLOCK_UNITS)
+        assert chunks == 1
         free = sum(bool(free_scalars(preset(name, params))) for name in names)
         assert calls["resolve_weights"] <= len(names)
         assert calls["evaluate"] == 0
         assert calls["MedianParams"] <= len(names)
-        assert calls["point_value"] == blocks * len(names)
-        assert calls["optimal_weights"] == len(names) + free * blocks
+        assert calls["point_value"] == chunks * len(names)
+        assert calls["optimal_weights"] == len(names) + free * chunks
 
 
     def test_true_params_weights_are_solved_once_per_run(self, monkeypatch):

@@ -33,6 +33,7 @@ from medaux.population import (
     _sorted_median,
     _sorted_quantile,
 )
+from oracles import kernel_density_rows
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -286,6 +287,54 @@ class TestKernelDensityRows:
             _density_rows(rows, points)[0],
             equal_nan=True,
         )
+
+
+def _lognormal_rows(K: int, seed: int = 3) -> np.ndarray:
+    return np.random.default_rng(seed).lognormal(3.0, 0.5, size=(K, 100))
+
+
+# (K, n) blocks: every row usable, some rows of zero spread or at the float
+# limit, and F-ordered rows
+_DENSITY_BLOCKS = {
+    "usable": _lognormal_rows(163),
+    "zero-spread": _sample_rows(),
+    **{f"limit-{k}": rows for k, rows in enumerate(_SHORT_AND_HUGE_ROWS)},
+    "fortran": np.asfortranarray(_lognormal_rows(163, seed=4)),
+}
+
+
+class TestKernelDensityInPlace:
+    """The in-place steps give the bits of ``np.std(ddof=1)`` and ``np.mean``
+    (the oracle :func:`kernel_density_rows`)."""
+
+    @staticmethod
+    def _assert_reference_bits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(all="ignore"):
+            points = np.median(rows, axis=1)
+        density, h = _density_rows(rows, points)
+        want_density, want_h = kernel_density_rows(rows, points)
+        assert _bits(h).tolist() == _bits(want_h).tolist()
+        assert _bits(density).tolist() == _bits(want_density).tolist()
+        return density, h
+
+    @pytest.mark.parametrize("name", list(_DENSITY_BLOCKS))
+    def test_blocks_equal_the_numpy_formula_bit_for_bit(self, name):
+        rows = _DENSITY_BLOCKS[name]
+        density, _ = self._assert_reference_bits(rows)
+        usable = np.isfinite(density)
+        if name in ("usable", "fortran"):
+            assert usable.all()  # the sliced path
+        else:
+            assert usable.any() and not usable.all()  # the masked path
+
+    def test_one_row_equals_its_row_of_a_full_block(self):
+        rows = _lognormal_rows(163, seed=5)
+        rows[[7, 90]] = 4.0  # two rows of zero spread
+        density, h = self._assert_reference_bits(rows)
+        for r in (0, 7, 90, 162):
+            alone, h_alone = self._assert_reference_bits(rows[r : r + 1])
+            assert _bits(alone).tolist() == _bits(density[r : r + 1]).tolist()
+            assert _bits(h_alone).tolist() == _bits(h[r : r + 1]).tolist()
 
 
 # row values; -0.0 is left out (see test_signed_zeros_agree_in_value)
