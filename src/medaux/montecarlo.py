@@ -72,7 +72,9 @@ __all__ = [
 STREAM_VERSION = 2  # the random stream of _replicate_stream; reports echo it
 _WEIGHT_POLICIES = ("true-params", "plug-in")
 _SYNTHETIC_STREAM_TAG = 0xFFFFFFFFFFFFFFFF  # keeps the frame stream off replicate keys
-_BLOCK_UNITS = 16_384  # units per sampling block, replicates per chunk; results ignore it
+# units per sampling block, and replicates per estimator chunk, which keeps
+# the estimator stage's memory flat on long runs; results ignore it
+_BLOCK_UNITS = 16_384
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,7 @@ def _kernel_density_rows(
     """
     # sums along contiguous rows add up in the same pairwise order as 1-D sums
     rows = np.ascontiguousarray(rows)
-    K, n = rows.shape
+    n = rows.shape[1]
     with np.errstate(all="ignore"):  # values near the float limit overflow, unwarned
         mean = np.add.reduce(rows, axis=1, keepdims=True)
         mean /= n
@@ -165,21 +165,17 @@ def _kernel_density_rows(
         q75 = _sorted_quantile(sorted_rows, 0.75)
         q25 = _sorted_quantile(sorted_rows, 0.25)
         h = 0.9 * np.minimum(sd, (q75 - q25) / 1.34) * n ** (-0.2)
+        # each row's kernel is independent of the others, so rows with an
+        # unusable bandwidth run too and only their densities are dropped
         usable = np.isfinite(h) & (h > 0)
-        if usable.all():
-            hu, at = h, points
-        else:
-            hu, at, rows = h[usable], points[usable], rows[usable]
-            z = z[: hu.size]
-        np.subtract(at[:, None], rows, out=z)
-        z /= hu[:, None]
+        np.subtract(points[:, None], rows, out=z)
+        z /= h[:, None]
         kernel = np.multiply(z, -0.5)
         kernel *= z
         np.exp(kernel, out=kernel)
         kernel_mean = np.add.reduce(kernel, axis=1)
         kernel_mean /= n
-        density = np.full(K, np.nan)
-        density[usable] = kernel_mean / (hu * math.sqrt(2.0 * math.pi))
+        density = np.where(usable, kernel_mean / (h * math.sqrt(2.0 * math.pi)), np.nan)
     return density, h
 
 

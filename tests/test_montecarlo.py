@@ -661,7 +661,7 @@ def _property_params(frame, n):
 
 
 class TestBlockedReplicates:
-    @settings(deadline=None, max_examples=80)
+    @settings(deadline=None, max_examples=160)
     @given(data=st.data())
     def test_blocks_equal_per_replicate_reference(self, data):
         # the sampling block holds K replicates; a small K reaches every

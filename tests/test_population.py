@@ -323,9 +323,9 @@ class TestKernelDensityInPlace:
         density, _ = self._assert_reference_bits(rows)
         usable = np.isfinite(density)
         if name in ("usable", "fortran"):
-            assert usable.all()  # the sliced path
+            assert usable.all()  # every row's density kept
         else:
-            assert usable.any() and not usable.all()  # the masked path
+            assert usable.any() and not usable.all()  # some dropped as NaN
 
     def test_one_row_equals_its_row_of_a_full_block(self):
         rows = _lognormal_rows(163, seed=5)
