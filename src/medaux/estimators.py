@@ -27,6 +27,8 @@ population parameters with :func:`resolve_weights`, which plugs in the values
 minimising the first-order MSE and holds the pinned scalars fixed: a map of
 the slope k_c, or the solution of the normal equations of the family's own
 expansion coefficients, 0 where zero weights leave no first-order error.
+``shrink_diff_scaled`` (``M_d4``) adds the cross term 2 c0 (bias - c0) to
+its MSE, and the minimum of that objective is the paper's.
 :func:`preset` builds the named estimators used throughout the comparison
 tables, e.g. ``t_mq7`` or ``M_d3``.  A preset is a family with some scalars
 pinned: ``M_y``, ``M_r`` and ``M_p`` are ``power_ratio`` at alpha = 0, 1 and
@@ -102,6 +104,10 @@ _FAMILY_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 FAMILIES = frozenset(_FAMILY_FIELDS)
+
+# families whose objective adds to the first-order MSE the O(1/n) cross term
+# 2 * c0 * (c_e1sq * var_e1 + c_e0e1 * cov), as the paper's M_d4 optimum does
+CROSS_TERM_FAMILIES = frozenset({SHRINK_DIFF_SCALED})
 
 
 @dataclass(frozen=True)
@@ -381,7 +387,9 @@ def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
     so any subset of them may be free.  Where v0 = 0 the zero weights leave
     no first-order error, a minimum of that sum of squares, unique or not:
     the weights are then 0.  Otherwise a determinant of J'MJ that is not
-    positive raises :class:`DegenerateOptimumError`.
+    positive raises :class:`DegenerateOptimumError`.  ``CROSS_TERM_FAMILIES``
+    add 2 c0 q'v to v' M v and need 1 - gamma cv_x^2 > 0, or raise
+    :class:`DomainError`.
     """
     found = optimal_weights(FLOATS, spec, params)
     if not found:
@@ -419,25 +427,36 @@ def optimal_weights(ops, spec: EstimatorSpec, params) -> dict:
 
 def _normal_equations(ops, spec, free, params) -> dict:
     """The ``free`` weights of :func:`resolve_weights`, with v0 and J read off
-    :func:`coeff_values` at 0 and at each unit step, by Cramer's rule."""
+    :func:`coeff_values` at 0 and at each unit step, by Cramer's rule.  For
+    ``CROSS_TERM_FAMILIES`` the objective adds 2 c0 q'v, q = (var_e1, cov) on
+    (c_e1sq, c_e0e1), and q's terms join both sides of the equations."""
     var_e0, var_e1, cov = moment_values(ops, params)
     check_squares(ops, params, ("median_y", "median_x"))
+    cross = spec.family in CROSS_TERM_FAMILIES
+    if cross:
+        # the determinant in (d1, d2) is Mx^2 My^2 gamma cv_x^2 (u + v), v =
+        # gamma cv_y^2 (1 - rho_c^2): where u <= 0 < u + v the minimum
+        # u My^2 v / (u + v) <= 0 is not an MSE
+        u = 1.0 - var_e1
+        ops.require(u > 0.0, DomainError, "need 1 - gamma*cv_x^2 > 0, got {!r}", u)
     point = SimpleNamespace(**{**vars(spec), **dict.fromkeys(free, 0.0)})
     at = vars(point)
-    c0, c1, c2, _, _ = coeff_values(ops, point, params)
-    cols, rhs = [], []  # (J_j, M J_j) and -J_j' M v0 of each free weight
+    c0, c1, c2, c3, c4 = coeff_values(ops, point, params)
+    cols = []  # (J_j, q'J_j, M J_j) of each free weight
     for name in free:
         at[name] = 1.0
-        u0, u1, u2, _, _ = coeff_values(ops, point, params)
+        u0, u1, u2, u3, u4 = coeff_values(ops, point, params)
         at[name] = 0.0
         u0, u1, u2 = u0 - c0, u1 - c1, u2 - c2
-        m1, m2 = var_e0 * u1 + cov * u2, cov * u1 + var_e1 * u2
-        cols.append((u0, u1, u2, m1, m2))
-        rhs.append(-(u0 * c0 + m1 * c1 + m2 * c2))
+        q = var_e1 * (u3 - c3) + cov * (u4 - c4) if cross else 0.0
+        cols.append((u0, u1, u2, q, var_e0 * u1 + cov * u2, cov * u1 + var_e1 * u2))
 
-    def gram(a, b):  # J_a' M J_b
-        return a[0] * b[0] + a[3] * b[1] + a[4] * b[2]
+    def gram(a, b):  # J_a' M b (with q's terms), b a column J_b or v0
+        g = a[0] * b[0] + a[4] * b[1] + a[5] * b[2]
+        return g + a[0] * b[3] + a[3] * b[0] if cross else g
 
+    v0 = (c0, c1, c2, var_e1 * c3 + cov * c4 if cross else 0.0)
+    rhs = [-gram(col, v0) for col in cols]
     if len(cols) == 1:
         det, nums = gram(cols[0], cols[0]), rhs
     else:

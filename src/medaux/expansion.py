@@ -25,8 +25,8 @@ to first order then follow mechanically:
 
 The MSE deliberately drops products involving the second-order coefficients;
 those terms are one order smaller and the paper's closed forms drop them
-too, so the minima computed from the coefficients match those forms (the
-test oracles in ``tests/oracles.py``).
+too (all but ``M_d4``'s, see :mod:`medaux.mse`), so the minima computed from
+the coefficients match those forms (the test oracles in ``tests/oracles.py``).
 """
 
 from __future__ import annotations

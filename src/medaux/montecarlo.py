@@ -521,9 +521,8 @@ def run_simulation(
     aggregates and surfaced as failure counts; one whose true-params
     optimum is undefined fails every replicate, and no other loses one.  The
     analytic columns are :func:`medaux.mse.analytic_figures` of the presets,
-    the values ``table`` reports (``M_d4`` with no bias).  Where an
-    estimator's figures fail, by the same rule, they are NaN and no bias for
-    that estimator alone.  Replicates are sampled in cache-sized blocks and
+    the values ``table`` reports.  Where an estimator's figures fail, by the
+    same rule, they are NaN and no bias for that estimator alone.  Replicates are sampled in cache-sized blocks and
     estimated in chunks of up to ``_BLOCK_UNITS``, one after another in the
     calling thread (see :func:`_replicate_estimates`).  ``jobs`` is accepted
     for compatibility and has no effect; the report never depended on it.

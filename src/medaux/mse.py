@@ -8,16 +8,11 @@ free scalars at their optimum (see :func:`medaux.estimators.resolve_weights`),
 from its own expansion coefficients, ``mse_from_coeffs(coeffs_of(spec))``;
 ``analytic_figures`` resolves each spec itself.  So a dominance margin is
 exactly the difference of two table values, and ``simulate`` reports the
-values ``table`` does.
+values ``table`` does.  The MSE of a ``CROSS_TERM_FAMILIES`` spec (``M_d4``)
+adds the cross term 2 c0 (bias - c0), the objective its weights minimise.
 
-The one paper formula kept is :func:`min_mse_ss4`, the scaled shrinkage
-minimum as published.  It keeps a second-order term of the factor
-``Mx / mx_hat`` that the first-order calculus drops.  :func:`analytic_figures`
-gives it, with no bias, instead of the catalogue value to ``M_d4`` under any
-label: every ``shrink_diff_scaled`` spec with d1 and d2 free.
-
-The paper's other closed forms (the difference, shrinkage and two-weight
-minima, e.g. ``b^2 * V_res / (b^2 + V_res)`` for the two-weight class with
+The paper's closed forms (the difference and shrinkage minima, ``M_d4``'s
+included, e.g. ``b^2 * V_res / (b^2 + V_res)`` for the two-weight class with
 ``V_res = V_y * (1 - rho_c^2)``) are test oracles in ``tests/oracles.py``.
 """
 
@@ -31,11 +26,10 @@ from dataclasses import dataclass
 from .arith import FLOATS
 from .errors import DomainError, InfiniteEfficiencyWarning
 from .estimators import (
+    CROSS_TERM_FAMILIES,
     EstimatorSpec,
     RATIO_EXP,
-    SHRINK_DIFF_SCALED,
     coeffs_of,
-    free_scalars,
     preset,
     resolve_weights,
 )
@@ -46,7 +40,6 @@ __all__ = [
     "MseReportRow",
     "DominanceResult",
     "analytic_figures",
-    "min_mse_ss4",
     "pre",
     "sample_median_mse",
     "dominance_checks",
@@ -76,16 +69,6 @@ class DominanceResult:
     satisfied: bool | None
     margin: float
     note: str = ""
-
-
-def min_mse_ss4(params: MedianParams) -> float:
-    """Minimum MSE of the scaled shrinkage difference estimator ``M_d4``."""
-    check_squares(FLOATS, params, ("cv_x", "cv_y", "median_y"))
-    u = 1.0 - params.gamma * params.cv_x**2
-    if not u > 0.0:  # NaN fails this too
-        raise DomainError(f"need 1 - gamma*cv_x^2 > 0, got {u!r}")
-    v = params.gamma * params.cv_y**2 * (1.0 - params.rho_c**2)
-    return u * params.median_y**2 * v / (u + v)
 
 
 def sample_median_mse(params: MedianParams) -> float:
@@ -119,20 +102,18 @@ def analytic_figures(
 
     Each spec is resolved at ``params`` (:func:`resolve_weights`), and its
     figures are the first-order MSE and bias from its expansion
-    coefficients, with the error moments computed once.  The one exception
-    is ``M_d4`` under any label, a ``shrink_diff_scaled`` spec with d1 and
-    d2 free: its MSE is :func:`min_mse_ss4` and its bias is None.
+    coefficients, with the error moments computed once; a family of
+    ``CROSS_TERM_FAMILIES`` adds 2 c0 (bias - c0) to the MSE.
     """
     moments = error_moments(params)
     figures: list[tuple[float, float | None]] = []
     for spec in specs:
-        if spec.family == SHRINK_DIFF_SCALED and free_scalars(spec) == ("d1", "d2"):
-            figures.append((min_mse_ss4(params), None))
-        else:
-            coeffs = coeffs_of(resolve_weights(spec, params), params)
-            figures.append(
-                (mse_from_coeffs(coeffs, moments), bias_from_coeffs(coeffs, moments))
-            )
+        coeffs = coeffs_of(resolve_weights(spec, params), params)
+        mse = mse_from_coeffs(coeffs, moments)
+        bias = bias_from_coeffs(coeffs, moments)
+        if spec.family in CROSS_TERM_FAMILIES:
+            mse += 2.0 * coeffs.c0 * (bias - coeffs.c0)
+        figures.append((mse, bias))
     return figures
 
 

@@ -1,8 +1,8 @@
 """The paper's closed forms, kept as test oracles for the catalogue route.
 
 Production code takes every minimum MSE from the estimator catalogue
-(``mse_from_coeffs(coeffs_of(resolve_weights(spec)))``); these independent
-formulas check it.  Notation (all derivable from :class:`MedianParams`):
+(``mse_from_coeffs(coeffs_of(resolve_weights(spec)))``, plus the cross term
+2 c0 (bias - c0) for ``M_d4``); these independent formulas check it.  Notation (all derivable from :class:`MedianParams`):
 
     V_y   = gamma * My^2 * cv_y^2            variance of the sample median of y
     V_res = V_y * (1 - rho_c^2)              residual variance after the
@@ -27,8 +27,8 @@ independent of (alpha, eta, lam) and equal to the minimum of the convex
 shrinkage estimator ``d1*my_hat + d2*mx_hat + (1 - d1 - d2)*Mx``.
 
 The scaled shrinkage minimum is published with a scaling exponent ``delta``;
-:func:`min_mse_ss4_at` keeps that general form, and the package's
-``min_mse_ss4`` is its value at delta = 1.
+:func:`min_mse_ss4_at` keeps that general form, and its value at delta = 1 is
+the minimum of ``M_d4``'s own objective, the package's ``M_d4`` table row.
 
 :func:`srswor_median_mse` is an exact oracle of another kind: the
 finite-population MSE of the sample median under SRSWOR, from the law of

@@ -30,9 +30,9 @@ from medaux import (
     evaluate,
     EstimatorSpec,
     make_synthetic,
-    min_mse_ss4,
     preset,
     run_simulation,
+    table_rows,
 )
 from medaux.cli import main as cli_main
 from medaux.mse import dominance_checks
@@ -138,7 +138,8 @@ def test_criterion_2_shrinkage_rows(pop1, pop2):
         ref = REFERENCE[tag]
         if _rel(min_mse_ss1(params), ref["min_Md1"]) >= 1e-2:
             failures.append(f"{tag}:min_Md1")
-        if _rel(min_mse_ss4(params), ref["min_Md4"]) >= 5e-4:
+        min_md4 = table_rows(params, ["M_d4"])[0].analytic_mse
+        if _rel(min_md4, ref["min_Md4"]) >= 5e-4:
             failures.append(f"{tag}:min_Md4")
     ok = not failures
     _report(

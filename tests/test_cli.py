@@ -24,15 +24,21 @@ POP_I = {
     "fy_at_median": 0.00014, "fx_at_median": 0.00014, "rho_c": 0.1505,
 }
 
-# gamma * cv_x^2 = 0.125 * 10^2 = 12.5: the M_d4 formula is undefined
+# gamma * cv_x^2 = 0.125 * 10^2 = 12.5: M_d4 has no optimum
 STEEP = {
     "N": 2, "n": 1, "median_y": 1, "median_x": 1,
     "fy_at_median": 0.1, "fx_at_median": 0.1, "rho_c": 0.3,
 }
 
 # x = 1..5, 1e6..6e6 and y = 1..11: at n = 4, gamma * cv_x^2 = 1.46
-STEEP_CSV = "x,y\n" + "\n".join(
-    f"{x},{y}" for y, x in enumerate([*range(1, 6), *range(10**6, 7 * 10**6, 10**6)], 1)
+STEEP_X = [*range(1, 6), *range(10**6, 7 * 10**6, 10**6)]
+STEEP_CSV = "x,y\n" + "\n".join(f"{x},{y}" for y, x in enumerate(STEEP_X, 1))
+
+# the same x with y = x in reverse order: at n = 4, u = 1 - gamma * cv_x^2 =
+# -0.46 but u + v = 0.41 > 0, v = gamma * cv_y^2 * (1 - rho_c^2), so M_d4's
+# objective has a minimum, u * My^2 * v / (u + v) < 0, which is not an MSE
+BAND_CSV = "x,y\n" + "\n".join(
+    f"{x},{y}" for x, y in zip(STEEP_X, reversed(STEEP_X))
 )
 
 # y = 1e160 * x, x = 1..11: at n = 4 the square of median_y = 6e160 overflows
@@ -425,7 +431,7 @@ class TestTableCommand:
         code, out, err = run_cli(capsys, "table", "--params", params)
         assert code == 0
         assert err == "warning: zero MSE: relative efficiency is unbounded\n"
-        assert out.splitlines()[7] == "M_d4,20.41,,,110.24"
+        assert out.splitlines()[7] == "M_d4,20.41,-0.26,,110.24"
         assert len(out.splitlines()) == 18
 
 
@@ -688,7 +694,7 @@ class TestSimulateCommand:
 
     def test_pre_matches_table(self, capsys, tmp_path):
         # y = x: the shrinkage rows have zero MSE, which both commands print
-        # as PRE inf with one warning; M_d4 is the paper formula, no bias
+        # as PRE inf with one warning; every row has its bias, M_d4's too
         pop = tmp_path / "equal.csv"
         pop.write_text("x,y\n" + "\n".join(f"{v},{v}" for v in range(1, 41)))
         names = ",".join(PRESET_NAMES)
@@ -711,7 +717,7 @@ class TestSimulateCommand:
         simulated = [tuple(r[c] for c in columns) for r in doc["rows"]]
         assert simulated == [tuple(r[c] for c in columns) for r in json.loads(table)["rows"]]
         assert [r[3] for r in simulated].count(math.inf) > 1
-        assert [r[0] for r in simulated if r[2] is None] == ["M_d4"]
+        assert [r[0] for r in simulated if r[2] is None] == []
 
     def test_overflowing_squared_errors_print_no_warning(self, capsys, tmp_path):
         # M_r's squared errors overflow: the report says inf and nan, silently
@@ -729,8 +735,8 @@ class TestSimulateCommand:
         assert m_r["reps_used"] == 300 and math.isnan(m_r["mc_se_mse"])
 
     def test_failing_analytic_figures_cost_their_estimator_alone(self, capsys, tmp_path):
-        # the M_d4 formula is undefined here: simulate reports its analytic
-        # columns as nan and keeps M_y, where table stops with one line
+        # M_d4 has no optimum here: simulate reports its analytic columns as
+        # nan and keeps M_y, where table stops with one line
         pop = tmp_path / "steep.csv"
         pop.write_text(STEEP_CSV, encoding="utf-8")
         code, out, err = run_cli(
@@ -746,6 +752,27 @@ class TestSimulateCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: need 1 - gamma*cv_x^2 > 0, got -0.46")
         assert err.count("\n") == 1
+
+    def test_scaled_shrinkage_minimum_below_zero_is_refused(self, capsys, tmp_path):
+        # u <= 0 < u + v: table stops with the precondition's one line, and
+        # under true-params M_d4 loses every replicate while M_y keeps its own
+        pop = tmp_path / "band.csv"
+        pop.write_text(BAND_CSV, encoding="utf-8")
+        written = _written_params(capsys, tmp_path, "--input", str(pop), "--n", "4")
+        code, out, err = run_cli(capsys, "table", "--params", str(written))
+        assert (code, out) == (1, "")
+        assert err == "error: need 1 - gamma*cv_x^2 > 0, got -0.4607808695422142\n"
+        code, out, err = run_cli(
+            capsys, "simulate", "--input", str(pop), "--n", "4", "--reps", "200",
+            "--seed", "1", "--estimators", "M_y,M_d4", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        detail = {d["estimator"]: d for d in doc["detail"]}
+        assert (detail["M_y"]["reps_used"], detail["M_y"]["failures"]) == (200, 0)
+        assert (detail["M_d4"]["reps_used"], detail["M_d4"]["failures"]) == (0, 200)
+        m_d4 = doc["rows"][1]
+        assert math.isnan(m_d4["analytic_mse"]) and m_d4["analytic_bias"] is None
 
     def test_overflowing_baseline_leaves_the_report_with_pre_nan(self, capsys, tmp_path):
         # the PRE baseline gamma * median_y^2 * cv_y^2 overflows after every
@@ -816,13 +843,13 @@ class TestSimulateCommand:
         assert counts == [(50, 0), (50, 0)]
 
     def test_zero_sample_median_of_x_costs_m_d4_its_replicates(self, capsys, tmp_path):
-        # x = 0, 0, 1, 2, 3, 4: a sample of both zeros has mx_hat = 0, where
-        # M_d4's ratio factor Mx / mx_hat is undefined; M_y needs no x
+        # x = 0, 0, 2, 3, 4, 5: a sample of both zeros has mx_hat = 0, where
+        # M_d4's ratio factor Mx / mx_hat is undefined; M_y needs no x.  At
+        # n = 2, gamma * cv_x^2 = 0.63 < 1, so M_d4 has its optimum, and
+        # rho_c = 1/3 keeps its minimum above 0
         pop = tmp_path / "zero-x.csv"
-        pop.write_text(
-            "x,y\n" + "\n".join(f"{x},{y}" for y, x in enumerate([0, 0, 1, 2, 3, 4], 1)),
-            encoding="utf-8",
-        )
+        pairs = zip([0, 0, 2, 3, 4, 5], [1, 2, 4, 3, 5, 6])
+        pop.write_text("x,y\n" + "\n".join(f"{x},{y}" for x, y in pairs), encoding="utf-8")
         code, out, err = run_cli(
             capsys, "simulate", "--input", str(pop), "--n", "2", "--reps", "50",
             "--seed", "1", "--estimators", "M_d4,M_y", "--format", "json",
@@ -832,7 +859,7 @@ class TestSimulateCommand:
         detail = {d["estimator"]: d for d in report["detail"]}
         assert (detail["M_d4"]["failures"], detail["M_y"]["failures"]) == (1, 0)
         assert [r["empirical_mse"] for r in report["rows"]] == [
-            0.15200123111309372, 1.07,
+            1.4195989295804354, 0.985,
         ]
 
 
@@ -879,8 +906,8 @@ class TestCompareCommand:
                 "tm_vs_difference: INDETERMINATE (margin 7.11e-15) [degenerate pivot: R = 1]\n"
                 "tmq_vs_difference: INDETERMINATE (margin 7.11e-15) [degenerate pivot: R = 1]\n"
                 "tm_vs_shrink_diff: INDETERMINATE (margin 7.11e-15) [degenerate pivot: R = 1]\n"
-                "shrink_scaled_vs_shrink_diff: INDETERMINATE (margin 7.11e-15)\n"
-                "tm_vs_shrink_scaled: INDETERMINATE (margin 0) [degenerate pivot: R = 1]\n"
+                "shrink_scaled_vs_shrink_diff: INDETERMINATE (margin 0)\n"
+                "tm_vs_shrink_scaled: INDETERMINATE (margin 7.11e-15) [degenerate pivot: R = 1]\n"
                 "0/5 checks passed\n",
             ),
         ],
@@ -993,7 +1020,7 @@ class TestParamsFileRoundTrip:
 
     @pytest.mark.parametrize("command", ["table", "compare"])
     def test_delta_is_not_an_option(self, command):
-        # M_d4 is the paper's formula at exponent 1, as in simulate
+        # M_d4 has no scaling exponent, in table as in simulate
         with pytest.raises(SystemExit) as exc:
             main([command, "--params", "popI", "--delta", "1"])
         assert exc.value.code == 2

@@ -515,8 +515,9 @@ class TestRunSimulation:
             run_simulation(frame, SimulationConfig(n=5, reps=2, seed=0), params, jobs=0)
 
     def test_failing_analytic_figures_cost_their_estimator_alone(self):
-        # gamma * cv_x^2 = 1.46 leaves the M_d4 formula undefined; M_y keeps
-        # its replicates and the figures table gives it
+        # gamma * cv_x^2 = 1.46 leaves M_d4 no optimum: it loses every
+        # replicate and its figures, while M_y keeps its replicates and the
+        # figures table gives it
         x = np.array([*range(1, 6), *range(10**6, 7 * 10**6, 10**6)], dtype=float)
         frame = PopulationFrame(x=x, y=np.arange(1.0, 12.0))
         params = compute_params(frame, 4)
@@ -526,7 +527,7 @@ class TestRunSimulation:
         assert (m_y.reps_used, m_y.analytic_mse, m_y.analytic_bias) == (
             200, row.analytic_mse, row.analytic_bias
         )
-        assert m_d4.reps_used == 200 and m_d4.analytic_bias is None
+        assert (m_d4.reps_used, m_d4.failures, m_d4.analytic_bias) == (0, 200, None)
         assert math.isnan(m_d4.analytic_mse)
         assert math.isnan(m_d4.ratio_empirical_to_analytic)
         with pytest.raises(DomainError, match=r"^need 1 - gamma\*cv_x\^2 > 0"):

@@ -26,7 +26,6 @@ from medaux import (
     dominance_checks,
     error_moments,
     free_scalars,
-    min_mse_ss4,
     mse_from_coeffs,
     pre,
     resolve_weights,
@@ -96,8 +95,8 @@ class TestShrinkageMinima:
         assert abs(min_mse_ss1(pop2) - 495484.97) / 495484.97 < 1e-2
 
     def test_ss4_reference_values_at_unit_exponent(self, pop1, pop2):
-        assert abs(min_mse_ss4(pop1) - 480458.97) / 480458.97 < 5e-4
-        assert abs(min_mse_ss4(pop2) - 454616.15) / 454616.15 < 5e-4
+        assert abs(min_mse_ss4_at(pop1, 1.0) - 480458.97) / 480458.97 < 5e-4
+        assert abs(min_mse_ss4_at(pop2, 1.0) - 454616.15) / 454616.15 < 5e-4
 
     def test_unit_exponent_recovered_by_root_find(self, pop1):
         """Bisection on the oracle's exponent against the published value
@@ -116,13 +115,41 @@ class TestShrinkageMinima:
         rng = np.random.default_rng(12)
         for p in [pop1, pop2] + [draw_params(rng) for _ in range(200)]:
             if p.gamma * p.cv_x**2 < 1.0:
-                assert min_mse_ss4(p) == min_mse_ss4_at(p, 1.0)
+                row = table_rows(p, ["M_d4"])[0]
+                assert math.isclose(row.analytic_mse, min_mse_ss4_at(p, 1.0), rel_tol=1e-13)
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_ss4_row_matches_the_oracle(self, data):
+        """Over valid vectors with |rho_c| <= 0.95, as in ``draw_params``,
+        and gamma * cv_x^2 drawn over (0, 3], the M_d4 MSE is the oracle
+        within 1e-13 relative where u = 1 - gamma * cv_x^2 >= 0.05, and both
+        raise where u <= 0.  The minimum u My^2 v / (u + v) is a difference
+        of terms of order My^2, so its rounding grows like 1 / u near 0."""
+        N = data.draw(st.integers(2, 10_000), label="N")
+        n = data.draw(st.integers(1, N - 1), label="n")
+        my, mx = (data.draw(st.floats(1e-2, 1e4), label=name) for name in ("My", "Mx"))
+        gamma = (1.0 / n - 1.0 / N) / 4.0
+        cv_x = math.sqrt(data.draw(st.floats(1e-6, 3.0), label="gamma*cv_x^2") / gamma)
+        cv_y = data.draw(st.floats(0.1, 30.0), label="cv_y")
+        rho = data.draw(st.floats(-0.95, 0.95), label="rho_c")
+        p = MedianParams(N, n, my, mx, 1.0 / (my * cv_y), 1.0 / (mx * cv_x), rho)
+        u = 1.0 - p.gamma * p.cv_x**2
+        spec = preset("M_d4")
+        if u <= 0.0:
+            with pytest.raises(DomainError, match=r"^need 1 - gamma\*cv_x\^2 > 0, got "):
+                analytic_figures(p, [spec])
+            with pytest.raises(DomainError):
+                min_mse_ss4_at(p, 1.0)
+            return
+        ((mse, _),) = analytic_figures(p, [spec])
+        assert math.isclose(mse, min_mse_ss4_at(p, 1.0), rel_tol=1e-13 * max(1.0, 0.05 / u))
 
     def test_ss4_precondition(self):
         # gamma * cv_x^2 = 0.125 * 10^2 = 12.5
         p = MedianParams(2, 1, 1.0, 1.0, 0.1, 0.1, 0.3)
         with pytest.raises(DomainError, match=r"^need 1 - gamma\*cv_x\^2 > 0, got -11\.5$"):
-            min_mse_ss4(p)
+            table_rows(p, ["M_d4"])
 
     def test_ss3_degenerate_pivot_warns_and_returns_zero(self):
         with pytest.warns(DegeneratePivotWarning):
@@ -404,7 +431,7 @@ def _assert_catalogue_matches_oracles(p: MedianParams, scalars) -> None:
         # residue, of order 1e-16 of the sample-median variance
         assert abs(got - want) <= 1e-12 * (abs(want) if want else baseline), name
 
-    o, m_ss4 = oracle, min_mse_ss4(p)
+    o, m_ss4 = oracle, min_mse_ss4_at(p, 1.0)
     oracle_margins = {
         "tm_vs_difference": (o["M_d"] - o["t_m"], o["M_d"]),
         "tmq_vs_difference": (o["M_d"] - o["tmq"], o["M_d"]),
@@ -579,40 +606,63 @@ class TestTableRows:
             )
 
     def test_rows_follow_the_catalogue_route(self, pop1, pop2):
-        """Every row but the paper-formula M_d4 is the first-order MSE and
-        bias of the resolved preset, exactly."""
+        """Every row is the first-order MSE and bias of the resolved preset,
+        exactly; the MSE of M_d4 adds its family's cross term 2 c0 (bias - c0)."""
         rng = np.random.default_rng(8)
-        names = [n for n in PRESET_NAMES if n != "M_d4"]
         for p in [pop1, pop2] + [draw_params(rng) for _ in range(20)]:
             moments = error_moments(p)
             baseline = p.gamma * p.median_y**2 * p.cv_y**2
-            for row, name in zip(table_rows(p, names), names):
+            for row, name in zip(table_rows(p, PRESET_NAMES), PRESET_NAMES):
                 coeffs = coeffs_of(resolve_weights(preset(name, p), p), p)
                 mse = mse_from_coeffs(coeffs, moments)
+                bias = bias_from_coeffs(coeffs, moments)
+                if name == "M_d4":
+                    mse += 2.0 * coeffs.c0 * (bias - coeffs.c0)
                 assert row.estimator == name
                 assert row.analytic_mse == mse, name
-                assert row.analytic_bias == bias_from_coeffs(coeffs, moments), name
+                assert row.analytic_bias == bias, name
                 assert row.pre_vs_sample_median == pre(mse, baseline), name
 
-    def test_scaled_shrinkage_row_is_paper_formula(self, pop1):
-        row = table_rows(pop1, ["M_d4"])[0]
-        assert row.analytic_mse == min_mse_ss4(pop1)
-        assert row.analytic_bias is None
+    def test_scaled_shrinkage_row_is_paper_formula(self, pop1, pop2):
+        for p in (pop1, pop2):
+            row = table_rows(p, ["M_d4"])[0]
+            assert math.isclose(row.analytic_mse, min_mse_ss4_at(p, 1.0), rel_tol=1e-13)
+            coeffs = coeffs_of(resolve_weights(preset("M_d4"), p), p)
+            assert row.analytic_bias == bias_from_coeffs(coeffs, error_moments(p))
+
+    @pytest.mark.parametrize(
+        "pop, d1, d2",
+        [("pop1", 0.8693935561368112, -0.6288836433378847),
+         ("pop2", 0.8935662797721842, 1.921369809624673)],
+    )
+    def test_scaled_shrinkage_weights(self, request, pop, d1, d2):
+        # the minimiser of M_d4's objective: d1 = u / (u + v) and
+        # d2 = (My / Mx) * (1 - d1 * (2 - rho_c * cv_y / cv_x)), with
+        # u = 1 - gamma cv_x^2 and v = gamma cv_y^2 (1 - rho_c^2)
+        p = request.getfixturevalue(pop)
+        spec = resolve_weights(preset("M_d4"), p)
+        u = 1.0 - p.gamma * p.cv_x**2
+        v = p.gamma * p.cv_y**2 * (1.0 - p.rho_c**2)
+        slope = 2.0 - p.rho_c * p.cv_y / p.cv_x
+        assert math.isclose(u / (u + v), d1, rel_tol=1e-12)
+        assert math.isclose(p.median_y / p.median_x * (1.0 - d1 * slope), d2, rel_tol=1e-12)
+        assert math.isclose(spec.d1, d1, rel_tol=1e-12)
+        assert math.isclose(spec.d2, d2, rel_tol=1e-12)
 
     def test_free_scaled_shrinkage_gets_the_paper_formula_under_any_label(
         self, pop1, pop2
     ):
         spec = EstimatorSpec(family="shrink_diff_scaled", label="ss")
         for p in (pop1, pop2):
-            assert analytic_figures(p, [spec]) == [(min_mse_ss4(p), None)]
+            assert analytic_figures(p, [spec]) == analytic_figures(p, [preset("M_d4")])
 
     def test_pinned_scaled_shrinkage_gets_its_coefficient_figures(self, pop1):
-        # the label does not matter: with d1 and d2 pinned this is not M_d4
+        # pinned weights read the family's objective at those weights
         spec = EstimatorSpec(family="shrink_diff_scaled", label="M_d4", d1=0.9, d2=0.2)
         coeffs, moments = coeffs_of(spec, pop1), error_moments(pop1)
-        assert analytic_figures(pop1, [spec]) == [
-            (mse_from_coeffs(coeffs, moments), bias_from_coeffs(coeffs, moments))
-        ]
+        bias = bias_from_coeffs(coeffs, moments)
+        mse = mse_from_coeffs(coeffs, moments) + 2.0 * coeffs.c0 * (bias - coeffs.c0)
+        assert analytic_figures(pop1, [spec]) == [(mse, bias)]
 
     def test_resolved_bias_columns(self, pop1):
         rows = {r.estimator: r for r in table_rows(pop1, ["M_d2", "M_d3", "t_mq7"])}

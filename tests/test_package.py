@@ -31,7 +31,7 @@ PUBLIC_NAMES = {
     "bias_from_coeffs", "mse_from_coeffs",
     "EstimatorSpec", "SampleStats", "FAMILIES", "PRESET_NAMES", "evaluate",
     "coeffs_of", "preset", "resolve_weights", "free_scalars",
-    "MseReportRow", "DominanceResult", "analytic_figures", "min_mse_ss4", "pre",
+    "MseReportRow", "DominanceResult", "analytic_figures", "pre",
     "sample_median_mse", "dominance_checks", "table_rows", "TABLE_ALL_IDS",
     "SimulationConfig", "SyntheticSpec", "EstimatorResult", "SimulationReport",
     "srswor", "run_simulation", "make_synthetic",
@@ -55,7 +55,7 @@ def test_every_exported_name_resolves():
 
 
 def test_public_names_are_listed_and_visible():
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 51
     assert set(medaux.__all__) == PUBLIC_NAMES
     assert PUBLIC_NAMES <= set(dir(medaux))
 
@@ -75,6 +75,7 @@ def test_module_level_public_names_are_exported():
         (estimators, "RatioExpForm"),  # the ratio_exp optimum computes its form
         (estimators, "ratio_exp_form"),
         (expansion, "check_moments"),  # derived moments are valid by construction
+        (mse, "min_mse_ss4"),  # M_d4's row comes from its own coefficients
     ],
 )
 def test_removed_names_stay_removed(owner, name):
@@ -184,27 +185,36 @@ def test_every_error_class_is_used_outside_its_module():
 
 def _calls(path: pathlib.Path) -> list[str]:
     """Names of the functions a module calls, by plain name or attribute."""
+    return _calls_in(ast.parse(path.read_text()))
+
+
+def _calls_in(tree: ast.AST) -> list[str]:
     return [
         node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
     ]
 
 
 def test_analytic_figures_have_one_route():
     # run_simulation reads its analytic columns from mse.analytic_figures,
-    # and that function alone applies the M_d4 formula
+    # and nothing in the package names a paper formula: M_d4 included, every
+    # row comes from the estimator's own coefficients, whatever its label
     src = pathlib.Path(mse.__file__).parent
-    analytic = {"coeffs_of", "mse_from_coeffs", "bias_from_coeffs", "min_mse_ss4"}
+    analytic = {"coeffs_of", "mse_from_coeffs", "bias_from_coeffs"}
     assert analytic.isdisjoint(_calls(src / "montecarlo.py"))
-    sites = [path.name for path in sorted(src.glob("*.py")) for name in _calls(path)
-             if name == "min_mse_ss4"]
-    assert sites == ["mse.py"]
+    assert [path.name for path in sorted(src.glob("*.py"))
+            if "min_mse_ss4" in path.read_text()] == []
+    body = ast.parse(inspect.getsource(mse.analytic_figures))
+    assert "free_scalars" not in _calls_in(body)
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "label"
+                   for node in ast.walk(body))
 
 
 def test_the_engine_resolves_weights_in_its_blocks_alone():
-    # run_simulation resolves nothing up front: each block resolves its specs
-    # through optimal_weights on the array backend
+    # run_simulation calls no resolve_weights: true-params weights are solved
+    # once per run and plug-in weights per chunk, both through
+    # optimal_weights on the array backend
     calls = _calls(pathlib.Path(montecarlo.__file__))
     assert "resolve_weights" not in calls and "optimal_weights" in calls
 
