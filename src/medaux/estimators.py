@@ -522,6 +522,19 @@ _FIXED_PRESETS = {
     for name, (family, pinned) in _PRESETS.items()
     if not any(isinstance(value, str) for value in pinned.values())
 }
+# the others as (base, pulled): their fields, checked here once with each
+# pulled scalar at 1.0, and the MedianParams field each pulled scalar reads
+_PULLING_PRESETS = {
+    name: (
+        vars(EstimatorSpec(family=family, label=name, **{
+            field: 1.0 if isinstance(value, str) else value
+            for field, value in pinned.items()
+        })),
+        {field: value for field, value in pinned.items() if isinstance(value, str)},
+    )
+    for name, (family, pinned) in _PRESETS.items()
+    if name not in _FIXED_PRESETS
+}
 
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -545,12 +558,11 @@ def preset(name: str, params: MedianParams | None = None) -> EstimatorSpec:
     name = canonical_name(name)
     if name in _FIXED_PRESETS:
         return _FIXED_PRESETS[name]
-    family, pinned = _PRESETS[name]
-    scalars = {}
-    for field, value in pinned.items():
-        if isinstance(value, str):
-            if params is None:
-                raise DomainError(f"preset {name!r} pulls scalars from params")
-            value = getattr(params, value)
-        scalars[field] = value
-    return EstimatorSpec(family=family, label=name, **scalars)
+    if params is None:
+        raise DomainError(f"preset {name!r} pulls scalars from params")
+    base, pulled = _PULLING_PRESETS[name]
+    # the pulled median_x and rho_c are finite floats by MedianParams' own
+    # checks, so the spec keeps its invariants without validating again
+    spec = object.__new__(EstimatorSpec)
+    vars(spec).update(base, **{f: getattr(params, attr) for f, attr in pulled.items()})
+    return spec

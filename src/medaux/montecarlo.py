@@ -13,7 +13,13 @@ reads the words of every block in order from one generator, one
 ``random_raw`` call per block.  A block draws its samples with no loop over
 rows or steps: one sort of each row's targets, and pointer doubling on the
 few repeated or low targets it finds, give what the sequential swaps would
-give (see :func:`_swap_rows`).  It then takes the sample medians, p11 and
+give (see :func:`_swap_rows`).  A block builds few (K, n) arrays: the
+targets reuse the block's words, the sort keys are int32 wherever
+``N << b < 2**31`` (b the bit length of n), the samples are written over the
+targets, and without extras the gathered rows are sorted in place.  So the
+memory a block frees stays small: with glibc's malloc, freeing more let
+it hand the top of the heap back to the kernel, and the next block faulted
+those pages in again.  It then takes the sample medians, p11 and
 kernel densities of the whole block on (K, n) arrays and passes on only
 their (K,) columns.  Each sample variable is sorted once per block; the
 medians and the quartiles of the kernel bandwidths are read from the sorted
@@ -183,7 +189,8 @@ def _targets(words: np.ndarray, N: int) -> np.ndarray:
     probability off from 1/(N - i) by less than (N - i)/2**64 relative.
     Below N = 2**32 the span s = N - i has no high half, and the high word
     is ``(w_hi*s + (w_lo*s >> 32)) >> 32``: w_hi*s is at most (2**32 - 1)**2,
-    so adding a value below 2**32 cannot wrap.
+    so adding a value below 2**32 cannot wrap.  There ``words`` is consumed:
+    it holds w_hi*s on return.
     """
     low = np.arange(words.shape[-1], dtype=np.uint64)
     span = np.uint64(N) - low
@@ -191,9 +198,9 @@ def _targets(words: np.ndarray, N: int) -> np.ndarray:
         hi = words & _LOW32
         hi *= span
         hi >>= _SHIFT32
-        top = words >> _SHIFT32
-        top *= span
-        hi += top
+        words >>= _SHIFT32
+        words *= span
+        hi += words
         hi >>= _SHIFT32
         hi += low
         return hi.view(np.int64)
@@ -215,9 +222,11 @@ def _swap_targets(stream: np.random.Philox, K: int, n: int, N: int) -> np.ndarra
     return _targets(words.reshape(K, m4)[:, :n], N)
 
 
-def _swap_rows(js: np.ndarray) -> np.ndarray:
+def _swap_rows(js: np.ndarray, N: int) -> np.ndarray:
     """Partial Fisher-Yates on each row: for i < n swap positions i and
-    ``js[r, i]`` of ``arange(N)``, then keep the first n entries.
+    ``js[r, i]`` of ``arange(N)``, then keep the first n entries.  ``js`` is
+    consumed: the samples are written over it, and a C-contiguous ``js`` is
+    the buffer returned.
 
     For any targets with ``i <= js[r, i] < N`` the result follows one rule.
     ``sample[r, i]`` is ``js[r, i]``, unless an earlier step m of row r
@@ -234,13 +243,17 @@ def _swap_rows(js: np.ndarray) -> np.ndarray:
     Pointer doubling (Hillis and Steele, CACM 1986) resolves the links in at
     most ceil(log2 n) + 1 rounds, and D of each previous step is scattered
     into the repeats.  Memory is O(K n) for K rows; nothing has length N.
-    The keys fit in int64 while ``N <= 2**(63 - b)``.
+    The keys are below ``N << b``.  They are sorted as int32 where
+    ``N << b < 2**31``, in half the memory and in the same order, so the
+    samples do not change; otherwise as int64, where they fit while
+    ``N <= 2**(63 - b)``.
     """
     K, n = js.shape
     b = n.bit_length()
     low = (1 << b) - 1
-    keys = js << b
-    keys |= np.arange(n)
+    keys = js.astype(np.int32 if N << b < 2**31 else np.int64)
+    keys <<= b
+    keys |= np.arange(n, dtype=keys.dtype)
     keys.sort(axis=1)
     keys = keys.reshape(-1)  # entry p of row r is flat entry r*n + p
     same = np.empty(K * n, dtype=bool)  # entry p + 1 repeats the target of p
@@ -258,7 +271,7 @@ def _swap_rows(js: np.ndarray) -> np.ndarray:
         live = live[up != held]
     prev = np.flatnonzero(same)
     base = prev - prev % n
-    out = js.flatten()
+    out = js.reshape(-1)
     out[base + (keys[prev + 1] & low)] = root[base + (keys[prev] & low)] - base
     return out.reshape(K, n)
 
@@ -276,7 +289,7 @@ def srswor(frame: PopulationFrame, n: int, rng: np.random.Generator) -> np.ndarr
     if not 0 < n <= N:
         raise DomainError(f"need 0 < n <= N, got n={n}, N={N}")
     js = _targets(rng.bit_generator.random_raw(n), N)
-    return _swap_rows(js[None, :])[0]
+    return _swap_rows(js[None, :], N)[0]
 
 
 class _Rows:
@@ -355,13 +368,22 @@ def _sample_columns(
 
     Samples, medians, p11 and kernel densities are computed on (K, n)
     arrays, the medians and the quartiles from one sort of each variable.
+    Without ``extras`` the gathered rows are sorted in place; p11 and the
+    kernel densities read them unsorted, so with ``extras`` the sorts are
+    copies.
     """
-    idx = _swap_rows(_swap_targets(stream, K, n, frame.N))
+    N = frame.N
+    idx = _swap_rows(_swap_targets(stream, K, n, N), N)
     xs, ys = frame.x[idx], frame.y[idx]
+    if extras:
+        ys_sorted, xs_sorted = np.sort(ys, axis=1), np.sort(xs, axis=1)
+    else:
+        ys.sort(axis=1)
+        xs.sort(axis=1)
+        ys_sorted, xs_sorted = ys, xs
     # an overflowing median is inf in its row, which every spec then loses;
     # an overflowing bandwidth gives a NaN density, which the row's plug-in
     # specs lose
-    ys_sorted, xs_sorted = np.sort(ys, axis=1), np.sort(xs, axis=1)
     with np.errstate(all="ignore"):
         my, mx = _sorted_median(ys_sorted), _sorted_median(xs_sorted)
         if not extras:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from medaux import (
@@ -31,6 +31,7 @@ from medaux import (
 from medaux.arith import FLOATS
 from medaux.estimators import (
     _FAMILY_FIELDS,
+    _PRESETS,
     _SLOPE_OPTIMA,
     FAMILIES,
     point_value,
@@ -66,6 +67,20 @@ def _scalars(draw, family: str) -> dict:
     scalars = {name: draw(_unit) for name in weights}
     scalars.update({name: draw(_STRUCTURAL[name]) for name in structural})
     return scalars
+
+
+def _typed_fields(spec: EstimatorSpec) -> dict:
+    return {k: (type(v), v) for k, v in vars(spec).items()}
+
+
+def _validated_preset(name: str, params: MedianParams) -> EstimatorSpec:
+    """The preset through the dataclass's validating constructor, its pulled
+    scalars read from ``params``."""
+    family, pinned = _PRESETS[name]
+    return EstimatorSpec(family=family, label=name, **{
+        field: getattr(params, value) if isinstance(value, str) else value
+        for field, value in pinned.items()
+    })
 
 
 def _random_stats(rng: np.random.Generator) -> SampleStats:
@@ -405,6 +420,27 @@ class TestPresets:
     def test_every_preset_builds(self, pop1, pop2):
         for p in (pop1, pop2):
             assert [preset(name, p).label for name in PRESET_NAMES] == list(PRESET_NAMES)
+
+    def test_presets_equal_their_validated_construction(self, pop1, pop2):
+        for p in (pop1, pop2):
+            for name in PRESET_NAMES:
+                assert _typed_fields(preset(name, p)) == _typed_fields(_validated_preset(name, p))
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_pulled_presets_are_valid_for_any_params(self, data):
+        # every valid MedianParams, down to subnormal medians and rho_c = +-1
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        n = data.draw(st.integers(1, 10**6), label="n")
+        try:
+            p = MedianParams(
+                data.draw(st.integers(n + 1, 10**7), label="N"), n,
+                *(data.draw(positive) for _ in range(4)), data.draw(st.floats(-1.0, 1.0)),
+            )
+        except DomainError:
+            reject()
+        for name in PRESET_NAMES:
+            assert _typed_fields(preset(name, p)) == _typed_fields(_validated_preset(name, p))
 
     @pytest.mark.parametrize(
         "family, scalar", [("shrink_diff_scaled", "beta"), ("power_ratio", "w")]

@@ -120,6 +120,16 @@ def _block_targets(seed: int, ks: range, n: int, N: int) -> np.ndarray:
     return _swap_targets(_replicate_stream(seed, ks.start, n), len(ks), n, N)
 
 
+def _top_heavy_targets(n: int, N: int) -> np.ndarray:
+    """Rows of n targets at the top of range(N): all N - 1, and each target
+    within 1, 3 and n of N - 1, so targets repeat and chain."""
+    rng = np.random.default_rng(n)
+    rows = [np.full(n, N - 1)]
+    for reach in (1, 3, n):
+        rows.append(np.array([max(i, N - 1 - int(rng.integers(0, reach))) for i in range(n)]))
+    return np.array(rows, dtype=np.int64)
+
+
 def _reference_targets(words, N: int) -> list[int]:
     """Target i = i + floor(w_i * (N - i) / 2**64), in Python integers."""
     return [i + (w * (N - i) >> 64) for i, w in enumerate(words)]
@@ -137,7 +147,7 @@ class TestBlockSampling:
     def test_block_equals_scalar_srswor_at_large_population(self):
         N, n = 200_000, 100
         frame = PopulationFrame(x=np.arange(1.0, N + 1), y=np.arange(1.0, N + 1))
-        block = _swap_rows(_block_targets(17, range(3), n, N))
+        block = _swap_rows(_block_targets(17, range(3), n, N), N)
         for k in range(3):
             expected = srswor(frame, n, _replicate_gen(17, k, n))
             assert np.array_equal(block[k], expected)
@@ -158,7 +168,7 @@ class TestBlockSampling:
              for _ in range(K)],
             dtype=np.int64,
         )
-        block = _swap_rows(js)
+        block = _swap_rows(js.copy(), N)
         for row, targets in zip(block, js, strict=True):
             assert np.array_equal(row, _scalar_fisher_yates(targets, N))
 
@@ -181,13 +191,13 @@ class TestBlockSampling:
     )
     def test_block_kernel_equals_scalar_swap_loop_on_fixed_rows(self, rule, K, n, N):
         js = np.tile(rule(np.arange(n), N), (K, 1)).astype(np.int64)
-        block = _swap_rows(js)
+        block = _swap_rows(js.copy(), N)
         expected = _scalar_fisher_yates(js[0], N)
         assert block.shape == (K, n)
         assert all(np.array_equal(row, expected) for row in block)
 
     def test_block_census_selects_everyone(self):
-        block = _swap_rows(_block_targets(5, range(4, 9), 12, 12))
+        block = _swap_rows(_block_targets(5, range(4, 9), 12, 12), 12)
         for row in block:
             assert sorted(row.tolist()) == list(range(12))
 
@@ -198,15 +208,28 @@ class TestBlockSampling:
         b = n.bit_length()
         N = 2 ** (63 - b)
         assert ((N - 1) << b) | (n - 1) < 2**63 <= N << b
-        rng = np.random.default_rng(n)
-        rows = [np.full(n, N - 1)]
-        for reach in (1, 3, n):
-            rows.append(
-                np.array([max(i, N - 1 - int(rng.integers(0, reach))) for i in range(n)])
-            )
-        js = np.array(rows, dtype=np.int64)
-        for row, targets in zip(_swap_rows(js), js, strict=True):
+        js = _top_heavy_targets(n, N)
+        for row, targets in zip(_swap_rows(js.copy(), N), js, strict=True):
             assert row.tolist() == _sparse_swap_loop(targets)
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 2000])
+    @pytest.mark.parametrize(
+        "bits, below", [(31, 1), (31, 0), (32, 1)], ids=["int32", "int64", "int64-wide"]
+    )
+    def test_keys_either_side_of_the_int32_boundary(self, n, bits, below):
+        # the keys are sorted as int32 while N << b < 2**31: the largest such
+        # N, the smallest past it, and one whose keys would wrap in int32
+        N = 2 ** (bits - n.bit_length()) - below
+        js = _top_heavy_targets(n, N)
+        for row, targets in zip(_swap_rows(js.copy(), N), js, strict=True):
+            assert row.tolist() == _sparse_swap_loop(targets)
+
+    def test_samples_are_written_over_the_targets(self):
+        js = _block_targets(9, range(5), 100, 2000)
+        expected = [_scalar_fisher_yates(row, 2000) for row in js]
+        block = _swap_rows(js, 2000)
+        assert np.shares_memory(block, js)
+        assert np.array_equal(block, expected)
 
 
 class TestStreamPinned:
@@ -242,6 +265,16 @@ class TestStreamPinned:
         got = _targets(np.array(rows, dtype=np.uint64), N)
         assert got.dtype == np.int64 and got.tolist() == want
         assert all(i <= j < N for row in want for i, j in enumerate(row))
+
+    @pytest.mark.parametrize("N", [2000, 2**32 + 1])
+    def test_targets_consume_their_words_alone(self, N):
+        # as a block passes them: a strided view of the words, which
+        # _targets may overwrite; the words beside the view stay as they were
+        buf = np.array([[w, *self.WORDS] for w in self.WORDS], dtype=np.uint64)
+        kept = buf.copy()
+        got = _targets(buf[:, :5], N)
+        assert got.tolist() == [_reference_targets(row, N) for row in kept[:, :5].tolist()]
+        assert np.array_equal(buf[:, 5:], kept[:, 5:])
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_rows_equal_integer_reference_from_raw_words(self, seed):
@@ -284,7 +317,7 @@ class TestSamplingLaw:
         # is crossed with probability 1e-6 (z = 4.753).  The lower bound
         # fails a draw that is too even to be random, such as a cycle.
         N, n, cells, per_cell = 12, 4, math.comb(12, 4), 40
-        rows = _swap_rows(_block_targets(20240817, range(cells * per_cell), n, N))
+        rows = _swap_rows(_block_targets(20240817, range(cells * per_cell), n, N), N)
         counts = np.bincount(_subset_rank(rows, N), minlength=cells)
         stat = float(np.sum((counts - per_cell) ** 2) / per_cell)
         df = cells - 1
