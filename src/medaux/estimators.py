@@ -401,11 +401,16 @@ def resolve_weights(spec: EstimatorSpec, params: MedianParams) -> EstimatorSpec:
     return resolved
 
 
-def optimal_weights(ops, spec: EstimatorSpec, params) -> dict:
+def optimal_weights(ops, spec: EstimatorSpec, params, moments=None) -> dict:
     """The weights :func:`resolve_weights` fills in, by name, computed by
     ``ops`` from ``params`` (a :class:`MedianParams` or any object with its
     fields).  A weight that is not finite fails as the spec's own check does.
     A spec with no free scalars gets none.
+
+    ``moments`` is :func:`~medaux.expansion.moment_values` of ``params``,
+    or ``None`` to compute it here, where the normal equations read it.
+    A caller that passes it carries the failures of that computation into
+    ``ops`` itself.
     """
     free = free_scalars(spec)
     if not free:
@@ -418,19 +423,21 @@ def optimal_weights(ops, spec: EstimatorSpec, params) -> dict:
                         "optimal shift undefined when k_c is zero")
         found = {free[0]: _SLOPE_OPTIMA[fam](kc, params.median_x)}
     else:
-        found = _normal_equations(ops, spec, free, params)
+        found = _normal_equations(ops, spec, free, params, moments)
     for name, value in found.items():
         ops.require(ops.isfinite(value), DomainError,
                     "scalar {!r} must be finite", name)
     return found
 
 
-def _normal_equations(ops, spec, free, params) -> dict:
+def _normal_equations(ops, spec, free, params, moments) -> dict:
     """The ``free`` weights of :func:`resolve_weights`, with v0 and J read off
     :func:`coeff_values` at 0 and at each unit step, by Cramer's rule.  For
     ``CROSS_TERM_FAMILIES`` the objective adds 2 c0 q'v, q = (var_e1, cov) on
     (c_e1sq, c_e0e1), and q's terms join both sides of the equations."""
-    var_e0, var_e1, cov = moment_values(ops, params)
+    if moments is None:
+        moments = moment_values(ops, params)
+    var_e0, var_e1, cov = moments
     check_squares(ops, params, ("median_y", "median_x"))
     cross = spec.family in CROSS_TERM_FAMILIES
     if cross:

@@ -13,17 +13,20 @@ reads the words of every block in order from one generator, one
 ``random_raw`` call per block.  A block draws its samples with no loop over
 rows or steps: one sort of each row's targets, and pointer doubling on the
 few repeated or low targets it finds, give what the sequential swaps would
-give (see :func:`_swap_rows`).  A block builds few (K, n) arrays: the
-targets reuse the block's words, the sort keys are int32 wherever
-``N << b < 2**31`` (b the bit length of n), the samples are written over the
-targets, and without extras the gathered rows are sorted in place.  So the
-memory a block frees stays small: with glibc's malloc, freeing more let
-it hand the top of the heap back to the kernel, and the next block faulted
-those pages in again.  It then takes the sample medians, p11 and
+give (see :func:`_swap_rows`).  It then takes the sample medians, p11 and
 kernel densities of the whole block on (K, n) arrays and passes on only
 their (K,) columns.  Each sample variable is sorted once per block; the
 medians and the quartiles of the kernel bandwidths are read from the sorted
-rows, by the rules of ``np.median`` and ``np.percentile``.  The estimator
+rows, by the rules of ``np.median`` and ``np.percentile``.  A block builds
+few (K, n) arrays: the targets reuse the block's words, the sort keys are
+int32 wherever ``N << b < 2**31`` (b the bit length of n), and the samples
+are written over the targets.  Without extras the gathered rows are sorted
+in place; with them one more buffer holds each variable's sorted rows and
+then its kernel terms, and the kernel's scaled distances are written over
+the gathered rows (see :func:`_sample_columns`).  So the memory a block
+frees stays small, with extras or without: with glibc's malloc, freeing
+more let it hand the top of the heap back to the kernel, and the next block
+faulted those pages in again.  The estimator
 stage runs once per chunk of up to ``_BLOCK_UNITS`` replicates, so once for
 a run of up to that many.  Free weights are resolved once per run from the
 true parameters, or per chunk from each sample's plug-in vector, and each
@@ -49,6 +52,7 @@ import numpy as np
 
 from .errors import DomainError, MedauxError
 from .estimators import (
+    _SLOPE_OPTIMA,
     REGRESSION,
     EstimatorSpec,
     free_scalars,
@@ -56,6 +60,7 @@ from .estimators import (
     point_value,
     preset,
 )
+from .expansion import moment_values
 from .mse import analytic_figures
 from .parameters import MedianParams, derive_params
 from .population import (
@@ -368,31 +373,38 @@ def _sample_columns(
 
     Samples, medians, p11 and kernel densities are computed on (K, n)
     arrays, the medians and the quartiles from one sort of each variable.
-    Without ``extras`` the gathered rows are sorted in place; p11 and the
-    kernel densities read them unsorted, so with ``extras`` the sorts are
-    copies.
+    Without ``extras`` the gathered rows are sorted in place.  With them,
+    p11 and the kernel densities also read the rows unsorted, and one more
+    (K, n) buffer serves each variable in turn: it holds the variable's
+    sorted rows and then its squared deviations and kernel, while the rows
+    themselves take the kernel's scaled distances.  So p11's mask is built
+    from each variable's rows before its kernel density runs.  The medians
+    are copies: at odd n :func:`_sorted_median` gives a view into the sorted
+    rows, which the kernel densities overwrite, and which a chunk would
+    otherwise keep allocated with its blocks' columns until it ends.
     """
     N = frame.N
     idx = _swap_rows(_swap_targets(stream, K, n, N), N)
-    xs, ys = frame.x[idx], frame.y[idx]
-    if extras:
-        ys_sorted, xs_sorted = np.sort(ys, axis=1), np.sort(xs, axis=1)
-    else:
-        ys.sort(axis=1)
-        xs.sort(axis=1)
-        ys_sorted, xs_sorted = ys, xs
+    ys, xs = frame.y[idx], frame.x[idx]
+    del idx  # freed before the block allocates its sorted rows
     # an overflowing median is inf in its row, which every spec then loses;
     # an overflowing bandwidth gives a NaN density, which the row's plug-in
     # specs lose
     with np.errstate(all="ignore"):
-        my, mx = _sorted_median(ys_sorted), _sorted_median(xs_sorted)
         if not extras:
-            return my, mx
-        below = (xs <= mx[:, None]) & (ys <= my[:, None])
-        p11 = np.count_nonzero(below, axis=1) / n
-        fy, _ = _kernel_density_rows(ys, ys_sorted, my)
-        fx, _ = _kernel_density_rows(xs, xs_sorted, mx)
-    return my, mx, p11, fy, fx
+            ys.sort(axis=1)
+            xs.sort(axis=1)
+            return _sorted_median(ys).copy(), _sorted_median(xs).copy()
+        work = np.sort(ys, axis=1)
+        my = _sorted_median(work).copy()
+        below = ys <= my[:, None]
+        fy, _ = _kernel_density_rows(ys, work, my)
+        np.copyto(work, xs)
+        work.sort(axis=1)
+        mx = _sorted_median(work).copy()
+        below &= xs <= mx[:, None]
+        fx, _ = _kernel_density_rows(xs, work, mx)
+    return my, mx, np.count_nonzero(below, axis=1) / n, fy, fx
 
 
 def _estimate_columns(
@@ -423,11 +435,12 @@ def _estimate_columns(
     K = my.size
     overflowed = ~(np.isfinite(my) & np.isfinite(mx))
     free = [s is not None and bool(free_scalars(s)) for s in specs]
+    normal = [f and s.family not in _SLOPE_OPTIMA for f, s in zip(free, specs)]
     out = np.full((K, len(specs)), np.nan)
     # the float code raises where the arrays give inf or NaN silently; the
     # backend marks those rows
     with np.errstate(all="ignore"):
-        source = None
+        source = moments = None
         if extras and any(free):
             p11, fy, fx = extras
             # design quantities (N, n) stay fixed; the concordance estimate
@@ -438,14 +451,22 @@ def _estimate_columns(
             source = SimpleNamespace(
                 **derive_params(hat_rows, params.N, params.n, my, mx, fy, fx, rho_hat)
             )
+            if any(normal):
+                # the error moments of the normal equations, once per chunk;
+                # a row whose squared cv overflows is lost only by the specs
+                # that read them, not by a slope optimum
+                moment_rows = _Rows(hat_rows.bad)
+                moments = moment_values(moment_rows, source)
         for j, spec in enumerate(specs):
             if spec is None or (free[j] and source is None):
                 continue
             rows = _Rows(hat_rows.bad if free[j] else overflowed)
+            if normal[j]:
+                rows.bad |= moment_rows.bad
             try:
                 if free[j]:
                     spec = SimpleNamespace(
-                        **{**vars(spec), **optimal_weights(rows, spec, source)}
+                        **{**vars(spec), **optimal_weights(rows, spec, source, moments)}
                     )
                 value = point_value(rows, spec, my, mx, params.median_x, extras)
             except (MedauxError, ArithmeticError):
@@ -544,10 +565,11 @@ def run_simulation(
     optimum is undefined fails every replicate, and no other loses one.  The
     analytic columns are :func:`medaux.mse.analytic_figures` of the presets,
     the values ``table`` reports.  Where an estimator's figures fail, by the
-    same rule, they are NaN and no bias for that estimator alone.  Replicates are sampled in cache-sized blocks and
-    estimated in chunks of up to ``_BLOCK_UNITS``, one after another in the
-    calling thread (see :func:`_replicate_estimates`).  ``jobs`` is accepted
-    for compatibility and has no effect; the report never depended on it.
+    same rule, they are NaN and no bias for that estimator alone.  Replicates
+    are sampled in cache-sized blocks and estimated in chunks of up to
+    ``_BLOCK_UNITS``, one after another in the calling thread (see
+    :func:`_replicate_estimates`).  ``jobs`` is accepted for compatibility
+    and has no effect; the report never depended on it.
     """
     if config.n > frame.N:
         raise DomainError(f"sample size {config.n} exceeds population {frame.N}")

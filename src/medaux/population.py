@@ -104,7 +104,9 @@ DensityMethod = Union[KernelDensity, HistogramDensity, KnownDensity]
 def _sorted_median(sorted_rows: np.ndarray) -> np.ndarray:
     """Median of each row of a row-sorted (K, n) array, as ``np.median``
     computes it: the middle entry, or the middle pair's sum halved, which is
-    numpy's mean of two and overflows to inf for a pair near the float limit."""
+    numpy's mean of two and overflows to inf for a pair near the float limit.
+    For odd n the result is a view into ``sorted_rows``: a caller that then
+    writes over that buffer copies it first."""
     half = sorted_rows.shape[1] // 2
     if sorted_rows.shape[1] % 2:
         return sorted_rows[:, half]
@@ -147,33 +149,38 @@ def _kernel_density_rows(
     depend on which rows share a call.
 
     The sd takes the steps of numpy's two-pass ``np.std(ddof=1)`` and the
-    kernel mean those of ``np.mean``, with the same bits, in two (K, n)
-    buffers: the squared deviations, whose buffer then holds the scaled
-    distances z, and the kernel ``exp(z*-0.5*z)``.
+    kernel mean those of ``np.mean``, with the same bits, and the function
+    allocates no (K, n) array for them: it writes over both arguments where
+    they are C-contiguous (and over C-ordered copies where they are not).
+    Once the quartiles are read, ``sorted_rows`` holds the squared
+    deviations and then the kernel ``exp(z*-0.5*z)``; once the sd is known,
+    ``rows`` holds the scaled distances z.  A caller that still needs either
+    array passes a copy.
     """
     # sums along contiguous rows add up in the same pairwise order as 1-D sums
     rows = np.ascontiguousarray(rows)
+    work = np.ascontiguousarray(sorted_rows)
     n = rows.shape[1]
     with np.errstate(all="ignore"):  # values near the float limit overflow, unwarned
+        q75 = _sorted_quantile(work, 0.75)
+        q25 = _sorted_quantile(work, 0.25)
         mean = np.add.reduce(rows, axis=1, keepdims=True)
         mean /= n
-        z = np.subtract(rows, mean)
-        np.square(z, out=z)
-        sd = np.add.reduce(z, axis=1)
+        np.subtract(rows, mean, out=work)
+        np.square(work, out=work)
+        sd = np.add.reduce(work, axis=1)
         sd /= n - 1
         np.sqrt(sd, out=sd)
-        q75 = _sorted_quantile(sorted_rows, 0.75)
-        q25 = _sorted_quantile(sorted_rows, 0.25)
         h = 0.9 * np.minimum(sd, (q75 - q25) / 1.34) * n ** (-0.2)
         # each row's kernel is independent of the others, so rows with an
         # unusable bandwidth run too and only their densities are dropped
         usable = np.isfinite(h) & (h > 0)
-        np.subtract(points[:, None], rows, out=z)
+        z = np.subtract(points[:, None], rows, out=rows)
         z /= h[:, None]
-        kernel = np.multiply(z, -0.5)
-        kernel *= z
-        np.exp(kernel, out=kernel)
-        kernel_mean = np.add.reduce(kernel, axis=1)
+        np.multiply(z, -0.5, out=work)
+        work *= z
+        np.exp(work, out=work)
+        kernel_mean = np.add.reduce(work, axis=1)
         kernel_mean /= n
         density = np.where(usable, kernel_mean / (h * math.sqrt(2.0 * math.pi)), np.nan)
     return density, h
@@ -198,9 +205,8 @@ def density_at(values, point: float, method: DensityMethod) -> float:
     if isinstance(method, KernelDensity):
         if arr.size < 2:
             raise DomainError("kernel density needs at least 2 observations")
-        density, h = _kernel_density_rows(
-            arr[None, :], np.sort(arr)[None, :], np.array([point])
-        )
+        rows = arr[None, :].copy()  # the kernel writes over its rows
+        density, h = _kernel_density_rows(rows, np.sort(rows), np.array([point]))
         if math.isnan(density[0]):
             raise DegenerateSampleError(
                 f"sample has no spread, bandwidth {float(h[0])!r} is unusable"

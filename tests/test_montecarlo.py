@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import astuple, replace
@@ -514,18 +515,22 @@ class TestRunSimulation:
         expected = [_reference_row(frame, both, params, specs, k) for k in range(300)]
         np.testing.assert_array_equal(got, np.array(expected))
 
-    def test_arithmetic_error_costs_only_its_estimators(self):
+    @staticmethod
+    def _tiny_x_frame() -> PopulationFrame:
         # one x at 1e-300 between the negative and the positive halves: a
         # sample whose x median is that unit has a plug-in cv_x near 1e300,
         # whose square overflows in error_moments; negative x medians give no
-        # plug-in vector at all.  Only the specs resolved per sample lose those
-        # replicates.
+        # plug-in vector at all
         rng = np.random.default_rng(0)
         x = np.concatenate(
             [-rng.uniform(0.5, 1, 99), [1e-300], rng.uniform(0.5, 1, 100)]
         )
         y = 2 * np.abs(x) + 1 + rng.uniform(0.1, 0.2, 200)
-        frame = PopulationFrame(x=x, y=y)
+        return PopulationFrame(x=x, y=y)
+
+    def test_arithmetic_error_costs_only_its_estimators(self):
+        # only the specs resolved per sample lose those replicates
+        frame = self._tiny_x_frame()
         params = compute_params(frame, 3)
         config = SimulationConfig(
             n=3, reps=2000, seed=1, estimators=("M_y", "M_lr", "M_d", "t_m"),
@@ -536,6 +541,23 @@ class TestRunSimulation:
         assert used == {"M_y": 2000, "M_lr": 2000, "M_d": 1018, "t_m": 1018}
         specs = _simulation_specs(config.estimators, params)
         got = montecarlo._replicate_estimates(frame, config, params, specs)
+        expected = [_reference_row(frame, config, params, specs, k) for k in range(2000)]
+        np.testing.assert_array_equal(got, np.array(expected))
+
+    def test_slope_optima_keep_rows_whose_squared_cv_overflows(self):
+        # the normal-equation specs (M_d, t_m) read the error moments, which
+        # fail where cv_x**2 overflows; the slope optima read k_c alone and
+        # keep those 14 replicates, though every spec shares one source
+        frame = self._tiny_x_frame()
+        params = compute_params(frame, 3)
+        names = ("M_d", "t_m", "M_3", "M_4", "M_1", "M_5")
+        config = SimulationConfig(
+            n=3, reps=2000, seed=1, estimators=names, weights="plug-in"
+        )
+        specs = _simulation_specs(names, params)
+        got = montecarlo._replicate_estimates(frame, config, params, specs)
+        used = np.isfinite(got).sum(axis=0).tolist()
+        assert used == [1018, 1018, 1032, 1032, 1032, 1032]
         expected = [_reference_row(frame, config, params, specs, k) for k in range(2000)]
         np.testing.assert_array_equal(got, np.array(expected))
 
@@ -748,6 +770,55 @@ class TestBlockedReplicates:
         np.testing.assert_array_equal(got, np.array(expected))
         assert np.isnan(got[:, 4]).any() and np.isfinite(got[:, 4]).any()
 
+    @pytest.mark.parametrize("n", [3, 9, 101, 4, 100])
+    def test_plug_in_blocks_equal_reference_at_odd_and_even_n(self, n):
+        # at odd n a sample median is a view into the block's sorted rows,
+        # whose buffer the kernel densities then write over; five replicates
+        # per block and a short last block of two
+        frame = make_synthetic(SyntheticSpec(N=400, rho=0.7, seed=n))
+        params = _property_params(frame, n)
+        config = SimulationConfig(
+            n=n, reps=12, seed=n, estimators=_PROPERTY_ESTIMATORS, weights="plug-in"
+        )
+        specs = _simulation_specs(_PROPERTY_ESTIMATORS, params)
+        with mock.patch.object(montecarlo, "_BLOCK_UNITS", 5 * n):
+            got = montecarlo._replicate_estimates(frame, config, params, specs)
+        expected = [_reference_row(frame, config, params, specs, k) for k in range(12)]
+        np.testing.assert_array_equal(got, np.array(expected))
+        assert np.isfinite(got).all()
+
+
+class TestSamplingMemory:
+    def test_a_block_stays_within_its_allocation_budget(self):
+        # a block that frees much at its end lets glibc's malloc hand the top
+        # of the heap back to the kernel, and the next block faults it in
+        # again; tracemalloc's peak bounds what a block can free.  With
+        # extras a block may hold two more (K, n) float arrays than without
+        frame = make_synthetic(SyntheticSpec(N=2000, rho=0.7, seed=1))
+        n = 100
+        K = montecarlo._BLOCK_UNITS // n
+        peaks = {}
+        for extras in (False, True):
+            stream = _replicate_stream(0, 0, n)
+            montecarlo._sample_columns(frame, n, stream, K, extras)  # warm
+            tracemalloc.start()
+            try:
+                montecarlo._sample_columns(frame, n, stream, K, extras)
+                peaks[extras] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] <= 400 * 1024
+        assert peaks[True] <= peaks[False] + 2 * K * n * 8
+
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_block_columns_keep_no_block_buffer(self, n):
+        # a chunk keeps every block's columns until it ends; a median that
+        # is a view (odd n) would keep its block's (K, n) rows with it
+        frame = make_synthetic(SyntheticSpec(N=2000, rho=0.7, seed=1))
+        for extras in (False, True):
+            cols = montecarlo._sample_columns(frame, n, _replicate_stream(0, 0, n), 5, extras)
+            assert [col.flags.owndata for col in cols] == [True] * len(cols)
+
 
 _SCALES = (1e-300, 1e-20, 1.0, 1e20, 1e160, 1e300)
 
@@ -939,6 +1010,15 @@ class TestCallCounts:
         monkeypatch.setattr(
             MedianParams, "__init__", counting("MedianParams", MedianParams.__init__)
         )
+        moments = estimators.moment_values
+
+        def moments_on_rows(ops, params):  # the array backend's calls alone
+            calls["moment_values"] += isinstance(ops, montecarlo._Rows)
+            return moments(ops, params)
+
+        for module in (estimators, montecarlo):
+            if hasattr(module, "moment_values"):
+                monkeypatch.setattr(module, "moment_values", moments_on_rows)
         frame = make_synthetic(SyntheticSpec(N=2000, rho=0.8, seed=4))
         params = compute_params(frame, 100)
         names = ("M_y", "M_r", "M_d", "t_m", "M_lr", "M_3", "t_mq7")
@@ -956,7 +1036,8 @@ class TestCallCounts:
         assert calls["MedianParams"] <= len(names)
         assert calls["point_value"] == chunks * len(names)
         assert calls["optimal_weights"] == len(names) + free * chunks
-
+        # M_d, t_m and t_mq7 solve normal equations, on one set of moments
+        assert calls["moment_values"] == chunks
 
     def test_true_params_weights_are_solved_once_per_run(self, monkeypatch):
         # one solve per spec (none is free for M_y and M_lr), whatever the

@@ -221,7 +221,9 @@ def _bits(values) -> np.ndarray:
 
 
 def _density_rows(rows: np.ndarray, points: np.ndarray):
-    return _kernel_density_rows(rows, np.sort(rows, axis=1), points)
+    """The kernel density on copies, in the rows' own memory order: the
+    kernel writes over its arguments, and the callers read ``rows`` again."""
+    return _kernel_density_rows(np.copy(rows, order="K"), np.sort(rows, axis=1), points)
 
 
 def _sample_rows() -> np.ndarray:
@@ -277,6 +279,13 @@ class TestKernelDensityRows:
         flagged = np.flatnonzero(np.isnan(density)).tolist()
         assert flagged == list(range(20, 30))
         assert (h[20:30] == 0.0).all() and (h[:20] > 0).all()
+
+    def test_density_at_leaves_its_values_alone(self):
+        # the kernel writes over its rows: density_at hands it a copy
+        values = _sample_rows()[0]
+        before = values.copy()
+        density_at(values, float(np.median(values)), KernelDensity())
+        assert _bits(values).tolist() == _bits(before).tolist()
 
     def test_memory_layout_does_not_change_results(self):
         rows = _sample_rows()
