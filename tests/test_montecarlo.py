@@ -816,7 +816,8 @@ class TestSamplingMemory:
         # is a view (odd n) would keep its block's (K, n) rows with it
         frame = make_synthetic(SyntheticSpec(N=2000, rho=0.7, seed=1))
         for extras in (False, True):
-            cols = montecarlo._sample_columns(frame, n, _replicate_stream(0, 0, n), 5, extras)
+            stream = _replicate_stream(0, 0, n)
+            cols = montecarlo._sample_columns(frame, n, stream, 5, extras)
             assert [col.flags.owndata for col in cols] == [True] * len(cols)
 
 
