@@ -28,10 +28,11 @@ frees stays small, with extras or without: with glibc's malloc, freeing
 more let it hand the top of the heap back to the kernel, and the next block
 faulted those pages in again.  The estimator
 stage runs once per chunk of up to ``_BLOCK_UNITS`` replicates, so once for
-a run of up to that many.  Free weights are resolved once per run from the
-true parameters, or per chunk from each sample's plug-in vector, and each
-estimator is evaluated once per chunk on (K,) arrays, by the formulas of
-the scalar ``resolve_weights`` and ``evaluate`` with an array backend (see
+a run of up to that many.  Free weights are solved once per run from the
+true parameters by the float code, the solve the analytic columns read, or
+per chunk from each sample's plug-in vector, and each estimator is evaluated
+once per chunk on (K,) arrays, by the formulas of the scalar
+``resolve_weights`` and ``evaluate`` with an array backend (see
 :mod:`medaux.arith`).  Every per-row result equals the one-replicate
 computation, so reports depend neither on the block or chunk size nor on
 ``jobs``.
@@ -50,6 +51,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .arith import FLOATS
 from .errors import DomainError, MedauxError
 from .estimators import (
     _SLOPE_OPTIMA,
@@ -60,8 +62,8 @@ from .estimators import (
     point_value,
     preset,
 )
-from .expansion import moment_values
-from .mse import analytic_figures
+from .expansion import error_moments, moment_values
+from .mse import _figures
 from .parameters import MedianParams, derive_params
 from .population import (
     PopulationFrame,
@@ -479,9 +481,11 @@ def _replicate_estimates(
     frame: PopulationFrame,
     config: SimulationConfig,
     params: MedianParams,
-    specs: tuple[EstimatorSpec, ...],
+    specs: tuple,
 ) -> np.ndarray:
-    """(reps, len(specs)) estimates, NaN where an estimator failed.
+    """(reps, len(specs)) estimates, NaN where an estimator failed.  Free
+    scalars left in a spec are solved per sample, and a ``None`` spec fails
+    every replicate (see :func:`_estimate_columns`).
 
     The run is cut into chunks of at most ``_BLOCK_UNITS`` replicates.  The
     sampling stage fills a chunk's columns in blocks of ``_BLOCK_UNITS // n``
@@ -489,8 +493,6 @@ def _replicate_estimates(
     generator; the estimator stage then makes one :func:`_estimate_columns`
     call on the whole chunk.
     """
-    if config.weights == "true-params":
-        specs = tuple(_resolve_true_params(params, s) for s in specs)
     n = config.n
     extras = n >= 2 and any(  # a kernel density needs two observations
         s is not None and (s.family == REGRESSION or free_scalars(s)) for s in specs
@@ -509,27 +511,18 @@ def _replicate_estimates(
     return np.concatenate(chunks)
 
 
-def _resolve_true_params(params: MedianParams, spec) -> SimpleNamespace | None:
-    """The spec with its free weights solved from the true ``params``, or
-    ``None`` where that fails.  It reads no sample, so it runs once per run,
-    by the block backend on one row: the weights have the bits of a per-row
-    solve, and a failure, raised or marked, costs the spec every replicate.
-    """
-    rows = _Rows(np.zeros(1, dtype=bool))
+def _true_optimum(params: MedianParams, spec: EstimatorSpec) -> tuple:
+    """(The spec with its free weights solved from the true ``params``, or
+    ``None`` where that fails; its analytic (MSE, bias), or (NaN, None) where
+    the solve or the figures fail.)  This is the run's one solve of the spec,
+    by the float code: the blocks run it under ``true-params``, and the
+    analytic columns are its figures under either policy."""
+    solved = None
     try:
-        with np.errstate(all="ignore"):
-            found = optimal_weights(rows, spec, params)
+        solved = SimpleNamespace(**{**vars(spec), **optimal_weights(FLOATS, spec, params)})
+        return solved, _figures(params, solved, error_moments(params))
     except (MedauxError, ArithmeticError):
-        return None
-    return None if rows.bad[0] else SimpleNamespace(**{**vars(spec), **found})
-
-
-def _figures_or_nan(params: MedianParams, spec: EstimatorSpec) -> tuple:
-    """The estimator's analytic (MSE, bias), or (NaN, None) where they fail."""
-    try:
-        return analytic_figures(params, [spec])[0]
-    except (MedauxError, ArithmeticError):
-        return math.nan, None
+        return solved, (math.nan, None)
 
 
 def _aggregate(col: np.ndarray, target: float) -> tuple[int, float, float, float]:
@@ -562,10 +555,11 @@ def run_simulation(
     regression estimator always uses its per-sample slope.  Replicates
     where an estimator fails are excluded from that estimator's
     aggregates and surfaced as failure counts; one whose true-params
-    optimum is undefined fails every replicate, and no other loses one.  The
-    analytic columns are :func:`medaux.mse.analytic_figures` of the presets,
-    the values ``table`` reports.  Where an estimator's figures fail, by the
-    same rule, they are NaN and no bias for that estimator alone.  Replicates
+    optimum is undefined fails every replicate, and no other loses one.  Each
+    preset is solved once from ``params`` (:func:`_true_optimum`), and the
+    analytic columns are the figures of that solve, the values ``table``
+    reports.  Where an estimator's figures fail, by the same rule, they are
+    NaN and no bias for that estimator alone.  Replicates
     are sampled in cache-sized blocks and estimated in chunks of up to
     ``_BLOCK_UNITS``, one after another in the calling thread (see
     :func:`_replicate_estimates`).  ``jobs`` is accepted for compatibility
@@ -577,10 +571,12 @@ def run_simulation(
         raise DomainError(f"jobs must be positive, got {jobs}")
 
     specs = tuple(preset(name, params) for name in config.estimators)
+    solved, figures = zip(*(_true_optimum(params, s) for s in specs))
+    if config.weights == "true-params":
+        specs = solved
     estimates = _replicate_estimates(frame, config, params, specs)
 
     target = finite_median(frame.y)
-    figures = [_figures_or_nan(params, s) for s in specs]
     results = []
     for j, (name, (ana_mse, ana_bias)) in enumerate(zip(config.estimators, figures)):
         used, emp_bias, emp_mse, se = _aggregate(estimates[:, j], target)

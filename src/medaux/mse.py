@@ -1,13 +1,13 @@
 """Analytic table rows, efficiencies and dominance checks.
 
-Every analytic MSE and bias comes from one function, :func:`analytic_figures`,
-which :func:`table_rows`, :func:`dominance_checks` and
-:func:`medaux.montecarlo.run_simulation` all call with unresolved specs.  An
-estimator's figures are the first-order MSE and bias of its spec with the
-free scalars at their optimum (see :func:`medaux.estimators.resolve_weights`),
-from its own expansion coefficients, ``mse_from_coeffs(coeffs_of(spec))``;
-``analytic_figures`` resolves each spec itself.  So a dominance margin is
-exactly the difference of two table values, and ``simulate`` reports the
+Every analytic MSE and bias comes from one per-spec function, ``_figures``:
+the first-order MSE and bias of a spec with its free scalars at their optimum
+(see :func:`medaux.estimators.resolve_weights`), from its own expansion
+coefficients, ``mse_from_coeffs(coeffs_of(spec))``.  :func:`table_rows` and
+:func:`dominance_checks` read it through :func:`analytic_figures`, which
+resolves each spec itself, and :func:`medaux.montecarlo.run_simulation`
+calls it on the weights it solved for its replicates.  So a dominance margin
+is exactly the difference of two table values, and ``simulate`` reports the
 values ``table`` does.  The MSE of a ``CROSS_TERM_FAMILIES`` spec (``M_d4``)
 adds the cross term 2 c0 (bias - c0), the objective its weights minimise.
 
@@ -98,23 +98,23 @@ def pre(analytic_mse: float, baseline_var: float) -> float:
 def analytic_figures(
     params: MedianParams, specs: Sequence[EstimatorSpec]
 ) -> list[tuple[float, float | None]]:
-    """Analytic (MSE, bias) of each estimator spec, in order.
-
-    Each spec is resolved at ``params`` (:func:`resolve_weights`), and its
-    figures are the first-order MSE and bias from its expansion
-    coefficients, with the error moments computed once; a family of
-    ``CROSS_TERM_FAMILIES`` adds 2 c0 (bias - c0) to the MSE.
-    """
+    """Analytic (MSE, bias) of each estimator spec, in order: the
+    :func:`_figures` of each spec resolved at ``params``
+    (:func:`resolve_weights`), with the error moments computed once."""
     moments = error_moments(params)
-    figures: list[tuple[float, float | None]] = []
-    for spec in specs:
-        coeffs = coeffs_of(resolve_weights(spec, params), params)
-        mse = mse_from_coeffs(coeffs, moments)
-        bias = bias_from_coeffs(coeffs, moments)
-        if spec.family in CROSS_TERM_FAMILIES:
-            mse += 2.0 * coeffs.c0 * (bias - coeffs.c0)
-        figures.append((mse, bias))
-    return figures
+    return [_figures(params, resolve_weights(spec, params), moments) for spec in specs]
+
+
+def _figures(params: MedianParams, spec, moments) -> tuple[float, float]:
+    """(MSE, bias) of a spec whose free scalars are filled: the first-order
+    figures from its expansion coefficients, where a family of
+    ``CROSS_TERM_FAMILIES`` adds 2 c0 (bias - c0) to the MSE."""
+    coeffs = coeffs_of(spec, params)
+    mse = mse_from_coeffs(coeffs, moments)
+    bias = bias_from_coeffs(coeffs, moments)
+    if spec.family in CROSS_TERM_FAMILIES:
+        mse += 2.0 * coeffs.c0 * (bias - coeffs.c0)
+    return mse, bias
 
 
 # ---------------------------------------------------------------------------

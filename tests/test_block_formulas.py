@@ -24,7 +24,7 @@ from medaux import (
     preset,
     resolve_weights,
 )
-from medaux.montecarlo import _estimate_columns, _resolve_true_params, _Rows
+from medaux.montecarlo import _estimate_columns, _Rows, _true_optimum
 
 # on glibc x86-64, np.square(x) differs from x**2 in the last bit here
 SQUARE_MISMATCHES = (0.7294710334644697, 2.748468390860962, 1.7836106789439197)
@@ -181,7 +181,7 @@ def test_block_column_equals_scalar_calls(weights, data):
     plug_in = weights == "plug-in"
     specs = _family_specs(params)
     # true-params weights are solved once per run, before the blocks
-    block_specs = specs if plug_in else [_resolve_true_params(params, s) for s in specs]
+    block_specs = specs if plug_in else [_true_optimum(params, s)[0] for s in specs]
 
     got = _estimate_columns(params, tuple(block_specs), my, mx, extras)
     for r in range(K):

@@ -588,10 +588,13 @@ class TestRunSimulation:
         with pytest.raises(DomainError, match=r"^need 1 - gamma\*cv_x\^2 > 0"):
             table_rows(params, ["M_y", "M_d4"])
 
-    def test_analytic_columns_match_table(self):
+    @pytest.mark.parametrize("weights", ["true-params", "plug-in"])
+    def test_analytic_columns_match_table(self, weights):
         frame = _small_frame(N=80, seed=6)
         params = compute_params(frame, 20)
-        config = SimulationConfig(n=20, reps=2, seed=1, estimators=PRESET_NAMES)
+        config = SimulationConfig(
+            n=20, reps=2, seed=1, estimators=PRESET_NAMES, weights=weights
+        )
         report = run_simulation(frame, config, params)
         rows = table_rows(params, PRESET_NAMES)
         for result, row in zip(report.results, rows, strict=True):
@@ -655,8 +658,16 @@ _PROPERTY_ESTIMATORS = ("M_y", "M_r", "M_d", "t_m", "M_lr", "t_mq7")
 
 
 def _simulation_specs(names, params):
-    """The specs ``run_simulation`` hands to the replicate blocks, unresolved."""
+    """The presets ``run_simulation`` starts from, unresolved."""
     return tuple(preset(name, params) for name in names)
+
+
+def _block_specs(config, params, specs):
+    """The specs ``run_simulation`` hands to the replicate blocks: under
+    true-params each solved from ``params``, ``None`` where that fails."""
+    if config.weights == "plug-in":
+        return specs
+    return tuple(montecarlo._true_optimum(params, s)[0] for s in specs)
 
 
 def _reference_row(frame, config, params, specs, k):
@@ -744,8 +755,9 @@ class TestBlockedReplicates:
             n=n, reps=reps, seed=seed, estimators=_PROPERTY_ESTIMATORS, weights=weights
         )
         specs = _simulation_specs(_PROPERTY_ESTIMATORS, params)
+        blocks = _block_specs(config, params, specs)
         with mock.patch.object(montecarlo, "_BLOCK_UNITS", units):
-            got = montecarlo._replicate_estimates(frame, config, params, specs)
+            got = montecarlo._replicate_estimates(frame, config, params, blocks)
         expected = [_reference_row(frame, config, params, specs, k) for k in range(reps)]
         np.testing.assert_array_equal(got, np.array(expected))
 
@@ -765,7 +777,8 @@ class TestBlockedReplicates:
             weights=weights,
         )
         specs = _simulation_specs(_PROPERTY_ESTIMATORS, params)
-        got = montecarlo._replicate_estimates(frame, config, params, specs)
+        blocks = _block_specs(config, params, specs)
+        got = montecarlo._replicate_estimates(frame, config, params, blocks)
         expected = [_reference_row(frame, config, params, specs, k) for k in range(reps)]
         np.testing.assert_array_equal(got, np.array(expected))
         assert np.isnan(got[:, 4]).any() and np.isfinite(got[:, 4]).any()
@@ -919,8 +932,9 @@ class TestEstimatorIndependence:
         names = ("M_y", "M_r", *failing, "M_3")
         config = SimulationConfig(n=4, reps=50, seed=5, estimators=names)
         specs = _simulation_specs(names, params)
+        blocks = _block_specs(config, params, specs)
         with mock.patch.object(montecarlo, "_BLOCK_UNITS", 3 * 4):
-            got = montecarlo._replicate_estimates(frame, config, params, specs)
+            got = montecarlo._replicate_estimates(frame, config, params, blocks)
             results = run_simulation(frame, config, params).results
         expected = [_reference_row(frame, config, params, specs, k) for k in range(50)]
         np.testing.assert_array_equal(got, np.array(expected))
@@ -1041,16 +1055,21 @@ class TestCallCounts:
         assert calls["moment_values"] == chunks
 
     def test_true_params_weights_are_solved_once_per_run(self, monkeypatch):
-        # one solve per spec (none is free for M_y and M_lr), whatever the
-        # number of blocks
+        # one solve per free spec (none for M_y and M_lr) serves the blocks
+        # and the analytic columns, whatever the number of blocks: a solve is
+        # a call that finds weights, at either binding site
+        from medaux import estimators
+
         calls = Counter()
-        solve = montecarlo.optimal_weights
+        solve = estimators.optimal_weights
 
         def counted(*args):
-            calls["optimal_weights"] += 1
-            return solve(*args)
+            found = solve(*args)
+            calls["solves"] += bool(found)
+            return found
 
-        monkeypatch.setattr(montecarlo, "optimal_weights", counted)
+        for module in (estimators, montecarlo):
+            monkeypatch.setattr(module, "optimal_weights", counted)
         frame = _small_frame(N=200, seed=4)
         params = compute_params(frame, 10)
         names = ("M_y", "M_d", "t_m", "M_3", "M_lr")
@@ -1060,8 +1079,8 @@ class TestCallCounts:
                 calls.clear()
                 config = SimulationConfig(n=10, reps=reps, estimators=names)
                 run_simulation(frame, config, params)
-                counts.append(calls["optimal_weights"])
-        assert counts == [len(names)] * 2
+                counts.append(calls["solves"])
+        assert counts == [3, 3]
 
 
 class TestMakeSynthetic:

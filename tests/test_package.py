@@ -76,6 +76,8 @@ def test_module_level_public_names_are_exported():
         (estimators, "ratio_exp_form"),
         (expansion, "check_moments"),  # derived moments are valid by construction
         (mse, "min_mse_ss4"),  # M_d4's row comes from its own coefficients
+        (montecarlo, "_resolve_true_params"),  # one float solve per spec per run
+        (montecarlo, "_figures_or_nan"),  # its figures come from that same solve
     ],
 )
 def test_removed_names_stay_removed(owner, name):
@@ -197,7 +199,7 @@ def _calls_in(tree: ast.AST) -> list[str]:
 
 
 def test_analytic_figures_have_one_route():
-    # run_simulation reads its analytic columns from mse.analytic_figures,
+    # run_simulation reads its analytic columns from mse's per-spec figures,
     # and nothing in the package names a paper formula: M_d4 included, every
     # row comes from the estimator's own coefficients, whatever its label
     src = pathlib.Path(mse.__file__).parent
@@ -213,8 +215,8 @@ def test_analytic_figures_have_one_route():
 
 def test_the_engine_resolves_weights_in_its_blocks_alone():
     # run_simulation calls no resolve_weights: true-params weights are solved
-    # once per run and plug-in weights per chunk, both through
-    # optimal_weights on the array backend
+    # once per run by the float backend, and plug-in weights per chunk by the
+    # array backend, both through optimal_weights
     calls = _calls(pathlib.Path(montecarlo.__file__))
     assert "resolve_weights" not in calls and "optimal_weights" in calls
 
