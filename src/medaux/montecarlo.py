@@ -15,18 +15,20 @@ rows or steps: one sort of each row's targets, and pointer doubling on the
 few repeated or low targets it finds, give what the sequential swaps would
 give (see :func:`_swap_rows`).  It then takes the sample medians, p11 and
 kernel densities of the whole block on (K, n) arrays and passes on only
-their (K,) columns.  Each sample variable is sorted once per block; the
-medians and the quartiles of the kernel bandwidths are read from the sorted
-rows, by the rules of ``np.median`` and ``np.percentile``.  A block builds
-few (K, n) arrays: the targets reuse the block's words, the sort keys are
-int32 wherever ``N << b < 2**31`` (b the bit length of n), and the samples
-are written over the targets.  Without extras the gathered rows are sorted
-in place; with them one more buffer holds each variable's sorted rows and
-then its kernel terms, and the kernel's scaled distances are written over
-the gathered rows (see :func:`_sample_columns`).  So the memory a block
-frees stays small, with extras or without: with glibc's malloc, freeing
-more let it hand the top of the heap back to the kernel, and the next block
-faulted those pages in again.  The estimator
+their (K,) columns.  No float value is sorted per block: the frame sorts
+each of its columns once (its order table), a block takes its samples'
+ranks in that order, int16 up to N = 2**14, and sorts those along its rows,
+and the medians and the quartiles of the kernel bandwidths are the sorted
+columns' values at the sorted ranks, by the rules of ``np.median`` and
+``np.percentile``.  A block builds few (K, n) arrays: the targets reuse the
+block's words, the sort keys are int32 wherever ``N << b < 2**31`` (b the
+bit length of n), and the samples are written over the targets.  Without
+extras no sampled value is gathered; with them the values are gathered for
+p11 and the kernel, whose scaled distances are written over them (see
+:func:`_sample_columns`).  So the memory a block frees stays small, with
+extras or without: with glibc's malloc, freeing more let it hand the top of
+the heap back to the kernel, and the next block faulted those pages in
+again.  The estimator
 stage runs once per chunk of up to ``_BLOCK_UNITS`` replicates, so once for
 a run of up to that many.  Free weights are solved once per run from the
 true parameters by the float code, the solve the analytic columns read, or
@@ -51,7 +53,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .arith import FLOATS
 from .errors import DomainError, MedauxError
 from .estimators import (
     _SLOPE_OPTIMA,
@@ -63,13 +64,14 @@ from .estimators import (
     preset,
 )
 from .expansion import error_moments, moment_values
-from .mse import _figures
+from .mse import _figures, _solved
 from .parameters import MedianParams, derive_params
 from .population import (
     PopulationFrame,
+    _frame_medians,
     _kernel_density_rows,
     _sorted_median,
-    finite_median,
+    _sorted_quantile,
 )
 
 __all__ = [
@@ -374,38 +376,45 @@ def _sample_columns(
     ``extras`` asks for them.
 
     Samples, medians, p11 and kernel densities are computed on (K, n)
-    arrays, the medians and the quartiles from one sort of each variable.
-    Without ``extras`` the gathered rows are sorted in place.  With them,
-    p11 and the kernel densities also read the rows unsorted, and one more
-    (K, n) buffer serves each variable in turn: it holds the variable's
-    sorted rows and then its squared deviations and kernel, while the rows
-    themselves take the kernel's scaled distances.  So p11's mask is built
-    from each variable's rows before its kernel density runs.  The medians
-    are copies: at odd n :func:`_sorted_median` gives a view into the sorted
-    rows, which the kernel densities overwrite, and which a chunk would
-    otherwise keep allocated with its blocks' columns until it ends.
+    arrays.  The medians and the quartiles come from the frame's order
+    table (see :attr:`PopulationFrame._order`): the sampled units' ranks,
+    taken into one (2K, n) block, y's rows over x's, and sorted along its
+    rows as narrow integers, put each sample in order, so the statistic at
+    sorted position j is ``values[block[:, j]]``; no float row is sorted.
+    Without ``extras`` no sampled value is gathered at all.  With them, p11
+    and the kernel densities read the sampled values in sample order, which
+    sets the last bits of the sd and the kernel sums; they are gathered
+    once the ranks are freed, and the targets are freed before the kernel
+    allocates its work buffer, so the block frees little at its end.  The
+    columns are new arrays: a chunk keeps them until it ends, and a view
+    would keep its block's buffer with them.
     """
     N = frame.N
+    ranks, values = frame._order
     idx = _swap_rows(_swap_targets(stream, K, n, N), N)
-    ys, xs = frame.y[idx], frame.x[idx]
-    del idx  # freed before the block allocates its sorted rows
+    block = np.empty((2, K, n), dtype=ranks.dtype)
+    # a take per row is faster than one along axis 1 in int16; the targets
+    # lie in [0, N), and "clip" skips the copy of ``out`` that "raise" makes
+    for r in (0, 1):
+        np.take(ranks[r], idx, out=block[r], mode="clip")
+    block = block.reshape(2 * K, n)
+    block.sort(axis=1)
     # an overflowing median is inf in its row, which every spec then loses;
     # an overflowing bandwidth gives a NaN density, which the row's plug-in
     # specs lose
     with np.errstate(all="ignore"):
+        my = _sorted_median(values, block[:K])
+        mx = _sorted_median(values, block[K:])
         if not extras:
-            ys.sort(axis=1)
-            xs.sort(axis=1)
-            return _sorted_median(ys).copy(), _sorted_median(xs).copy()
-        work = np.sort(ys, axis=1)
-        my = _sorted_median(work).copy()
+            return my, mx
+        q25, q75 = (_sorted_quantile(values, block, q) for q in (0.25, 0.75))
+        del block
+        ys, xs = np.take(frame.y, idx), np.take(frame.x, idx)
+        del idx
         below = ys <= my[:, None]
-        fy, _ = _kernel_density_rows(ys, work, my)
-        np.copyto(work, xs)
-        work.sort(axis=1)
-        mx = _sorted_median(work).copy()
         below &= xs <= mx[:, None]
-        fx, _ = _kernel_density_rows(xs, work, mx)
+        fy, _ = _kernel_density_rows(ys, q25[:K], q75[:K], my)
+        fx, _ = _kernel_density_rows(xs, q25[K:], q75[K:], mx)
     return my, mx, np.count_nonzero(below, axis=1) / n, fy, fx
 
 
@@ -511,16 +520,21 @@ def _replicate_estimates(
     return np.concatenate(chunks)
 
 
-def _true_optimum(params: MedianParams, spec: EstimatorSpec) -> tuple:
+def _true_optimum(params: MedianParams, spec: EstimatorSpec, moments=None) -> tuple:
     """(The spec with its free weights solved from the true ``params``, or
     ``None`` where that fails; its analytic (MSE, bias), or (NaN, None) where
     the solve or the figures fail.)  This is the run's one solve of the spec,
     by the float code: the blocks run it under ``true-params``, and the
-    analytic columns are its figures under either policy."""
+    analytic columns are its figures under either policy.  ``moments`` is
+    :func:`error_moments` of ``params``, derived once per run, or ``None``
+    to derive them here: where they overflow, the spec then fails wherever
+    it reads them, in the solve or only in the figures."""
     solved = None
     try:
-        solved = SimpleNamespace(**{**vars(spec), **optimal_weights(FLOATS, spec, params)})
-        return solved, _figures(params, solved, error_moments(params))
+        solved = _solved(params, spec, moments)
+        if moments is None:
+            moments = error_moments(params)
+        return solved, _figures(params, solved, moments)
     except (MedauxError, ArithmeticError):
         return solved, (math.nan, None)
 
@@ -571,12 +585,16 @@ def run_simulation(
         raise DomainError(f"jobs must be positive, got {jobs}")
 
     specs = tuple(preset(name, params) for name in config.estimators)
-    solved, figures = zip(*(_true_optimum(params, s) for s in specs))
+    try:
+        moments = error_moments(params)
+    except DomainError:  # a squared cv overflows
+        moments = None
+    solved, figures = zip(*(_true_optimum(params, s, moments) for s in specs))
     if config.weights == "true-params":
         specs = solved
     estimates = _replicate_estimates(frame, config, params, specs)
 
-    target = finite_median(frame.y)
+    target, _ = _frame_medians(frame)
     results = []
     for j, (name, (ana_mse, ana_bias)) in enumerate(zip(config.estimators, figures)):
         used, emp_bias, emp_mse, se = _aggregate(estimates[:, j], target)

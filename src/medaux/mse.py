@@ -5,11 +5,13 @@ the first-order MSE and bias of a spec with its free scalars at their optimum
 (see :func:`medaux.estimators.resolve_weights`), from its own expansion
 coefficients, ``mse_from_coeffs(coeffs_of(spec))``.  :func:`table_rows` and
 :func:`dominance_checks` read it through :func:`analytic_figures`, which
-resolves each spec itself, and :func:`medaux.montecarlo.run_simulation`
-calls it on the weights it solved for its replicates.  So a dominance margin
-is exactly the difference of two table values, and ``simulate`` reports the
-values ``table`` does.  The MSE of a ``CROSS_TERM_FAMILIES`` spec (``M_d4``)
-adds the cross term 2 c0 (bias - c0), the objective its weights minimise.
+solves each spec itself (``_solved``), and
+:func:`medaux.montecarlo.run_simulation` calls both for the weights of its
+replicates; each call derives the error moments once.  So a dominance
+margin is exactly the difference of two table values, and ``simulate``
+reports the values ``table`` does.  The MSE of a ``CROSS_TERM_FAMILIES``
+spec (``M_d4``) adds the cross term 2 c0 (bias - c0), the objective its
+weights minimise.
 
 The paper's closed forms (the difference and shrinkage minima, ``M_d4``'s
 included, e.g. ``b^2 * V_res / (b^2 + V_res)`` for the two-weight class with
@@ -22,6 +24,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .arith import FLOATS
 from .errors import DomainError, InfiniteEfficiencyWarning
@@ -30,10 +33,16 @@ from .estimators import (
     EstimatorSpec,
     RATIO_EXP,
     coeffs_of,
+    optimal_weights,
     preset,
-    resolve_weights,
 )
-from .expansion import bias_from_coeffs, check_squares, error_moments, mse_from_coeffs
+from .expansion import (
+    ErrorMoments,
+    bias_from_coeffs,
+    check_squares,
+    error_moments,
+    mse_from_coeffs,
+)
 from .parameters import MedianParams
 
 __all__ = [
@@ -99,10 +108,20 @@ def analytic_figures(
     params: MedianParams, specs: Sequence[EstimatorSpec]
 ) -> list[tuple[float, float | None]]:
     """Analytic (MSE, bias) of each estimator spec, in order: the
-    :func:`_figures` of each spec resolved at ``params``
-    (:func:`resolve_weights`), with the error moments computed once."""
+    :func:`_figures` of each spec solved at ``params`` (:func:`_solved`),
+    with the error moments derived once for all of them."""
     moments = error_moments(params)
-    return [_figures(params, resolve_weights(spec, params), moments) for spec in specs]
+    return [_figures(params, _solved(params, spec, moments), moments) for spec in specs]
+
+
+def _solved(params: MedianParams, spec, moments: ErrorMoments | None):
+    """The spec with its free scalars at the optimum :func:`resolve_weights`
+    fills in, as a namespace.  ``moments`` is :func:`error_moments` of
+    ``params``, or ``None`` to derive them where the normal equations read
+    them (and fail there where they overflow)."""
+    if moments is not None:
+        moments = (moments.var_e0, moments.var_e1, moments.cov_e0e1)
+    return SimpleNamespace(**{**vars(spec), **optimal_weights(FLOATS, spec, params, moments)})
 
 
 def _figures(params: MedianParams, spec, moments) -> tuple[float, float]:

@@ -1,10 +1,12 @@
 """Finite populations: frames, point densities and parameter extraction.
 
 A :class:`PopulationFrame` holds the paired ``(x, y)`` values of all N units,
-read from CSV by :func:`load_population`.  :func:`compute_params` condenses a
-frame into the :class:`~medaux.parameters.MedianParams` vector: the two
-medians, the densities at them (Gaussian kernel, histogram, or a known value)
-and the concordance share ``p11`` of units at or below both medians.
+read from CSV by :func:`load_population`, and sorts each column once into
+its order table, which the medians here and the sampling blocks of
+:mod:`medaux.montecarlo` read.  :func:`compute_params` condenses a frame into
+the :class:`~medaux.parameters.MedianParams` vector: the two medians, the
+densities at them (Gaussian kernel, histogram, or a known value) and the
+concordance share ``p11`` of units at or below both medians.
 
 This is the numpy half of the population code; the parameter vector and its
 JSON loader are pure Python in :mod:`medaux.parameters`, so that the analytic
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -43,14 +46,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PopulationFrame:
-    """Paired (x, y) values for all N units of a finite population."""
+    """Paired (x, y) values for all N units of a finite population, as
+    read-only copies, with their order table (:attr:`_order`)."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        # copies: a caller's array, or another view of its memory, could
+        # change under the frame and its cached order table
+        x = np.array(self.x, dtype=float)
+        y = np.array(self.y, dtype=float)
         if x.ndim != 1 or y.ndim != 1:
             raise DomainError("population columns must be one-dimensional")
         if x.shape != y.shape:
@@ -69,6 +75,43 @@ class PopulationFrame:
     @property
     def N(self) -> int:
         return int(self.x.size)
+
+    @cached_property
+    def _order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The frame's order table, built on first use: (ranks, values).
+
+        ``ranks`` is (2, N): row 0 holds each unit's rank in a stable sort of
+        y, row 1 its rank in a stable sort of x plus N, in
+        :func:`_rank_dtype` of N.  ``values`` is (2N,): y sorted, then x
+        sorted, so ``values[ranks]`` is the frame's columns again, and a
+        row of ranks sorted is its values sorted.  Tied units have distinct
+        ranks and equal values, so a statistic read off sorted ranks is the
+        one read off sorted values.  The table takes 16 bytes per unit for
+        the values and 4, 8 or 16 for the ranks.  It is safe to keep: the
+        frame is frozen, and its columns are read-only copies that nothing
+        else holds, so they never change after it is built; a frame from
+        :func:`dataclasses.replace` builds its own.
+        """
+        N = self.N
+        ranks = np.empty((2, N), dtype=_rank_dtype(N))
+        values = np.empty(2 * N)
+        for r, column in enumerate((self.y, self.x)):
+            order = np.argsort(column, kind="stable")
+            ranks[r, order] = np.arange(r * N, (r + 1) * N)
+            np.take(column, order, out=values[r * N : (r + 1) * N])
+        ranks.setflags(write=False)
+        values.setflags(write=False)
+        return ranks, values
+
+
+def _rank_dtype(N: int) -> type:
+    """The narrowest signed integer type that holds the ranks 0..2N-1 of an
+    order table of N units: int16 up to N = 2**14, int32 up to 2**30, else
+    int64."""
+    for dtype in (np.int16, np.int32):
+        if 2 * N <= np.iinfo(dtype).max + 1:
+            return dtype
+    return np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -101,34 +144,35 @@ class KnownDensity:
 DensityMethod = Union[KernelDensity, HistogramDensity, KnownDensity]
 
 
-def _sorted_median(sorted_rows: np.ndarray) -> np.ndarray:
-    """Median of each row of a row-sorted (K, n) array, as ``np.median``
-    computes it: the middle entry, or the middle pair's sum halved, which is
-    numpy's mean of two and overflows to inf for a pair near the float limit.
-    For odd n the result is a view into ``sorted_rows``: a caller that then
-    writes over that buffer copies it first."""
-    half = sorted_rows.shape[1] // 2
-    if sorted_rows.shape[1] % 2:
-        return sorted_rows[:, half]
-    return (sorted_rows[:, half - 1] + sorted_rows[:, half]) / 2
+def _sorted_median(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Median of each row of ``values[ranks]``, a (K, n) block whose rows
+    are sorted, as ``np.median`` computes it: the middle entry, or the middle
+    pair's sum halved, which is numpy's mean of two and overflows to inf for
+    a pair near the float limit.  Only the middle columns are gathered, and
+    the result is a new array."""
+    half = ranks.shape[1] // 2
+    if ranks.shape[1] % 2:
+        return values[ranks[:, half]]
+    return (values[ranks[:, half - 1]] + values[ranks[:, half]]) / 2
 
 
-def _sorted_quantile(sorted_rows: np.ndarray, q: float) -> np.ndarray:
-    """Quantile q of each row of a row-sorted (K, n) array by numpy's
-    default ``linear`` rule (Hyndman and Fan's type 7), bit for bit.
+def _sorted_quantile(values: np.ndarray, ranks: np.ndarray, q: float) -> np.ndarray:
+    """Quantile q of each row of ``values[ranks]``, a (K, n) block whose rows
+    are sorted, by numpy's default ``linear`` rule (Hyndman and Fan's type
+    7), bit for bit.
 
     The virtual index is (n - 1) * q, and numpy's ``_lerp`` interpolates
     from the nearer of its two neighbours.  At the last index numpy takes
     the last entry for both and counts the weight from index -1.
     """
-    n = sorted_rows.shape[1]
+    n = ranks.shape[1]
     index = (n - 1) * q
     below = math.floor(index)
     above = below + 1
     if index >= n - 1:
         below = above = -1
     t = index - below
-    a, b = sorted_rows[:, below], sorted_rows[:, above]
+    a, b = values[ranks[:, below]], values[ranks[:, above]]
     diff = b - a
     if t >= 0.5:
         return b - diff * (1 - t)
@@ -136,34 +180,30 @@ def _sorted_quantile(sorted_rows: np.ndarray, q: float) -> np.ndarray:
 
 
 def _kernel_density_rows(
-    rows: np.ndarray, sorted_rows: np.ndarray, points: np.ndarray
+    rows: np.ndarray, q25: np.ndarray, q75: np.ndarray, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian kernel density of each row of ``rows`` at its entry of ``points``.
 
-    ``rows`` is a (K, n) array of finite values with n >= 2, and
-    ``sorted_rows`` the same rows each sorted, from which the quartiles of
-    the bandwidth are read.  The sd and the kernel sum run on ``rows``, whose
-    order sets their last bits.  Returns the densities and the bandwidths; a
-    row whose bandwidth is not finite and positive gets a NaN density.  Every
-    row goes through the same arithmetic as a one-row call, so results do not
-    depend on which rows share a call.
+    ``rows`` is a (K, n) array of finite values with n >= 2, and ``q25`` and
+    ``q75`` the (K,) quartiles of its rows (:func:`_sorted_quantile`), whose
+    difference is the IQR of the bandwidth.  The sd and the kernel sum run
+    on ``rows``, whose order sets their last bits.  Returns the densities
+    and the bandwidths; a row whose bandwidth is not finite and positive
+    gets a NaN density.  Every row goes through the same arithmetic as a
+    one-row call, so results do not depend on which rows share a call.
 
     The sd takes the steps of numpy's two-pass ``np.std(ddof=1)`` and the
-    kernel mean those of ``np.mean``, with the same bits, and the function
-    allocates no (K, n) array for them: it writes over both arguments where
-    they are C-contiguous (and over C-ordered copies where they are not).
-    Once the quartiles are read, ``sorted_rows`` holds the squared
-    deviations and then the kernel ``exp(z*-0.5*z)``; once the sd is known,
-    ``rows`` holds the scaled distances z.  A caller that still needs either
-    array passes a copy.
+    kernel mean those of ``np.mean``, with the same bits, in one (K, n) work
+    buffer, which holds the squared deviations and then the kernel
+    ``exp(z*-0.5*z)``.  Once the sd is known, the scaled distances z are
+    written over ``rows`` where it is C-contiguous (over a C-ordered copy
+    where it is not).  A caller that still needs ``rows`` passes a copy.
     """
     # sums along contiguous rows add up in the same pairwise order as 1-D sums
     rows = np.ascontiguousarray(rows)
-    work = np.ascontiguousarray(sorted_rows)
+    work = np.empty_like(rows)
     n = rows.shape[1]
     with np.errstate(all="ignore"):  # values near the float limit overflow, unwarned
-        q75 = _sorted_quantile(work, 0.75)
-        q25 = _sorted_quantile(work, 0.25)
         mean = np.add.reduce(rows, axis=1, keepdims=True)
         mean /= n
         np.subtract(rows, mean, out=work)
@@ -206,7 +246,10 @@ def density_at(values, point: float, method: DensityMethod) -> float:
         if arr.size < 2:
             raise DomainError("kernel density needs at least 2 observations")
         rows = arr[None, :].copy()  # the kernel writes over its rows
-        density, h = _kernel_density_rows(rows, np.sort(rows), np.array([point]))
+        ordered, ranks = np.sort(arr), np.arange(arr.size)[None, :]
+        with np.errstate(all="ignore"):  # quartiles near the float limit overflow
+            q25, q75 = (_sorted_quantile(ordered, ranks, q) for q in (0.25, 0.75))
+        density, h = _kernel_density_rows(rows, q25, q75, np.array([point]))
         if math.isnan(density[0]):
             raise DegenerateSampleError(
                 f"sample has no spread, bandwidth {float(h[0])!r} is unusable"
@@ -253,7 +296,16 @@ def finite_median(values) -> float:
         raise DomainError("median of an empty collection is undefined")
     if not np.isfinite(arr).all():
         raise DomainError("median requires finite values")
-    return float(_sorted_median(np.sort(arr)[None, :])[0])
+    return float(_sorted_median(np.sort(arr), np.arange(arr.size)[None, :])[0])
+
+
+def _frame_medians(frame: PopulationFrame) -> tuple[float, float]:
+    """(median of y, median of x) over all N units, the :func:`finite_median`
+    of each column, read off the frame's order table."""
+    N = frame.N
+    _, values = frame._order
+    my, mx = _sorted_median(values, np.arange(2 * N).reshape(2, N)).tolist()
+    return my, mx
 
 
 def compute_params(
@@ -272,12 +324,16 @@ def compute_params(
     fy_method = fy_method if fy_method is not None else KernelDensity()
     fx_method = fx_method if fx_method is not None else KernelDensity()
 
-    my = finite_median(frame.y)
-    mx = finite_median(frame.x)
+    N = frame.N
+    my, mx = _frame_medians(frame)
     # p11 is the share of units at or below both medians; inclusive tie
     # counting can push it past 1/2 on finite populations, so the concordance
-    # correlation is capped at its continuum bound
-    p11 = np.count_nonzero((frame.x <= mx) & (frame.y <= my)) / frame.N
+    # correlation is capped at its continuum bound.  A unit is at or below a
+    # median where its rank is below the table's count of such values
+    ranks, values = frame._order
+    y_end = np.searchsorted(values[:N], my, "right")
+    x_end = N + np.searchsorted(values[N:], mx, "right")
+    p11 = np.count_nonzero((ranks[0] < y_end) & (ranks[1] < x_end)) / N
     rho_c = min(1.0, max(-1.0, 4.0 * p11 - 1.0))
 
     fy = density_at(frame.y, my, fy_method)

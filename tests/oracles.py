@@ -304,3 +304,32 @@ def kernel_density_rows(rows: np.ndarray, points: np.ndarray) -> tuple[np.ndarra
         density = np.full(rows.shape[0], np.nan)
         density[usable] = kernel_mean / (hu * math.sqrt(2.0 * math.pi))
     return density, h
+
+
+def float_sort_statistics(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(median, 25% and 75% quantiles) of each row of a (K, n) array, read
+    off the rows sorted as floats: the middle entry or the middle pair's sum
+    halved, and numpy's ``linear`` rule with ``_lerp`` interpolating from
+    the nearer neighbour.  This is the sampling blocks' float-sort route
+    that sorted ranks replaced, kept as a reference for them.
+    """
+    ordered = np.sort(rows, axis=1)
+    n = ordered.shape[1]
+    half = n // 2
+    with np.errstate(all="ignore"):  # values near the float limit overflow
+        if n % 2:
+            median = ordered[:, half]
+        else:
+            median = (ordered[:, half - 1] + ordered[:, half]) / 2
+        quartiles = []
+        for q in (0.25, 0.75):
+            index = (n - 1) * q
+            below = math.floor(index)
+            above = below + 1
+            if index >= n - 1:
+                below = above = -1
+            t = index - below
+            a, b = ordered[:, below], ordered[:, above]
+            diff = b - a
+            quartiles.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return median, *quartiles

@@ -28,6 +28,7 @@ from medaux import (
     SyntheticSpec,
     compute_params,
     density_at,
+    dominance_checks,
     evaluate,
     finite_median,
     free_scalars,
@@ -1006,7 +1007,7 @@ class TestCallCounts:
         # estimator and chunk of _BLOCK_UNITS replicates, one chunk here
         # whatever the number of sampling blocks
         import medaux
-        from medaux import estimators
+        from medaux import estimators, mse
 
         calls = Counter()
 
@@ -1019,7 +1020,7 @@ class TestCallCounts:
 
         for name in ("resolve_weights", "evaluate", "optimal_weights", "point_value"):
             wrapped = counting(name, getattr(estimators, name))
-            for module in (medaux, estimators, montecarlo):
+            for module in (medaux, estimators, mse, montecarlo):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapped)
         monkeypatch.setattr(
@@ -1057,8 +1058,8 @@ class TestCallCounts:
     def test_true_params_weights_are_solved_once_per_run(self, monkeypatch):
         # one solve per free spec (none for M_y and M_lr) serves the blocks
         # and the analytic columns, whatever the number of blocks: a solve is
-        # a call that finds weights, at either binding site
-        from medaux import estimators
+        # a call that finds weights, at any binding site
+        from medaux import estimators, mse
 
         calls = Counter()
         solve = estimators.optimal_weights
@@ -1068,7 +1069,7 @@ class TestCallCounts:
             calls["solves"] += bool(found)
             return found
 
-        for module in (estimators, montecarlo):
+        for module in (estimators, mse, montecarlo):
             monkeypatch.setattr(module, "optimal_weights", counted)
         frame = _small_frame(N=200, seed=4)
         params = compute_params(frame, 10)
@@ -1081,6 +1082,59 @@ class TestCallCounts:
                 run_simulation(frame, config, params)
                 counts.append(calls["solves"])
         assert counts == [3, 3]
+
+    @pytest.mark.parametrize("weights", ["true-params", "plug-in"])
+    def test_true_moments_are_derived_once_per_call(self, monkeypatch, pop2, weights):
+        # the float solves and figures of one call share one derivation of
+        # the error moments of the true params: table_rows, dominance_checks
+        # and a run, whatever the number of normal-equation specs in it
+        from medaux import estimators, expansion
+
+        calls = Counter()
+        moments = expansion.moment_values
+
+        def counted(ops, params):  # the float backend's calls alone
+            calls["floats"] += not isinstance(ops, montecarlo._Rows)
+            return moments(ops, params)
+
+        for module in (expansion, estimators):
+            monkeypatch.setattr(module, "moment_values", counted)
+        counts = []
+        for call in (table_rows, dominance_checks):
+            calls.clear()
+            call(pop2)
+            counts.append(calls["floats"])
+        frame = _small_frame(N=200, seed=4)
+        params = compute_params(frame, 10)
+        names = ("M_y", "M_d", "M_d2", "M_d4", "t_m", "t_mq7", "M_3", "M_lr")
+        calls.clear()
+        run_simulation(frame, SimulationConfig(n=10, reps=40, estimators=names,
+                                               weights=weights), params)
+        assert counts + [calls["floats"]] == [1, 1, 1]
+
+    def test_order_table_is_built_once_per_frame(self, monkeypatch):
+        # compute_params and every run read one order table, one stable
+        # argsort per column; a frame from dataclasses.replace builds its own
+        calls = Counter()
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            calls["argsort"] += 1
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        frame = _small_frame(N=300, seed=6)
+        params = compute_params(frame, 20)
+        config = SimulationConfig(n=20, reps=50, estimators=("M_y", "M_d", "M_lr"))
+        first = run_simulation(frame, config, params)
+        second = run_simulation(frame, replace(config, weights="plug-in"), params)
+        assert calls["argsort"] == 2
+        assert first.population_median_y == second.population_median_y == params.median_y
+        other = replace(frame, y=frame.y[::-1] * 2.0)
+        assert other._order is not frame._order
+        assert calls["argsort"] == 4
+        assert compute_params(other, 20).median_y == 2.0 * params.median_y
+        assert calls["argsort"] == 4
 
 
 class TestMakeSynthetic:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import math
@@ -28,12 +29,14 @@ from medaux import (
     load_params,
     load_population,
 )
+from medaux import montecarlo
 from medaux.population import (
     _kernel_density_rows,
+    _rank_dtype,
     _sorted_median,
     _sorted_quantile,
 )
-from oracles import kernel_density_rows
+from oracles import float_sort_statistics, kernel_density_rows
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -105,6 +108,14 @@ class TestPopulationFrame:
         frame = PopulationFrame(x=np.array([1.0, 2.0]), y=np.array([3.0, 4.0]))
         with pytest.raises(ValueError):
             frame.x[0] = 0.0
+
+    def test_columns_are_copies(self):
+        # the frame caches its order table, so nothing else may write its columns
+        x, y = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        frame = PopulationFrame(x=x, y=y)
+        x[0] = y[0] = 9.0
+        assert frame.x.tolist() == [1.0, 2.0] and frame.y.tolist() == [3.0, 4.0]
+        assert x.flags.writeable
 
 
 class TestFiniteMedian:
@@ -220,10 +231,33 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def _rank_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, ranks) of a (K, n) block taken as one column: its entries
+    sorted stably, and each entry's rank in that order, sorted along the
+    block's rows, so ``values[ranks]`` is the block with its rows sorted."""
+    flat = rows.ravel()
+    order = np.argsort(flat, kind="stable")
+    ranks = np.empty(flat.size, dtype=np.intp)
+    ranks[order] = np.arange(flat.size)
+    return flat[order], np.sort(ranks.reshape(rows.shape), axis=1)
+
+
+def _rank_statistics(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(median, q25, q75) of each row by the rank route."""
+    values, ranks = _rank_block(rows)
+    with np.errstate(all="ignore"):
+        return (
+            _sorted_median(values, ranks),
+            _sorted_quantile(values, ranks, 0.25),
+            _sorted_quantile(values, ranks, 0.75),
+        )
+
+
 def _density_rows(rows: np.ndarray, points: np.ndarray):
-    """The kernel density on copies, in the rows' own memory order: the
-    kernel writes over its arguments, and the callers read ``rows`` again."""
-    return _kernel_density_rows(np.copy(rows, order="K"), np.sort(rows, axis=1), points)
+    """The kernel density on a copy, in the rows' own memory order: the
+    kernel writes over its rows, and the callers read ``rows`` again."""
+    _, q25, q75 = _rank_statistics(rows)
+    return _kernel_density_rows(np.copy(rows, order="K"), q25, q75, points)
 
 
 def _sample_rows() -> np.ndarray:
@@ -286,6 +320,12 @@ class TestKernelDensityRows:
         before = values.copy()
         density_at(values, float(np.median(values)), KernelDensity())
         assert _bits(values).tolist() == _bits(before).tolist()
+
+    def test_the_bandwidth_reads_quartiles_not_sorted_rows(self):
+        # the blocks sort no float row: the kernel takes the IQR's quartiles
+        assert list(inspect.signature(_kernel_density_rows).parameters) == [
+            "rows", "q25", "q75", "points"
+        ]
 
     def test_memory_layout_does_not_change_results(self):
         rows = _sample_rows()
@@ -376,38 +416,136 @@ class TestSortedRowStatistics:
     @example(rows=np.array([[LIMIT, LIMIT], [-LIMIT, LIMIT], [1.0, 2.0]]))
     @given(rows=_row_blocks())
     def test_equal_numpy_bit_for_bit(self, rows):
-        ordered = np.sort(rows, axis=1)
         with np.errstate(all="ignore"):
-            median = _sorted_median(ordered)
-            q75, q25 = _sorted_quantile(ordered, 0.75), _sorted_quantile(ordered, 0.25)
             ref_median = np.median(rows, axis=1)
             ref_q75, ref_q25 = np.percentile(rows, [75, 25], axis=1)
-        assert np.array_equal(_bits(median), _bits(ref_median))
-        assert np.array_equal(_bits(q75), _bits(ref_q75))
-        assert np.array_equal(_bits(q25), _bits(ref_q25))
+        got = _rank_statistics(rows)
+        for stat, want in zip(got, (ref_median, ref_q25, ref_q75)):
+            assert np.array_equal(_bits(stat), _bits(want))
+        for stat, want in zip(got, float_sort_statistics(rows)):
+            assert np.array_equal(_bits(stat), _bits(want))
 
     def test_overflow_matches_numpy(self):
         rows = np.array([[LIMIT, LIMIT], [-LIMIT, -LIMIT], [LIMIT, LIMIT - 1e292]])
+        assert _rank_statistics(rows)[0].tolist() == [math.inf, -math.inf, math.inf]
+        # the 25% index of 5 values is 1 exactly; numpy still interpolates
+        # towards entry 2, and weight 0 times an infinite difference is NaN
+        row = np.array([[-LIMIT, -LIMIT, LIMIT, LIMIT, LIMIT]])
+        assert math.isnan(_rank_statistics(row)[1][0])
         with np.errstate(all="ignore"):
-            assert _sorted_median(np.sort(rows, axis=1)).tolist() == [
-                math.inf, -math.inf, math.inf
-            ]
-            # the 25% index of 5 values is 1 exactly; numpy still interpolates
-            # towards entry 2, and weight 0 times an infinite difference is NaN
-            row = np.array([[-LIMIT, -LIMIT, LIMIT, LIMIT, LIMIT]])
-            assert math.isnan(_sorted_quantile(row, 0.25)[0])
             assert math.isnan(np.percentile(row, 25))
 
     def test_signed_zeros_agree_in_value(self):
         # which of -0.0 and 0.0 np.median returns depends on where its
         # partition leaves them, so only the values are compared
         rows = np.random.default_rng(2).choice([-0.0, 0.0, 1.0, -1.0], size=(200, 7))
-        ordered = np.sort(rows, axis=1)
-        assert np.array_equal(_sorted_median(ordered), np.median(rows, axis=1))
-        for q in (0.25, 0.75):
-            assert np.array_equal(
-                _sorted_quantile(ordered, q), np.percentile(rows, 100 * q, axis=1)
-            )
+        median, q25, q75 = _rank_statistics(rows)
+        assert np.array_equal(median, np.median(rows, axis=1))
+        assert np.array_equal(q25, np.percentile(rows, 25, axis=1))
+        assert np.array_equal(q75, np.percentile(rows, 75, axis=1))
+
+
+def _tied_frame(N: int, levels: int, seed: int) -> PopulationFrame:
+    """Lognormal pairs, or values on ``levels`` tied levels."""
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        x = rng.lognormal(3.0, 0.5, size=N)
+        return PopulationFrame(x=x, y=x * rng.lognormal(0.0, 0.3, size=N))
+    x = 1.0 + rng.integers(0, levels, size=N)
+    return PopulationFrame(x=x, y=2.0 * x + rng.integers(0, levels, size=N))
+
+
+class TestOrderTable:
+    def test_ranks_read_back_the_columns(self):
+        frame = _tied_frame(500, 3, 1)
+        ranks, values = frame._order
+        N = frame.N
+        assert ranks.shape == (2, N) and values.shape == (2 * N,)
+        assert _bits(values[ranks[0]]).tolist() == _bits(frame.y).tolist()
+        assert _bits(values[ranks[1]]).tolist() == _bits(frame.x).tolist()
+        assert sorted(ranks.ravel().tolist()) == list(range(2 * N))
+        assert not ranks.flags.writeable and not values.flags.writeable
+
+    @pytest.mark.parametrize(
+        "N, dtype", [(2, np.int16), (2**14, np.int16), (2**14 + 1, np.int32),
+                     (2**30, np.int32), (2**30 + 1, np.int64), (2**40, np.int64)],
+    )
+    def test_rank_dtype_is_the_narrowest_that_holds_2N(self, N, dtype):
+        assert _rank_dtype(N) is dtype
+        assert 2 * N - 1 <= np.iinfo(dtype).max
+        if dtype is not np.int16:  # the next narrower type falls short
+            narrower = {np.int32: np.int16, np.int64: np.int32}[dtype]
+            assert 2 * N - 1 > np.iinfo(narrower).max
+
+    @pytest.mark.parametrize("N", [2**14, 2**14 + 1])
+    def test_tables_either_side_of_the_int16_switch(self, N):
+        frame = _tied_frame(N, None, N)
+        ranks, values = frame._order
+        assert ranks.dtype == (np.int16 if N == 2**14 else np.int32)
+        assert int(ranks.max()) == 2 * N - 1
+        assert _bits(values[ranks[1]]).tolist() == _bits(frame.x).tolist()
+
+    @pytest.mark.parametrize(
+        "N, n", [(2**14, 2**14), (2**14 + 1, 2**14 + 1), (2**14 + 1, 100), (2**14, 1)],
+    )
+    def test_block_statistics_either_side_of_the_int16_switch(self, N, n):
+        self._assert_blocks_equal_references(_tied_frame(N, 4, N + n), n, K=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_block_statistics_equal_numpy_and_the_float_sort(self, data):
+        # heavy ties (values on 1 to 3 levels) or none; odd and even n,
+        # from 1 to N
+        N = data.draw(st.integers(2, 400), label="N")
+        levels = data.draw(st.sampled_from([None, 1, 2, 3]), label="levels")
+        sizes = sorted({1, 2, 3, N - 1, N, N // 2 + 1} & set(range(1, N + 1)))
+        n = data.draw(st.sampled_from(sizes), label="n")
+        frame = _tied_frame(N, levels, data.draw(st.integers(0, 2**32 - 1)))
+        self._assert_blocks_equal_references(frame, n, K=data.draw(st.integers(1, 5), label="K"))
+
+    @staticmethod
+    def _assert_blocks_equal_references(frame, n, K):
+        """The rank route of the sampling blocks against np.median and
+        np.percentile, and against the float sort, on the sampled values;
+        with n >= 2, the block's columns against the references too."""
+        N = frame.N
+        stream = montecarlo._replicate_stream(7, 0, n)
+        idx = montecarlo._swap_rows(montecarlo._swap_targets(stream, K, n, N), N)
+        ranks, values = frame._order
+        block = np.sort(np.concatenate([ranks[0][idx], ranks[1][idx]]), axis=1)
+        got = [
+            _sorted_median(values, block),
+            _sorted_quantile(values, block, 0.25),
+            _sorted_quantile(values, block, 0.75),
+        ]
+        rows = np.concatenate([frame.y[idx], frame.x[idx]])
+        want = [np.median(rows, axis=1), *np.percentile(rows, [25, 75], axis=1)]
+        for stat, ref, old in zip(got, want, float_sort_statistics(rows)):
+            assert _bits(stat).tolist() == _bits(ref).tolist() == _bits(old).tolist()
+        extras = n >= 2
+        stream = montecarlo._replicate_stream(7, 0, n)
+        columns = montecarlo._sample_columns(frame, n, stream, K, extras)
+        assert _bits(columns[0]).tolist() == _bits(want[0][:K]).tolist()
+        assert _bits(columns[1]).tolist() == _bits(want[0][K:]).tolist()
+        if extras:
+            ys, xs = frame.y[idx], frame.x[idx]
+            p11 = np.count_nonzero(
+                (ys <= want[0][:K, None]) & (xs <= want[0][K:, None]), axis=1
+            ) / n
+            fy, _ = kernel_density_rows(ys, want[0][:K])
+            fx, _ = kernel_density_rows(xs, want[0][K:])
+            for got_col, want_col in zip(columns[2:], (p11, fy, fx)):
+                assert _bits(got_col).tolist() == _bits(want_col).tolist()
+
+    def test_frame_medians_and_p11_equal_the_float_route(self):
+        for levels in (None, 1, 2, 3):
+            for N in (2, 3, 400, 401):
+                frame = _tied_frame(N, levels, N)
+                params = compute_params(frame, 1, KnownDensity(1.0), KnownDensity(1.0))
+                my, mx = finite_median(frame.y), finite_median(frame.x)
+                assert (params.median_y, params.median_x) == (my, mx)
+                p11 = np.count_nonzero((frame.x <= mx) & (frame.y <= my)) / N
+                assert params.rho_c == min(1.0, max(-1.0, 4.0 * p11 - 1.0))
 
 
 class TestMedianParams:
